@@ -1,26 +1,22 @@
-"""Kernel selection: compiled extension when available, else pure Python.
+"""Term-arithmetic entry points used by the Laurent ring.
 
-Set QPKNOT_PURE=1 in the environment to force the pure-Python kernel.
+The nine names are bound straight from `_pykernel` and kept as a separate
+module on purpose: `perfbench/tracer.py` fetches them from `qpknot._kernel`
+with `getattr` and leaves `qpknot._pykernel` untraced, so merging the two
+modules would count kernel-internal calls in the traced run and dropping a
+name would crash it.
 """
 
-import os
+from qpknot._pykernel import (
+    mono_cmp,
+    mono_deg,
+    mono_mul,
+    mono_pow,
+    poly_accum_term_mul,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_term_mul,
+)
 
-if os.environ.get("QPKNOT_PURE") == "1":
-    from qpknot import _pykernel as _impl
-else:
-    try:
-        from qpknot import _ckernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from qpknot import _pykernel as _impl
-
-BACKEND = _impl.IMPL
-
-mono_mul = _impl.mono_mul
-mono_pow = _impl.mono_pow
-mono_deg = _impl.mono_deg
-mono_cmp = _impl.mono_cmp
-poly_add = _impl.poly_add
-poly_neg = _impl.poly_neg
-poly_mul = _impl.poly_mul
-poly_term_mul = _impl.poly_term_mul
-poly_accum_term_mul = _impl.poly_accum_term_mul
+BACKEND = "python"

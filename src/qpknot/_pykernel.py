@@ -1,10 +1,9 @@
 """Pure-Python term-arithmetic kernel.
 
-This is the reference implementation of the small set of operations that
-dominate every computation in the package.  `_ckernel.pyx` is a compiled
-version with identical semantics; `_kernel` picks one at import time.
+The small set of operations that dominate every computation in the
+package; the ring reaches them through `_kernel`.
 
-Data contract (shared with the compiled kernel):
+Data contract:
 
 * monomial: tuple of ``(var, num, den)`` triples sorted by ``var``, where
   ``var`` is a one-letter string and ``num/den`` is a reduced rational
@@ -14,8 +13,6 @@ Data contract (shared with the compiled kernel):
 """
 
 from math import gcd
-
-IMPL = "python"
 
 
 def mono_mul(m1, m2):

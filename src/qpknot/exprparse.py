@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Union
 
 from qpknot.errors import ExprSyntaxError, NonMonomialFractionalPowerError
@@ -234,24 +235,41 @@ class _Parser:
 
 def parse_expression(src: str) -> Node:
     """Parse source text to an AST; raises :class:`ExprSyntaxError` (with
-    byte offset) on malformed input."""
-    return _Parser(src).parse()
+    byte offset) on malformed input, including nesting too deep to parse."""
+    parser = _Parser(src)
+    try:
+        return parser.parse()
+    except RecursionError:
+        offset = parser.tokens[min(parser.pos, len(parser.tokens) - 1)].offset
+        raise ExprSyntaxError("expression nested too deeply", offset) from None
+
+
+_BINARY = {Add: add, Sub: sub, Mul: mul}
 
 
 def eval_expression(node: Node) -> LaurentPoly:
-    """Evaluate an AST in the Laurent ring; '/' uses exact division."""
+    """Evaluate an AST in the Laurent ring; '/' uses exact division.
+
+    The left spine of ``+ - *`` chains, which the parser builds left-deep
+    for flat sums and products, is folded in a loop, so the length of a
+    chain does not count against the recursion limit."""
+    spine = []
+    while type(node) in _BINARY:
+        spine.append(node)
+        node = node.left
+    value = _eval_leaf(node)
+    for op in reversed(spine):
+        value = _BINARY[type(op)](value, eval_expression(op.right))
+    return value
+
+
+def _eval_leaf(node: Node) -> LaurentPoly:
     if isinstance(node, Lit):
         return LaurentPoly(node.value)
     if isinstance(node, Var):
         return LaurentPoly.var(node.name)
     if isinstance(node, Neg):
         return -eval_expression(node.child)
-    if isinstance(node, Add):
-        return eval_expression(node.left) + eval_expression(node.right)
-    if isinstance(node, Sub):
-        return eval_expression(node.left) - eval_expression(node.right)
-    if isinstance(node, Mul):
-        return eval_expression(node.left) * eval_expression(node.right)
     if isinstance(node, Div):
         return exact_div(eval_expression(node.left), eval_expression(node.right))
     if isinstance(node, Pow):

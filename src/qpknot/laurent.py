@@ -28,12 +28,6 @@ from qpknot.errors import (
 
 RationalLike = Union[int, Fraction, tuple]
 
-# Reduction loops are guaranteed to terminate on every exact case well
-# inside these bounds; the caps only cut off pathological non-exact
-# inputs whose leading terms could otherwise spiral within one degree.
-_DIV_STEP_MARGIN = 20000
-_SQRT_STEP_MARGIN = 2000
-
 
 def _as_exponent(r: RationalLike) -> Fraction:
     if isinstance(r, Fraction):
@@ -183,6 +177,56 @@ def _min_deg(terms: dict) -> tuple:
 
 def _ordered_keys(terms: dict) -> list:
     return sorted(terms, key=functools.cmp_to_key(_K.mono_cmp), reverse=True)
+
+
+_ZERO_RANGE = (0, 1, 0, 1)
+
+
+def _exponent_ranges(terms: dict) -> dict:
+    """Least and greatest exponent of each variable over the terms, as
+    ``var -> (lo_num, lo_den, hi_num, hi_den)``; a term without the
+    variable has exponent 0 in it."""
+    acc: dict = {}  # var -> [lo_num, lo_den, hi_num, hi_den, terms with var]
+    for key in terms:
+        for v, n, d in key:
+            r = acc.get(v)
+            if r is None:
+                acc[v] = [n, d, n, d, 1]
+                continue
+            if n * r[1] < r[0] * d:
+                r[0], r[1] = n, d
+            elif n * r[3] > r[2] * d:
+                r[2], r[3] = n, d
+            r[4] += 1
+    ranges = {}
+    for v, (lo_n, lo_d, hi_n, hi_d, count) in acc.items():
+        if count < len(terms):
+            if lo_n > 0:
+                lo_n, lo_d = 0, 1
+            if hi_n < 0:
+                hi_n, hi_d = 0, 1
+        ranges[v] = (lo_n, lo_d, hi_n, hi_d)
+    return ranges
+
+
+def _check_in_box(key: tuple, box: list, what: str, error: type) -> None:
+    """Raise ``error`` when the monomial ``key`` lies outside ``box``, a list
+    of ``(var, lo_num, lo_den, hi_num, hi_den)`` exponent bounds (positive
+    denominators, not necessarily reduced) sorted by variable that covers
+    every variable of ``key``."""
+    i = 0
+    nk = len(key)
+    for v, lo_n, lo_d, hi_n, hi_d in box:
+        if i < nk and key[i][0] == v:
+            _, n, d = key[i]
+            i += 1
+        else:
+            n, d = 0, 1
+        if n * lo_d < lo_n * d or n * hi_d > hi_n * d:
+            raise error(
+                f"{what} term needs {v}-exponent {Fraction(n, d)}, outside the "
+                f"Newton bound [{Fraction(lo_n, lo_d)}, {Fraction(hi_n, hi_d)}]"
+            )
 
 
 class LaurentPoly:
@@ -482,8 +526,14 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     Performs leading-term reduction in graded-lex order and raises
     :class:`NotDivisibleError` as soon as the remainder provably cannot
-    vanish (non-divisible leading coefficient, or remainder degree below
-    the numerator's minimum, which no exact quotient can reach).
+    vanish: a leading coefficient not divisible by the divisor's, a
+    remainder degree below the numerator's minimum, or a candidate
+    quotient term outside the Newton box.  By Ostrowski's theorem
+    (Newton(num) = Newton(quot) + Newton(den)) every exponent of a variable
+    v in the quotient lies in [min_v num - min_v den, max_v num - max_v den].
+    Candidates strictly decrease in a monomial order and their exponents
+    have bounded denominators, so they are distinct points of a finite box
+    and the reduction always stops.
     """
     if den.is_zero:
         raise DivisionByZeroError("division by the zero polynomial")
@@ -503,13 +553,20 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             out[_K.mono_mul(key, dm_inv)] = coeff // dc
         return LaurentPoly._raw(out)
 
+    num_r = _exponent_ranges(num._t)
+    den_r = _exponent_ranges(den_t)
+    box = []
+    for v in sorted(num_r.keys() | den_r.keys()):
+        a, b, c, d = num_r.get(v, _ZERO_RANGE)
+        e, f, g, h = den_r.get(v, _ZERO_RANGE)
+        box.append((v, a * f - e * b, b * f, c * h - g * d, d * h))
     floor_n, floor_d = _min_deg(num._t)
     rem = dict(num._t)
     quot: dict = {}
-    cap = _DIV_STEP_MARGIN + 4 * (len(num._t) + len(den_t))
-    steps = 0
     while rem:
         lt = _leading_key(rem)
+        qm = _K.mono_mul(lt, dm_inv)
+        _check_in_box(qm, box, "quotient", NotDivisibleError)
         ln, ld = _K.mono_deg(lt)
         if ln * floor_d < floor_n * ld:
             raise NotDivisibleError("remainder degree fell below the numerator's range")
@@ -517,12 +574,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         if c % dc:
             raise NotDivisibleError(f"coefficient {c} not divisible by {dc}")
         q = c // dc
-        qm = _K.mono_mul(lt, dm_inv)
         quot[qm] = q
         rem = _K.poly_add(rem, _K.poly_term_mul(den_t, qm, -q))
-        steps += 1
-        if steps > cap:
-            raise NotDivisibleError("reduction did not terminate")
     return LaurentPoly._raw(quot)
 
 
@@ -530,8 +583,12 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     """Square root in the Laurent ring, normalized to a positive leading
     coefficient; the zero polynomial returns zero.  Raises
     :class:`NotAPerfectSquareError` when no root exists.  Rational
-    exponents make every monomial a square, so failure always shows up
-    in the integer coefficients."""
+    exponents make every monomial a square, so failure shows up in the
+    integer coefficients or as a candidate root term outside the Newton
+    box: Newton(p) = 2 Newton(root), so every exponent of a variable v in
+    the root lies in [min_v p / 2, max_v p / 2].  Candidates strictly
+    decrease in a monomial order inside that finite box, so the reduction
+    always stops."""
     if p.is_zero:
         return LaurentPoly.zero()
 
@@ -543,28 +600,27 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     if rc * rc != lc:
         raise NotAPerfectSquareError(f"leading coefficient {lc} is not a square")
     rm = _K.mono_pow(lt, 1, 2)
+    rm_inv = _K.mono_pow(rm, -1, 1)
 
+    box = [
+        (v, lo_n, 2 * lo_d, hi_n, 2 * hi_d)
+        for v, (lo_n, lo_d, hi_n, hi_d) in sorted(_exponent_ranges(p._t).items())
+    ]
     floor_n, floor_d = _min_deg(p._t)  # root terms have degree >= floor/2
     root = {rm: rc}
     rem = _K.poly_add(p._t, {_K.mono_pow(rm, 2, 1): -rc * rc})
-    cap = _SQRT_STEP_MARGIN + 4 * len(p._t)
-    steps = 0
     while rem:
         lt = _leading_key(rem)
+        cm = _K.mono_mul(lt, rm_inv)
+        _check_in_box(cm, box, "root", NotAPerfectSquareError)
         c = rem[lt]
         if c % (2 * rc):
             raise NotAPerfectSquareError(f"coefficient {c} not divisible by {2 * rc}")
         cc = c // (2 * rc)
-        cm = _K.mono_mul(lt, _K.mono_pow(rm, -1, 1))
         cn, cd = _K.mono_deg(cm)
         if 2 * cn * floor_d < floor_n * cd:
             raise NotAPerfectSquareError("candidate term degree fell below the root's range")
-        if cm in root:
-            raise NotAPerfectSquareError("leading-term reduction revisited a root term")
         rem = _K.poly_add(rem, _K.poly_term_mul(root, cm, -2 * cc))
         rem = _K.poly_add(rem, {_K.mono_pow(cm, 2, 1): -cc * cc})
         root[cm] = cc
-        steps += 1
-        if steps > cap:
-            raise NotAPerfectSquareError("reduction did not terminate")
     return LaurentPoly._raw(root)

@@ -197,6 +197,10 @@ class TestEval:
         code, _ = run("eval", "(t^2 - 1)/(t - 2)")
         assert code == 1
 
+    def test_deep_nesting_is_usage_error(self):
+        code, _ = run("eval", "(" * 1000 + "q" + ")" * 1000)
+        assert code == 2
+
     def test_missing_operands(self):
         code, _ = run("eval")
         assert code == 2

@@ -11,7 +11,10 @@ from qpknot import (
     NonMonomialFractionalPowerError,
     NotDivisibleError,
     DivisionByZeroError,
+    Family,
     QPSpec,
+    canonical_text,
+    family_spec,
     eval_expression,
     parse_expression,
     parse_poly,
@@ -88,6 +91,10 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError):
             parse_expression("t^(1/0)")
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse_expression("(" * 1000 + "t" + ")" * 1000)
+
 
 class TestEval:
     def test_exact_division(self):
@@ -113,3 +120,10 @@ class TestEval:
 
     def test_eval_expression_entry_point(self):
         assert eval_expression(parse_expression("-t")) == -T
+
+    def test_long_sum_reparses(self):
+        p = qp_number(family_spec(Family.BMQ), 1000)
+        assert parse_poly(canonical_text(p)) == p
+
+    def test_long_product(self):
+        assert parse_poly("*".join(["t"] * 2000)) == T ** 2000

@@ -1,19 +1,7 @@
-"""Kernel backend parity and monomial-order unit tests."""
-
-import pytest
-from hypothesis import given
+"""Term-arithmetic kernel and monomial-order unit tests."""
 
 from qpknot import _pykernel
 from qpknot.laurent import Monomial
-
-from strategies import monomials, polys
-
-try:
-    from qpknot import _ckernel
-except ImportError:
-    _ckernel = None
-
-needs_ckernel = pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
 
 
 def key(text_exps):
@@ -63,38 +51,3 @@ class TestPyKernel:
         expected = _pykernel.poly_add(out, _pykernel.poly_term_mul(t, key({"q": 1}), 3))
         _pykernel.poly_accum_term_mul(out, t, key({"q": 1}), 3)
         assert out == expected
-
-
-@needs_ckernel
-class TestBackendParity:
-    @given(monomials, monomials)
-    def test_mono_mul(self, m1, m2):
-        assert _ckernel.mono_mul(m1._key, m2._key) == _pykernel.mono_mul(m1._key, m2._key)
-
-    @given(monomials, monomials)
-    def test_mono_cmp(self, m1, m2):
-        assert _ckernel.mono_cmp(m1._key, m2._key) == _pykernel.mono_cmp(m1._key, m2._key)
-
-    @given(monomials)
-    def test_mono_pow_and_deg(self, m):
-        assert _ckernel.mono_pow(m._key, -3, 2) == _pykernel.mono_pow(m._key, -3, 2)
-        assert _ckernel.mono_deg(m._key) == _pykernel.mono_deg(m._key)
-
-    @given(polys(), polys())
-    def test_poly_add_mul(self, p1, p2):
-        assert _ckernel.poly_add(p1._t, p2._t) == _pykernel.poly_add(p1._t, p2._t)
-        assert _ckernel.poly_mul(p1._t, p2._t) == _pykernel.poly_mul(p1._t, p2._t)
-
-    @given(polys(), monomials)
-    def test_poly_term_mul(self, p, m):
-        assert _ckernel.poly_term_mul(p._t, m._key, -4) == _pykernel.poly_term_mul(
-            p._t, m._key, -4
-        )
-
-    @given(polys(4), polys(4), monomials)
-    def test_poly_accum_term_mul(self, p, q, m):
-        got = dict(p._t)
-        want = dict(p._t)
-        _ckernel.poly_accum_term_mul(got, q._t, m._key, 5)
-        _pykernel.poly_accum_term_mul(want, q._t, m._key, 5)
-        assert got == want

@@ -131,6 +131,19 @@ class TestExactDiv:
     def test_truediv_operator(self):
         assert (T ** 2 - 1) / (T - 1) == T + 1
 
+    @pytest.mark.parametrize(
+        "num, den, var",
+        [
+            ("x^3 + y^3 + 1", "x + y + 1", "x"),
+            ("x*y + 1", "x - y", "y"),
+            ("a - b", "a + b", "a"),
+            ("1", "x + y", "x"),
+        ],
+    )
+    def test_non_exact_fails_on_newton_bound(self, num, den, var):
+        with pytest.raises(NotDivisibleError, match=f"{var}-exponent .* Newton bound"):
+            exact_div(parse_poly(num), parse_poly(den))
+
 
 class TestExactSqrt:
     def test_half_power_root(self):
@@ -157,6 +170,10 @@ class TestExactSqrt:
             exact_sqrt(-(T ** 2))
         with pytest.raises(NotAPerfectSquareError):
             exact_sqrt(T + 1)
+
+    def test_non_square_fails_on_newton_bound(self):
+        with pytest.raises(NotAPerfectSquareError, match=r"x-exponent -1, .* Newton bound \[0, 1\]"):
+            exact_sqrt(parse_poly("x^2 + 4*y^2"))
 
     def test_zero(self):
         assert exact_sqrt(LaurentPoly.zero()) == LaurentPoly.zero()
