@@ -15,7 +15,6 @@ polynomials; odd entries convert back to (a, t) exactly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -233,109 +232,131 @@ class AZForm:
     poly: LaurentPoly
 
 
-# Cache of z^j = (t^(1/2) - t^(-1/2))^j expansions.  Each entry stores
-# the term dict over t plus a row list of (2 * t-exponent, coefficient)
-# pairs so the peeling loop below can stay in integer arithmetic.
-_Z_CACHE: dict[int, tuple[dict, list]] = {}
+# Both directions work on dense integer rows, one per a-part (the rest of
+# the monomial once t or z is taken out), indexed by the exponent of
+# w = t^(1/2).  Since z = w - w^-1, z^j is the signed binomial row
+# sum_k (-1)^(j-k) C(j, k) w^(2k-j).
 
 
-def _z_power(j: int) -> tuple[dict, list]:
-    cached = _Z_CACHE.get(j)
-    if cached is None:
-        terms = {}
-        rows = []
-        for i in range(j + 1):
-            coeff = math.comb(j, i) * (1 if i % 2 == 0 else -1)
-            e = Fraction(j - 2 * i, 2)
-            key = () if e == 0 else (("t", e.numerator, e.denominator),)
-            terms[key] = coeff
-            rows.append((j - 2 * i, coeff))
-        cached = (terms, rows)
-        _Z_CACHE[j] = cached
-    return cached
+def _take_out(key: tuple, var: str) -> tuple[int, int, tuple]:
+    """Split a monomial key into var's exponent num/den and the rest."""
+    for idx, (v, n, d) in enumerate(key):
+        if v == var:
+            return n, d, key[:idx] + key[idx + 1 :]
+    return 0, 1, key
+
+
+def _t_key(doubled: int) -> tuple:
+    """Monomial key of t^(doubled/2)."""
+    if doubled == 0:
+        return ()
+    if doubled % 2:
+        return (("t", doubled, 2),)
+    return (("t", doubled // 2, 1),)
+
+
+def _z_row(j: int) -> list[int]:
+    """z^j as a row over w^-j, w^(2-j), ..., w^j, by the multiplicative
+    recurrence C(j, k+1) = C(j, k) * (j - k) / (k + 1)."""
+    row = [0] * (j + 1)
+    c = -1 if j % 2 else 1
+    for k in range(j + 1):
+        row[k] = c
+        c = -c * (j - k) // (k + 1)
+    return row
 
 
 def to_az_form(p: LaurentPoly) -> AZForm:
     """Rewrite an (a, t) polynomial as a polynomial in a and z.
 
-    Groups terms by twice their t-exponent and peels the top layer
-    against the matching power of z; raises
-    :class:`NotExpressibleError` when a residue remains that no
-    nonnegative power of z can produce.
+    Each a-part becomes one dense row over w = t^(1/2), from w^hi down to
+    w^min(lo, -hi).  Peeling from the top, a coefficient c at w^j (j >= 0)
+    is the coefficient of z^j: c times the binomial row of z^j is
+    subtracted by one stride-2 slice assignment, which clears w^j.  Each
+    binomial row is built once per call.  What is left below w^0 in any
+    a-part has no z-polynomial form and raises
+    :class:`NotExpressibleError` naming the residue of all a-parts.
     """
     extra = set(p.variables()) - {"a", "t"}
     if extra:
         raise ValueError(f"expected variables a and t only, found {sorted(extra)}")
 
-    def residue_text(buckets: dict) -> str:
-        terms: dict = {}
-        for k, layer in buckets.items():
-            for rest, c in layer.items():
-                e = Fraction(k, 2)
-                tkey = () if e == 0 else (("t", e.numerator, e.denominator),)
-                terms[_K.mono_mul(rest, tkey)] = c
-        return str(LaurentPoly._raw(terms))
-
-    # buckets: (2 * t-exponent) -> {t-free monomial: coefficient}
-    buckets: dict[int, dict] = {}
+    rows: dict[tuple, dict[int, int]] = {}  # a-part -> {2 * t-exponent: coeff}
     for key, coeff in p._t.items():
-        e = Fraction(0)
-        rest = key
-        for idx, (v, n, d) in enumerate(key):
-            if v == "t":
-                e = Fraction(n, d)
-                rest = key[:idx] + key[idx + 1 :]
-                break
-        doubled = 2 * e
-        if doubled.denominator != 1:
-            raise NotExpressibleError(f"t exponent {e} is not a half-integer")
-        buckets.setdefault(doubled.numerator, {})[rest] = coeff
+        n, d, rest = _take_out(key, "t")
+        if d > 2:
+            raise NotExpressibleError(f"t exponent {Fraction(n, d)} is not a half-integer")
+        rows.setdefault(rest, {})[n if d == 2 else 2 * n] = coeff
 
+    z_rows: dict[int, list[int]] = {}
     out: dict = {}
-    while buckets:
-        j = max(buckets)
-        if j < 0:
-            raise NotExpressibleError(
-                f"residue {residue_text(buckets)} has no z-polynomial form"
-            )
-        layer = buckets.pop(j)
-        _, rows = _z_power(j)
-        zmono = () if j == 0 else (("z", j, 1),)
-        for rest, coeff in layer.items():
-            out[_K.mono_mul(rest, zmono)] = coeff
-            # Skip the top row: popping the layer already removed it.
-            for k, zcoeff in rows[1:]:
-                bucket = buckets.get(k)
-                if bucket is None:
-                    bucket = buckets[k] = {}
-                c = bucket.get(rest, 0) - coeff * zcoeff
-                if c:
-                    bucket[rest] = c
-                else:
-                    del bucket[rest]
-                    if not bucket:
-                        del buckets[k]
+    residue: dict = {}
+    for rest, trow in rows.items():
+        hi = max(trow)
+        lo = min(min(trow), -hi)
+        row = [0] * (hi - lo + 1)
+        for e, c in trow.items():
+            row[e - lo] = c
+        for j in range(hi, -1, -1):
+            c = row[j - lo]
+            if c:
+                zr = z_rows.get(j)
+                if zr is None:
+                    zr = z_rows[j] = _z_row(j)
+                s = slice(-j - lo, j - lo + 1, 2)
+                row[s] = [x - c * b for x, b in zip(row[s], zr)]
+                out[_K.mono_mul(rest, (("z", j, 1),) if j else ())] = c
+        for i, c in enumerate(row[: -lo]):
+            if c:
+                residue[_K.mono_mul(rest, _t_key(i + lo))] = c
+    if residue:
+        raise NotExpressibleError(
+            f"residue {LaurentPoly._raw(residue)} has no z-polynomial form"
+        )
     return AZForm(LaurentPoly._raw(out))
 
 
 def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
     """Substitute z -> t^(1/2) - t^(-1/2) into an (a, z) polynomial.
 
-    Requires nonnegative integer z-exponents; link entries carrying z^-1
-    have no Laurent image in t and raise :class:`NotExpressibleError`.
+    Each a-part's z-coefficients g_j become a row over w = t^(1/2) by
+    Horner's rule in z = w - w^-1.  Even and odd powers of z land on even
+    and odd powers of w, so each parity runs on its own row over every
+    other power of w: a step multiplies the row over w^-d, w^(2-d), ...,
+    w^d by w - w^-1, one list comprehension on the dense row, and adds g_j
+    at w^0.  Each output term is keyed once and summed in, so terms that
+    already carry t merge.  Requires nonnegative integer z-exponents; link
+    entries carrying z^-1 have no Laurent image in t and raise
+    :class:`NotExpressibleError`.
     """
     p = form.poly if isinstance(form, AZForm) else form
-    out: dict = {}
+    rows: dict[tuple, dict[int, int]] = {}  # a-part -> {z-exponent: coeff}
     for key, coeff in p._t.items():
-        zexp = Fraction(0)
-        rest = key
-        for idx, (v, n, d) in enumerate(key):
-            if v == "z":
-                zexp = Fraction(n, d)
-                rest = key[:idx] + key[idx + 1 :]
-                break
-        if zexp.denominator != 1 or zexp < 0:
-            raise NotExpressibleError(f"z exponent {zexp} has no Laurent image in t")
-        terms, _ = _z_power(zexp.numerator)
-        _K.poly_accum_term_mul(out, terms, rest, coeff)
+        n, d, rest = _take_out(key, "z")
+        if d != 1 or n < 0:
+            raise NotExpressibleError(
+                f"z exponent {Fraction(n, d)} has no Laurent image in t"
+            )
+        rows.setdefault(rest, {})[n] = coeff
+
+    out: dict = {}
+    for rest, zrow in rows.items():
+        for parity in (0, 1):
+            js = [j for j in zrow if j % 2 == parity]
+            if not js:
+                continue
+            top = max(js)
+            f = [zrow[top]]
+            for j in range(top - 1, -1, -1):
+                f = [x - y for x, y in zip([0] + f, f + [0])]
+                if (top - j) % 2 == 0:
+                    f[(top - j) // 2] += zrow.get(j, 0)
+            for i, c in enumerate(f):
+                if c:
+                    key = _K.mono_mul(rest, _t_key(2 * i - top))
+                    s = out.get(key, 0) + c
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
     return LaurentPoly._raw(out)

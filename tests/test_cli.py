@@ -2,8 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qpknot.cli import main
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(*argv):
@@ -126,6 +132,13 @@ class TestTable:
         code, _ = run("table", "--invariant", "jones", "--max", "1", "--az")
         assert code == 1
 
+    def test_az_on_jones_names_the_residue(self, capsys):
+        code, out = run("table", "--invariant", "jones", "--max", "2", "--az")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: residue -t^-1 - t^-3 + t^-4 has no z-polynomial form\n"
+        )
+
     def test_csv_columns(self):
         code, out = run("table", "--invariant", "alexander", "--max", "1", "--format", "csv")
         assert out == '"n","polynomial"\n1,"1"\n3,"t - 1 + t^-1"\n'
@@ -218,3 +231,22 @@ class TestUsage:
     def test_unknown_command(self):
         code, _ = run("frobnicate")
         assert code == 2
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_quietly(self):
+        # About 200 kB in one print, more than a pipe buffer holds, so the
+        # write is still pending when the reader goes away.
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qpknot", "qp-num", "--family", "bmq", "--n", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""  # no traceback, no "Exception ignored" note

@@ -2,14 +2,20 @@
 the reverse square-root construction and the (a, z) change of variable."""
 
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import qpknot.skein
 from qpknot import (
     AZForm,
     BadRangeError,
     Family,
     InvariantKind,
     LaurentPoly,
+    Monomial,
     NotExpressibleError,
     from_az_form,
     knot_coeffs,
@@ -227,8 +233,9 @@ class TestAZForm:
     def test_not_expressible(self):
         with pytest.raises(NotExpressibleError):
             to_az_form(LaurentPoly.var("t"))
-        with pytest.raises(NotExpressibleError):
+        with pytest.raises(NotExpressibleError) as exc:
             to_az_form(parse_poly("t + t^(1/3)"))
+        assert str(exc.value) == "t exponent 1/3 is not a half-integer"
         # Jones polynomials are not symmetric under t -> 1/t
         with pytest.raises(NotExpressibleError):
             to_az_form(parse_poly("t + t^3 - t^4"))
@@ -238,8 +245,9 @@ class TestAZForm:
             to_az_form(LaurentPoly.var("q"))
 
     def test_from_az_rejects_negative_z_powers(self):
-        with pytest.raises(NotExpressibleError):
+        with pytest.raises(NotExpressibleError) as exc:
             from_az_form(parse_poly("a*z + a*z^-1"))
+        assert str(exc.value) == "z exponent -1 has no Laurent image in t"
 
     def test_hopf_entry_clears_after_multiplying_through(self):
         # z * P(Hopf) is a z-polynomial, so it has an exact t-form;
@@ -255,6 +263,100 @@ class TestAZForm:
         form = to_az_form(parse_poly("t - 2 + t^-1"))
         assert isinstance(form, AZForm)
         assert form.poly == parse_poly("z^2")
+
+    def test_residue_spans_every_a_part(self):
+        with pytest.raises(NotExpressibleError) as exc:
+            to_az_form(parse_poly("a*t^-2 + t"))
+        assert str(exc.value) == "residue a*t^-2 - t^-1 has no z-polynomial form"
+        with pytest.raises(NotExpressibleError) as exc:
+            to_az_form(parse_poly("t^(1/2)"))
+        assert str(exc.value) == "residue t^(-1/2) has no z-polynomial form"
+
+    def test_no_module_level_state(self):
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(qpknot.skein).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        p = knot_series(H, 40).knot(40)
+        before = sizes()
+        for _ in range(2):
+            assert from_az_form(to_az_form(p)) == p
+        assert sizes() == before
+
+
+# -- the conversions against the sum of c * rest * (t^(1/2) - t^(-1/2))^j ------
+
+_Z_IN_T = parse_poly("t^(1/2) - t^(-1/2)")
+
+
+def z_image(p: LaurentPoly) -> LaurentPoly:
+    """Substitute z -> t^(1/2) - t^(-1/2) term by term, with ring + and *
+    only."""
+    powers = [LaurentPoly.one()]
+    total = LaurentPoly.zero()
+    for mono, c in p.terms():
+        exps = mono.exponents
+        j = exps.pop("z", Fraction(0))
+        assert j.denominator == 1 and j >= 0
+        while len(powers) <= j:
+            powers.append(powers[-1] * _Z_IN_T)
+        total = total + Monomial(exps).as_poly(c) * powers[int(j)]
+    return total
+
+
+# the a-parts; the last three carry t, so their output keys merge with others
+_A_PARTS = [
+    {},
+    {"a": 2},
+    {"a": -1},
+    {"a": Fraction(2, 3)},
+    {"t": 1},
+    {"a": 2, "t": Fraction(-1, 2)},
+    {"t": Fraction(1, 2)},
+]
+_T_FREE = 4
+
+
+def az_polys(a_parts: int):
+    """(a, z) polynomials whose a-parts each mix z-exponents 0..40 of both
+    parities."""
+    term = st.tuples(
+        st.integers(min_value=0, max_value=a_parts - 1),
+        st.integers(min_value=0, max_value=40),
+    )
+    coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
+    return st.dictionaries(term, coeffs, min_size=1, max_size=16).map(
+        lambda terms: LaurentPoly(
+            {Monomial({**_A_PARTS[i], "z": j}): c for (i, j), c in terms.items()}
+        )
+    )
+
+
+CONVERSIONS = settings(max_examples=60, deadline=None)
+
+
+class TestAZReference:
+    @CONVERSIONS
+    @given(az_polys(len(_A_PARTS)))
+    @example(parse_poly("z^3 + z^2 + z + 1"))
+    @example(parse_poly("t*z^2 - 1"))  # the t^0 terms cancel
+    @example(parse_poly("t^(1/2)*z + a^2*t^(-1/2)*z^40 + z^39 - 2*a^2*z^2"))
+    def test_from_az_matches_reference(self, p):
+        assert from_az_form(p) == z_image(p)
+
+    @CONVERSIONS
+    @given(az_polys(_T_FREE))
+    @example(parse_poly("a^2*z^40 - a^2*z^39 + a^-1*z + 7"))
+    def test_to_az_inverts_from_az(self, p):
+        assert to_az_form(from_az_form(p)).poly == p
+
+    def test_odd_homfly_link_entries(self):
+        links = link_series(H, 81)
+        for n in range(1, 82, 2):
+            assert from_az_form(links.entry(n)) == z_image(links.entry(n))
 
 
 class TestKindFamilyBridge:
