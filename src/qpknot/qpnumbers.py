@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from qpknot.errors import NegativeIndexError
 from qpknot.laurent import LaurentPoly, Monomial, exact_div
@@ -80,27 +82,30 @@ def qp_number(spec: QPSpec, n: int) -> LaurentPoly:
     step = _K.mono_mul(_K.mono_pow(u, -1, 1), v)
     out: dict = {}
     for _ in range(n):
-        c = out.get(term, 0) + 1
-        if c:
-            out[term] = c
-        elif term in out:
-            del out[term]
+        out[term] = out.get(term, 0) + 1
         term = _K.mono_mul(term, step)
     return LaurentPoly._raw(out)
+
+
+def two_term_ladder(c1, c2, x0, x1) -> Iterator:
+    """Yield x0, x1, x2, ... with x(k+1) = c1*x(k) + c2*x(k-1).
+
+    Each term is computed only when it is asked for.
+    """
+    prev, cur = x0, x1
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, c1 * cur + c2 * prev
 
 
 def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
     """Recurrence form: [k+1] = (u+v)*[k] - u*v*[k-1] from [0]=0, [1]=1."""
     _check_index(n)
-    prev = LaurentPoly.zero()
-    if n == 0:
-        return prev
-    cur = LaurentPoly.one()
     k1 = spec.u.as_poly() + spec.v.as_poly()
     k2 = -(spec.u * spec.v).as_poly()
-    for _ in range(n - 1):
-        prev, cur = cur, k1 * cur + k2 * prev
-    return cur
+    ladder = two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one())
+    return next(islice(ladder, n, None))
 
 
 def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:

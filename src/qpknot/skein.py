@@ -17,12 +17,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
 from typing import Mapping
 
 from qpknot import _kernel as _K
 from qpknot.errors import BadRangeError, NotExpressibleError
 from qpknot.laurent import LaurentPoly, Monomial, exact_div, exact_sqrt
-from qpknot.qpnumbers import Family, family_spec
+from qpknot.qpnumbers import Family, family_spec, two_term_ladder
 
 
 class InvariantKind(enum.Enum):
@@ -156,41 +157,29 @@ def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
     if n_max < 2:
         raise BadRangeError(f"n_max must be at least 2, got {n_max}")
     if kind is InvariantKind.HOMFLY:
-        l1 = _v("a") * _v("z")
-        l2 = _v("a", 2)
-        p0 = unlink2(kind)
-        keep0 = False
+        l1, l2 = _v("a") * _v("z"), _v("a", 2)
     else:
         c = link_coeffs(kind)
         l1, l2 = c.l1, c.l2
-        p0 = unlink2(kind)
-        keep0 = True
-    entries = {1: LaurentPoly.one()}
-    if keep0:
-        entries[0] = p0
-    prev, cur = p0, LaurentPoly.one()
-    for n in range(2, n_max + 1):
-        prev, cur = cur, l1 * cur + l2 * prev
-        entries[n] = cur
+    ladder = two_term_ladder(l1, l2, unlink2(kind), LaurentPoly.one())
+    entries = dict(enumerate(islice(ladder, n_max + 1)))
+    if kind is InvariantKind.HOMFLY:
+        del entries[0]
     return InvariantSeries(kind, "link", entries)
 
 
 def knot_series(kind: InvariantKind, m_max: int) -> InvariantSeries:
     """Entries for the torus knots T(2m+1,2), m = 0..m_max.
 
-    Seeds are the unknot (1) and the trefoil (k1 + k2); every entry is a
-    Laurent polynomial in the kind's own variables.
+    The ladder is seeded with 1 twice, so the entry after the unknot (1)
+    is k1 + k2, the trefoil; every entry is a Laurent polynomial in the
+    kind's own variables.
     """
     if m_max < 0:
         raise BadRangeError(f"m_max must be nonnegative, got {m_max}")
     c = knot_coeffs(kind)
-    entries = {1: LaurentPoly.one()}
-    if m_max >= 1:
-        entries[3] = c.k1 + c.k2
-    prev, cur = entries[1], entries.get(3)
-    for m in range(2, m_max + 1):
-        prev, cur = cur, c.k1 * cur + c.k2 * prev
-        entries[2 * m + 1] = cur
+    ladder = two_term_ladder(c.k1, c.k2, LaurentPoly.one(), LaurentPoly.one())
+    entries = {2 * m + 1: p for m, p in enumerate(islice(ladder, 1, m_max + 2))}
     return InvariantSeries(kind, "knot", entries)
 
 
@@ -232,10 +221,10 @@ class AZForm:
     poly: LaurentPoly
 
 
-# Both directions work on dense integer rows, one per a-part (the rest of
-# the monomial once t or z is taken out), indexed by the exponent of
-# w = t^(1/2).  Since z = w - w^-1, z^j is the signed binomial row
-# sum_k (-1)^(j-k) C(j, k) w^(2k-j).
+# Both directions work on integer rows, one per a-part (the rest of the
+# monomial once t or z is taken out) and parity, indexed by the exponent of
+# w = t^(1/2).  Multiplying a row by z = w - w^-1 is an adjacent difference
+# of its coefficients; dividing by z undoes it with a running sum.
 
 
 def _take_out(key: tuple, var: str) -> tuple[int, int, tuple]:
@@ -255,64 +244,58 @@ def _t_key(doubled: int) -> tuple:
     return (("t", doubled // 2, 1),)
 
 
-def _z_row(j: int) -> list[int]:
-    """z^j as a row over w^-j, w^(2-j), ..., w^j, by the multiplicative
-    recurrence C(j, k+1) = C(j, k) * (j - k) / (k + 1)."""
-    row = [0] * (j + 1)
-    c = -1 if j % 2 else 1
-    for k in range(j + 1):
-        row[k] = c
-        c = -c * (j - k) // (k + 1)
-    return row
-
-
 def to_az_form(p: LaurentPoly) -> AZForm:
     """Rewrite an (a, t) polynomial as a polynomial in a and z.
 
-    Each a-part becomes one dense row over w = t^(1/2), from w^hi down to
-    w^min(lo, -hi).  Peeling from the top, a coefficient c at w^j (j >= 0)
-    is the coefficient of z^j: c times the binomial row of z^j is
-    subtracted by one stride-2 slice assignment, which clears w^j.  Each
-    binomial row is built once per call.  What is left below w^0 in any
-    a-part has no z-polynomial form and raises
-    :class:`NotExpressibleError` naming the residue of all a-parts.
+    The inverse of :func:`from_az_form`'s Horner loop.  Each a-part splits
+    into one row per parity of the exponent of w = t^(1/2), with c(k) at
+    w^k.  Since z is unchanged by w -> -w^-1, a row is a z-polynomial
+    exactly when c(-k) = (-1)^k c(k) for every k >= 1.  Otherwise
+    c(-k) - (-1)^k c(k) at w^-k, over all a-parts, is the residue and
+    :class:`NotExpressibleError` names it.
+
+    A z-polynomial row is fixed by its half c(d), c(d-2), ..., down to w^1
+    or w^0, and Horner is undone from the bottom.  On a step whose parity
+    matches the row, g_j is the row's value at w = 1,
+    c(0) + 2 * (c(2) + c(4) + ...), taken off at w^0.  Where multiplying
+    by z was an adjacent difference, dividing by z is then the running sum
+    q(k-1) = c(k) + q(k+1) from the top.
     """
     extra = set(p.variables()) - {"a", "t"}
     if extra:
         raise ValueError(f"expected variables a and t only, found {sorted(extra)}")
 
-    rows: dict[tuple, dict[int, int]] = {}  # a-part -> {2 * t-exponent: coeff}
+    rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {2 * t-exponent: coeff}
     for key, coeff in p._t.items():
         n, d, rest = _take_out(key, "t")
         if d > 2:
             raise NotExpressibleError(f"t exponent {Fraction(n, d)} is not a half-integer")
-        rows.setdefault(rest, {})[n if d == 2 else 2 * n] = coeff
+        e = n if d == 2 else 2 * n
+        rows.setdefault((rest, e % 2), {})[e] = coeff
 
-    z_rows: dict[int, list[int]] = {}
-    out: dict = {}
     residue: dict = {}
-    for rest, trow in rows.items():
-        hi = max(trow)
-        lo = min(min(trow), -hi)
-        row = [0] * (hi - lo + 1)
-        for e, c in trow.items():
-            row[e - lo] = c
-        for j in range(hi, -1, -1):
-            c = row[j - lo]
-            if c:
-                zr = z_rows.get(j)
-                if zr is None:
-                    zr = z_rows[j] = _z_row(j)
-                s = slice(-j - lo, j - lo + 1, 2)
-                row[s] = [x - c * b for x, b in zip(row[s], zr)]
-                out[_K.mono_mul(rest, (("z", j, 1),) if j else ())] = c
-        for i, c in enumerate(row[: -lo]):
-            if c:
-                residue[_K.mono_mul(rest, _t_key(i + lo))] = c
+    for (rest, parity), row in rows.items():
+        sign = -1 if parity else 1
+        for k in {abs(e) for e in row if e}:
+            r = row.get(-k, 0) - sign * row.get(k, 0)
+            if r:
+                residue[_K.mono_mul(rest, _t_key(-k))] = r
     if residue:
         raise NotExpressibleError(
             f"residue {LaurentPoly._raw(residue)} has no z-polynomial form"
         )
+
+    out: dict = {}
+    for (rest, parity), row in rows.items():
+        top = max(row)
+        half = [row.get(k, 0) for k in range(top, -1, -2)]
+        for j in range(top + 1):
+            if j % 2 == parity:
+                c0 = half.pop()
+                g = c0 + 2 * sum(half)
+                if g:
+                    out[_K.mono_mul(rest, (("z", j, 1),) if j else ())] = g
+            half = list(accumulate(half))
     return AZForm(LaurentPoly._raw(out))
 
 

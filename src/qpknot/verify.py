@@ -8,6 +8,7 @@ them in registry order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from qpknot.errors import BadRangeError, UnknownCheckError
 from qpknot.laurent import LaurentPoly, Monomial
@@ -18,6 +19,7 @@ from qpknot.qpnumbers import (
     homfly_jones_multiplier,
     qp_number,
     qp_number_division,
+    two_term_ladder,
 )
 from qpknot.skein import (
     InvariantKind,
@@ -66,16 +68,16 @@ def _check_three_route(n_max: int) -> CheckReport:
         spec = family_spec(fam)
         k1 = spec.u.as_poly() + spec.v.as_poly()
         k2 = -(spec.u * spec.v).as_poly()
-        prev, cur = LaurentPoly.zero(), LaurentPoly.one()
-        for n in range(1, n_max + 1):
+        ladder = two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one())
+        # range first: zip stops before asking the ladder for an unused entry
+        for n, r in zip(range(1, n_max + 1), islice(ladder, 1, None)):
             s = qp_number(spec, n)
             d = qp_number_division(spec, n)
-            if not (s == cur == d):
+            if not (s == r == d):
                 failures.append(
-                    f"{fam.value} n={n}: sum {s} / recurrence {cur} / division {d}"
+                    f"{fam.value} n={n}: sum {s} / recurrence {r} / division {d}"
                 )
                 break
-            prev, cur = cur, k1 * cur + k2 * prev
     return _report("three-route", (1, n_max), failures)
 
 

@@ -335,6 +335,20 @@ def az_polys(a_parts: int):
     )
 
 
+def negative_w_polys(a_parts: int):
+    """Nonzero polynomials whose terms are a-part * t^(-k/2), k = 1..44."""
+    term = st.tuples(
+        st.integers(min_value=0, max_value=a_parts - 1),
+        st.integers(min_value=1, max_value=44),
+    )
+    coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
+    return st.dictionaries(term, coeffs, min_size=1, max_size=8).map(
+        lambda terms: LaurentPoly(
+            {Monomial({**_A_PARTS[i], "t": Fraction(-k, 2)}): c for (i, k), c in terms.items()}
+        )
+    )
+
+
 CONVERSIONS = settings(max_examples=60, deadline=None)
 
 
@@ -352,6 +366,19 @@ class TestAZReference:
     @example(parse_poly("a^2*z^40 - a^2*z^39 + a^-1*z + 7"))
     def test_to_az_inverts_from_az(self, p):
         assert to_az_form(from_az_form(p)).poly == p
+
+    # A nonzero z-polynomial has a term at w^d with d >= 0, so once t^(-k/2)
+    # terms r are added to a z-polynomial's image, r is the only residue.
+    @CONVERSIONS
+    @given(az_polys(_T_FREE), negative_w_polys(_T_FREE))
+    @example(parse_poly("z^2"), parse_poly("t^-1"))  # z^2 = t - 2 + t^-1
+    @example(parse_poly("z"), parse_poly("-t^(-1/2)"))  # cancels z's t^(-1/2)
+    @example(parse_poly("z^3 + a^-1"), parse_poly("a^2*t^-20"))
+    def test_residue_is_exactly_the_added_negative_part(self, q, r):
+        assert to_az_form(from_az_form(q)).poly == q
+        with pytest.raises(NotExpressibleError) as err:
+            to_az_form(from_az_form(q) + r)
+        assert str(err.value) == f"residue {r} has no z-polynomial form"
 
     def test_odd_homfly_link_entries(self):
         links = link_series(H, 81)

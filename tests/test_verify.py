@@ -94,7 +94,7 @@ class TestReports:
 class TestConcurrency:
     def test_parallel_series_and_conversions(self):
         # pure functions over immutable values: concurrent use must agree
-        # with serial results (also exercises the shared z-power cache)
+        # with serial results
         from concurrent.futures import ThreadPoolExecutor
 
         from qpknot import InvariantKind, from_az_form, knot_series, to_az_form
