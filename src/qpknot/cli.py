@@ -28,7 +28,7 @@ from qpknot.errors import (
     UnknownCheckError,
 )
 from qpknot.exprparse import parse_expression, eval_expression
-from qpknot.laurent import LaurentPoly
+from qpknot.laurent import LaurentPoly, _render_terms
 from qpknot.qpnumbers import Family, family_spec, qp_number
 from qpknot.skein import InvariantKind, InvariantSeries, knot_series, link_series, to_az_form
 from qpknot.verify import CheckReport, check_names, run_all, run_check
@@ -47,31 +47,16 @@ _FAMILY_LATEX = {
 _KNOT_NAMES = {0: "0_1", 1: "3_1", 2: "5_1", 3: "7_1", 4: "9_1"}
 
 
+def _latex_mono(key: tuple) -> str:
+    return " ".join(
+        v if n == d == 1 else f"{v}^{{{n}}}" if d == 1 else f"{v}^{{{n}/{d}}}"
+        for v, n, d in key
+    )
+
+
 def latex_poly(p: LaurentPoly) -> str:
     """Render with braced exponents, same canonical term order as text."""
-    if p.is_zero:
-        return "0"
-    chunks = []
-    for mono, coeff in p.terms():
-        mag = coeff if coeff > 0 else -coeff
-        parts = []
-        for v, e in sorted(mono.exponents.items()):
-            if e == 1:
-                parts.append(v)
-            elif e.denominator == 1:
-                parts.append(f"{v}^{{{e.numerator}}}")
-            else:
-                parts.append(f"{v}^{{{e.numerator}/{e.denominator}}}")
-        body = " ".join(parts)
-        if not body:
-            body = str(mag)
-        elif mag != 1:
-            body = f"{mag} {body}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks)
+    return _render_terms(p, _latex_mono, " ")
 
 
 def _csv_rows(rows: list[tuple[int, LaurentPoly]]) -> str:

@@ -482,6 +482,12 @@ def canonical_text(p: LaurentPoly) -> str:
     The output re-parses to an equal value: ``-a^4 + a^2*t + a^2*t^-1``,
     ``t^(1/2) - t^(-1/2)``, ``0``.
     """
+    return _render_terms(p, _mono_text, "*")
+
+
+def _render_terms(p: LaurentPoly, mono_text, sep: str) -> str:
+    """The terms in canonical order with explicit signs; a coefficient
+    other than 1 is joined to ``mono_text(key)`` by ``sep``."""
     if p.is_zero:
         return "0"
     chunks = []
@@ -491,9 +497,9 @@ def canonical_text(p: LaurentPoly) -> str:
         if not key:
             body = str(mag)
         elif mag == 1:
-            body = _mono_text(key)
+            body = mono_text(key)
         else:
-            body = f"{mag}*{_mono_text(key)}"
+            body = f"{mag}{sep}{mono_text(key)}"
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:

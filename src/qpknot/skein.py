@@ -221,10 +221,12 @@ class AZForm:
     poly: LaurentPoly
 
 
-# Both directions work on integer rows, one per a-part (the rest of the
-# monomial once t or z is taken out) and parity, indexed by the exponent of
-# w = t^(1/2).  Multiplying a row by z = w - w^-1 is an adjacent difference
-# of its coefficients; dividing by z undoes it with a running sum.
+# Both directions work on the same integer rows, one per a-part (the rest of
+# the monomial once t or z is taken out) and parity, holding the coefficient
+# c(k) of w^k, w = t^(1/2), for k >= 0 only: the image of a z-polynomial has
+# c(-k) = (-1)^k c(k), so that half fixes the row.  Multiplying a row by
+# z = w - w^-1 is an adjacent difference on the half; dividing by z undoes it
+# with a running sum.
 
 
 def _take_out(key: tuple, var: str) -> tuple[int, int, tuple]:
@@ -248,18 +250,16 @@ def to_az_form(p: LaurentPoly) -> AZForm:
     """Rewrite an (a, t) polynomial as a polynomial in a and z.
 
     The inverse of :func:`from_az_form`'s Horner loop.  Each a-part splits
-    into one row per parity of the exponent of w = t^(1/2), with c(k) at
-    w^k.  Since z is unchanged by w -> -w^-1, a row is a z-polynomial
-    exactly when c(-k) = (-1)^k c(k) for every k >= 1.  Otherwise
-    c(-k) - (-1)^k c(k) at w^-k, over all a-parts, is the residue and
+    into one row per parity of the exponent of w = t^(1/2).  Since z is
+    unchanged by w -> -w^-1, a row is a z-polynomial exactly when
+    c(-k) = (-1)^k c(k) for every k >= 1.  Otherwise c(-k) - (-1)^k c(k)
+    at w^-k, over all a-parts, is the residue and
     :class:`NotExpressibleError` names it.
 
-    A z-polynomial row is fixed by its half c(d), c(d-2), ..., down to w^1
-    or w^0, and Horner is undone from the bottom.  On a step whose parity
-    matches the row, g_j is the row's value at w = 1,
-    c(0) + 2 * (c(2) + c(4) + ...), taken off at w^0.  Where multiplying
-    by z was an adjacent difference, dividing by z is then the running sum
-    q(k-1) = c(k) + q(k+1) from the top.
+    Horner is then undone on the half row from the bottom.  On a step whose
+    parity matches the row, g_j is the row's value at w = 1,
+    c(0) + 2 * (c(2) + c(4) + ...), taken off at w^0; dividing by z is the
+    running sum q(k-1) = c(k) + q(k+1) from the top.
     """
     extra = set(p.variables()) - {"a", "t"}
     if extra:
@@ -302,44 +302,43 @@ def to_az_form(p: LaurentPoly) -> AZForm:
 def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
     """Substitute z -> t^(1/2) - t^(-1/2) into an (a, z) polynomial.
 
-    Each a-part's z-coefficients g_j become a row over w = t^(1/2) by
-    Horner's rule in z = w - w^-1.  Even and odd powers of z land on even
-    and odd powers of w, so each parity runs on its own row over every
-    other power of w: a step multiplies the row over w^-d, w^(2-d), ...,
-    w^d by w - w^-1, one list comprehension on the dense row, and adds g_j
-    at w^0.  Each output term is keyed once and summed in, so terms that
-    already carry t merge.  Requires nonnegative integer z-exponents; link
-    entries carrying z^-1 have no Laurent image in t and raise
-    :class:`NotExpressibleError`.
+    The mirror of :func:`to_az_form`: Horner's rule in z on each a-part's
+    half row per parity of the z-exponent.  A step from odd to even powers
+    of w makes the new c(0) = c(-1) - c(1) = -2 c(1); g_j is added at w^0
+    on the steps whose parity matches the row.  The finished half is
+    mirrored onto w^-k, and each output term is keyed once and summed in,
+    so terms that already carry t merge.  Requires nonnegative integer
+    z-exponents; link entries carrying z^-1 have no Laurent image in t and
+    raise :class:`NotExpressibleError`.
     """
     p = form.poly if isinstance(form, AZForm) else form
-    rows: dict[tuple, dict[int, int]] = {}  # a-part -> {z-exponent: coeff}
+    rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {z-exponent: coeff}
     for key, coeff in p._t.items():
         n, d, rest = _take_out(key, "z")
         if d != 1 or n < 0:
             raise NotExpressibleError(
                 f"z exponent {Fraction(n, d)} has no Laurent image in t"
             )
-        rows.setdefault(rest, {})[n] = coeff
+        rows.setdefault((rest, n % 2), {})[n] = coeff
 
     out: dict = {}
-    for rest, zrow in rows.items():
-        for parity in (0, 1):
-            js = [j for j in zrow if j % 2 == parity]
-            if not js:
-                continue
-            top = max(js)
-            f = [zrow[top]]
-            for j in range(top - 1, -1, -1):
-                f = [x - y for x, y in zip([0] + f, f + [0])]
-                if (top - j) % 2 == 0:
-                    f[(top - j) // 2] += zrow.get(j, 0)
-            for i, c in enumerate(f):
-                if c:
-                    key = _K.mono_mul(rest, _t_key(2 * i - top))
-                    s = out.get(key, 0) + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+    for (rest, parity), zrow in rows.items():
+        top = max(zrow)
+        half = [zrow[top]]  # c(k) for k = (top - j) % 2, ..., top - j, step 2
+        for j in range(top - 1, -1, -1):
+            if (top - j) % 2:
+                half = [x - y for x, y in zip(half, half[1:] + [0])]
+            else:
+                half = [x - y for x, y in zip([-half[0]] + half, half + [0])]
+                half[0] += zrow.get(j, 0)
+        sign = -1 if parity else 1
+        row = [sign * c for c in reversed(half[1 - parity :])] + half
+        for i, c in enumerate(row):
+            if c:
+                key = _K.mono_mul(rest, _t_key(2 * i - top))
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     return LaurentPoly._raw(out)

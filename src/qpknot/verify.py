@@ -2,13 +2,16 @@
 
 Every check is an exhaustive exact comparison over an index range (no
 sampling).  Checks are independent pure computations; the runner executes
-them in registry order.
+them in registry order.  A check gets its knot series from a table that
+lives for one run, so a series that several checks compare is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
+from typing import Callable
 
 from qpknot.errors import BadRangeError, UnknownCheckError
 from qpknot.laurent import LaurentPoly, Monomial
@@ -23,6 +26,7 @@ from qpknot.qpnumbers import (
 )
 from qpknot.skein import (
     InvariantKind,
+    InvariantSeries,
     from_az_form,
     kind_for_family,
     knot_coeffs,
@@ -33,6 +37,11 @@ from qpknot.skein import (
     specialize_homfly,
     to_az_form,
 )
+
+
+# knot_series(kind, m_max) for one run: ``cache(knot_series)``, made by the
+# runner, so each series is built on first use and dropped with the run.
+KnotTable = Callable[[InvariantKind, int], InvariantSeries]
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ def _report(name: str, n_range: tuple[int, int], failures: list[str], detail: st
     return CheckReport(name, True, detail, n_range)
 
 
-def _check_three_route(n_max: int) -> CheckReport:
+def _check_three_route(n_max: int, knots: KnotTable) -> CheckReport:
     """Closed sum, recurrence and exact division agree for every family.
 
     The recurrence route is walked incrementally so the check stays
@@ -81,7 +90,7 @@ def _check_three_route(n_max: int) -> CheckReport:
     return _report("three-route", (1, n_max), failures)
 
 
-def _check_bm_coincidence(n_max: int) -> CheckReport:
+def _check_bm_coincidence(n_max: int, knots: KnotTable) -> CheckReport:
     """The one-parameter q-family equals the Alexander family up to the
     renaming q <-> t."""
     failures = []
@@ -102,7 +111,7 @@ _EXPECTED_KNOT_COEFFS = {
 }
 
 
-def _check_eq8_coeffs(n_max: int) -> CheckReport:
+def _check_eq8_coeffs(n_max: int, knots: KnotTable) -> CheckReport:
     """Knot coefficients match k1 = l1^2 + 2*l2, k2 = -l2^2 and the
     tabulated closed forms."""
     failures = []
@@ -127,12 +136,12 @@ _EXPECTED_TREFOIL = {
 }
 
 
-def _check_trefoil(n_max: int) -> CheckReport:
+def _check_trefoil(n_max: int, knots: KnotTable) -> CheckReport:
     """The m = 1 knot entry equals k1 + k2 and the tabulated trefoil
     polynomial for all three kinds."""
     failures = []
     for kind in InvariantKind:
-        got = knot_series(kind, 1).knot(1)
+        got = knots(kind, 1).knot(1)
         k = knot_coeffs(kind)
         if got != k.k1 + k.k2:
             failures.append(f"{kind.value}: {got} != k1 + k2")
@@ -141,31 +150,31 @@ def _check_trefoil(n_max: int) -> CheckReport:
     return _report("trefoil", (1, 1), failures)
 
 
-def _check_knot_vs_link(n_max: int) -> CheckReport:
+def _check_knot_vs_link(n_max: int, knots: KnotTable) -> CheckReport:
     """Knot entries agree with the odd link entries, m = 0..n_max."""
     failures = []
     for kind in InvariantKind:
-        knots = knot_series(kind, n_max)
+        series = knots(kind, n_max)
         links = link_series(kind, 2 * n_max + 1)
         for m in range(0, n_max + 1):
             link_entry = links.entry(2 * m + 1)
             if kind is InvariantKind.HOMFLY:
                 link_entry = from_az_form(link_entry)
-            if knots.knot(m) != link_entry:
+            if series.knot(m) != link_entry:
                 failures.append(
-                    f"{kind.value} m={m}: knot {knots.knot(m)} != link {link_entry}"
+                    f"{kind.value} m={m}: knot {series.knot(m)} != link {link_entry}"
                 )
                 break
     return _report("knot-vs-link", (0, n_max), failures)
 
 
-def _check_homfly_specialize(n_max: int) -> CheckReport:
+def _check_homfly_specialize(n_max: int, knots: KnotTable) -> CheckReport:
     """a -> 1 and a -> t collapse the two-variable knot series onto the
     Alexander and Jones knot series."""
     failures = []
-    hom = knot_series(InvariantKind.HOMFLY, n_max)
-    alex = knot_series(InvariantKind.ALEXANDER, n_max)
-    jones = knot_series(InvariantKind.JONES, n_max)
+    hom = knots(InvariantKind.HOMFLY, n_max)
+    alex = knots(InvariantKind.ALEXANDER, n_max)
+    jones = knots(InvariantKind.JONES, n_max)
     for m in range(0, n_max + 1):
         h = hom.knot(m)
         sa = specialize_homfly(h, InvariantKind.ALEXANDER)
@@ -179,7 +188,7 @@ def _check_homfly_specialize(n_max: int) -> CheckReport:
     return _report("homfly-specialize", (0, n_max), failures)
 
 
-def _check_roundtrip_sect7(n_max: int) -> CheckReport:
+def _check_roundtrip_sect7(n_max: int, knots: KnotTable) -> CheckReport:
     """Reconstructing (l1, l2) from the number families by square roots
     lands exactly on the defining link coefficients."""
     failures = []
@@ -193,7 +202,7 @@ def _check_roundtrip_sect7(n_max: int) -> CheckReport:
     return _report("roundtrip-sect7", (1, 1), failures)
 
 
-def _check_eq33_multiplier(n_max: int) -> CheckReport:
+def _check_eq33_multiplier(n_max: int, knots: KnotTable) -> CheckReport:
     """[n]^H / [n]^A is the monomial a^(2(n-1))."""
     failures = []
     for n in range(1, n_max + 1):
@@ -205,7 +214,7 @@ def _check_eq33_multiplier(n_max: int) -> CheckReport:
     return _report("eq33-multiplier", (1, n_max), failures)
 
 
-def _check_eq34_multiplier(n_max: int) -> CheckReport:
+def _check_eq34_multiplier(n_max: int, knots: KnotTable) -> CheckReport:
     """[n]^H / [n]^V is a monomial; it equals (a*t^-1)^(2(n-1)), which
     does NOT match the tabulated closed form (a*t)^(2(n-1)).  The check
     passes on the computed value and records the mismatch."""
@@ -233,7 +242,7 @@ def _check_eq34_multiplier(n_max: int) -> CheckReport:
     return _report("eq34-multiplier", (1, n_max), failures, detail)
 
 
-def _check_h1_equivalence(n_max: int) -> CheckReport:
+def _check_h1_equivalence(n_max: int, knots: KnotTable) -> CheckReport:
     """Route-1 numbers substitute exactly onto the two-variable numbers."""
     from qpknot.substitutions import h1_to_h
 
@@ -249,7 +258,7 @@ def _check_h1_equivalence(n_max: int) -> CheckReport:
     return _report("h1-equivalence", (1, n_max), failures)
 
 
-def _check_h2_equivalence(n_max: int) -> CheckReport:
+def _check_h2_equivalence(n_max: int, knots: KnotTable) -> CheckReport:
     """Route-2 numbers substitute exactly onto the two-variable numbers."""
     from qpknot.substitutions import h2_to_h
 
@@ -265,11 +274,11 @@ def _check_h2_equivalence(n_max: int) -> CheckReport:
     return _report("h2-equivalence", (1, n_max), failures)
 
 
-def _check_az_roundtrip(n_max: int) -> CheckReport:
+def _check_az_roundtrip(n_max: int, knots: KnotTable) -> CheckReport:
     """to_az_form followed by z -> t^(1/2) - t^(-1/2) is the identity on
     the two-variable knot entries."""
     failures = []
-    series = knot_series(InvariantKind.HOMFLY, n_max)
+    series = knots(InvariantKind.HOMFLY, n_max)
     for m in range(0, n_max + 1):
         p = series.knot(m)
         back = from_az_form(to_az_form(p))
@@ -305,11 +314,12 @@ def run_check(name: str, n_max: int) -> CheckReport:
         raise UnknownCheckError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
     if n_max < 1:
         raise BadRangeError(f"n_max must be at least 1, got {n_max}")
-    return CHECKS[name](n_max)
+    return CHECKS[name](n_max, cache(knot_series))
 
 
 def run_all(n_max: int) -> list[CheckReport]:
-    """Run every registered check in registry order."""
+    """Run every registered check in registry order, over one knot table."""
     if n_max < 1:
         raise BadRangeError(f"n_max must be at least 1, got {n_max}")
-    return [CHECKS[name](n_max) for name in CHECKS]
+    knots = cache(knot_series)
+    return [CHECKS[name](n_max, knots) for name in CHECKS]

@@ -1,9 +1,13 @@
 """The check registry: names, reports, determinism and serialization."""
 
+from collections import Counter
+
 import pytest
 
 from qpknot import (
     BadRangeError,
+    Family,
+    InvariantKind,
     UnknownCheckError,
     check_names,
     run_all,
@@ -80,6 +84,37 @@ class TestReports:
         batch = run_all(10)
         for report in batch:
             assert run_check(report.name, 10) == report
+
+    def test_each_knot_series_built_once_per_run(self, monkeypatch):
+        # one table per run: no repeats inside a run, nothing kept across runs
+        from qpknot import verify
+
+        builds = Counter()
+        real = verify.knot_series
+
+        def counting(kind, m_max):
+            builds[kind, m_max] += 1
+            return real(kind, m_max)
+
+        monkeypatch.setattr(verify, "knot_series", counting)
+        for _ in range(2):
+            builds.clear()
+            assert all(r.passed for r in run_all(10))
+            assert set(builds.values()) == {1}
+            assert {m for _, m in builds} == {1, 10}
+        builds.clear()
+        assert run_check("az-roundtrip", 10).passed
+        assert list(builds) == [(InvariantKind.HOMFLY, 10)]
+
+    def test_eq33_reports_a_wrong_multiplier(self, monkeypatch):
+        from qpknot import qpnumbers
+        from qpknot.laurent import Monomial
+
+        wrong = qpnumbers.QPSpec(Monomial({"a": 3, "t": 1}), Monomial({"a": 3, "t": -1}))
+        monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
+        report = run_check("eq33-multiplier", 5)
+        assert not report.passed
+        assert report.detail == "n=2: a^3 != a^2"
 
     def test_failure_rendering(self):
         from qpknot.verify import _report
