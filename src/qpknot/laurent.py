@@ -156,6 +156,29 @@ def _mono_text(key: tuple) -> str:
     return "*".join(parts)
 
 
+def _merge_terms(pairs: Iterable[tuple]) -> dict:
+    """Terms of the ``(monomial, int)`` pairs; repeats add up or cancel."""
+    terms: dict = {}
+    for mono, coeff in pairs:
+        if not isinstance(coeff, int):
+            raise TypeError("coefficients must be ints")
+        key = _as_monomial(mono)._key
+        c = terms.get(key, 0) + coeff
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+def _json_term(entry: Mapping) -> tuple:
+    exps = {}
+    for v, frac in entry["monomial"].items():
+        num, _, den = frac.partition("/")
+        exps[v] = Fraction(int(num), int(den) if den else 1)
+    return Monomial(exps), int(entry["coeff"])
+
+
 def _leading_key(terms: dict) -> tuple:
     it = iter(terms)
     best = next(it)
@@ -248,17 +271,7 @@ class LaurentPoly:
         elif isinstance(value, int):
             terms = {(): value} if value else {}
         elif isinstance(value, Mapping):
-            terms = {}
-            for mono, coeff in value.items():
-                if not isinstance(coeff, int):
-                    raise TypeError("coefficients must be ints")
-                if coeff:
-                    key = _as_monomial(mono)._key
-                    c = terms.get(key, 0) + coeff
-                    if c:
-                        terms[key] = c
-                    elif key in terms:
-                        del terms[key]
+            terms = _merge_terms(value.items())
         else:
             raise TypeError(f"cannot build a polynomial from {value!r}")
         object.__setattr__(self, "_t", dict(terms))
@@ -285,7 +298,7 @@ class LaurentPoly:
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple]) -> "LaurentPoly":
-        return cls({m: c for m, c in items})
+        return cls._raw(_merge_terms(items))
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical (descending graded-lex) order."""
@@ -452,17 +465,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "LaurentPoly":
-        terms = {}
-        for entry in obj["terms"]:
-            exps = {}
-            for v, frac in entry["monomial"].items():
-                num, _, den = frac.partition("/")
-                exps[v] = Fraction(int(num), int(den) if den else 1)
-            key = Monomial(exps)._key
-            coeff = int(entry["coeff"])
-            if coeff:
-                terms[key] = terms.get(key, 0) + coeff
-        return cls._raw({k: c for k, c in terms.items() if c})
+        return cls._raw(_merge_terms(map(_json_term, obj["terms"])))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

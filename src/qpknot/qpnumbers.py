@@ -98,13 +98,22 @@ def two_term_ladder(c1, c2, x0, x1) -> Iterator:
         prev, cur = cur, c1 * cur + c2 * prev
 
 
+def recurrence_coeffs(spec: QPSpec) -> tuple[LaurentPoly, LaurentPoly]:
+    """(k1, k2) = (u + v, -u*v): [n+1] = k1*[n] + k2*[n-1], and the knot
+    coefficients of the invariant families."""
+    return spec.u.as_poly() + spec.v.as_poly(), -(spec.u * spec.v).as_poly()
+
+
+def qp_numbers(spec: QPSpec) -> Iterator[LaurentPoly]:
+    """Yield [0], [1], [2], ... by the recurrence from [0] = 0, [1] = 1."""
+    k1, k2 = recurrence_coeffs(spec)
+    return two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one())
+
+
 def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
     """Recurrence form: [k+1] = (u+v)*[k] - u*v*[k-1] from [0]=0, [1]=1."""
     _check_index(n)
-    k1 = spec.u.as_poly() + spec.v.as_poly()
-    k2 = -(spec.u * spec.v).as_poly()
-    ladder = two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one())
-    return next(islice(ladder, n, None))
+    return next(islice(qp_numbers(spec), n, None))
 
 
 def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:
@@ -117,8 +126,11 @@ def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:
     return exact_div(num, den)
 
 
-def _monomial_quotient(num: LaurentPoly, den: LaurentPoly) -> Monomial:
-    q = exact_div(num, den)
+def _monomial_quotient(f: Family, n: int) -> Monomial:
+    """The single monomial [n]^H / [n]^f."""
+    if n < 1:
+        raise NegativeIndexError(f"multiplier undefined for n = {n}")
+    q = exact_div(qp_number(family_spec(Family.HOMFLY), n), qp_number(family_spec(f), n))
     if not q.is_monomial():
         raise RuntimeError(f"quotient is not a monomial: {q}")
     return q.as_monomial()
@@ -126,12 +138,7 @@ def _monomial_quotient(num: LaurentPoly, den: LaurentPoly) -> Monomial:
 
 def homfly_alexander_multiplier(n: int) -> Monomial:
     """The single monomial [n]^H / [n]^A; callers compare it with a^(2(n-1))."""
-    if n < 1:
-        raise NegativeIndexError(f"multiplier undefined for n = {n}")
-    return _monomial_quotient(
-        qp_number(family_spec(Family.HOMFLY), n),
-        qp_number(family_spec(Family.ALEXANDER), n),
-    )
+    return _monomial_quotient(Family.ALEXANDER, n)
 
 
 def homfly_jones_multiplier(n: int) -> Monomial:
@@ -140,9 +147,4 @@ def homfly_jones_multiplier(n: int) -> Monomial:
     Direct division yields (a*t^-1)^(2(n-1)); callers compare it against
     tabulated closed forms themselves.
     """
-    if n < 1:
-        raise NegativeIndexError(f"multiplier undefined for n = {n}")
-    return _monomial_quotient(
-        qp_number(family_spec(Family.HOMFLY), n),
-        qp_number(family_spec(Family.JONES), n),
-    )
+    return _monomial_quotient(Family.JONES, n)

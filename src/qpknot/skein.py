@@ -1,9 +1,9 @@
 """Skein recurrences for the torus knots T(2m+1,2) and torus links L(2m,2).
 
-Both series obey two-term recurrences: consecutive entries are related by
-the link coefficients (l1, l2), and knots-only steps by the knot
-coefficients k1 = l1^2 + 2*l2, k2 = -l2^2.  Series indices follow the
-common numbering L(n,2): odd n are knots (n = 2m+1), even n are links.
+Link entries obey a two-term recurrence in the link coefficients (l1, l2);
+knot entries are [m+1] - u*v*[m] in the deformed numbers of the family pair
+(u, v), whose knot coefficients k1 = u + v, k2 = -u*v equal l1^2 + 2*l2,
+-l2^2.  Indices follow L(n,2): odd n are knots (n = 2m+1), even n links.
 
 Variable conventions: Alexander and Jones series live in t, the
 two-variable invariant in (a, t) for knots.  Its link entries carry an
@@ -17,13 +17,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
 from typing import Mapping
 
 from qpknot import _kernel as _K
 from qpknot.errors import BadRangeError, NotExpressibleError
 from qpknot.laurent import LaurentPoly, Monomial, exact_div, exact_sqrt
-from qpknot.qpnumbers import Family, family_spec, two_term_ladder
+from qpknot.qpnumbers import Family, family_spec, qp_number, recurrence_coeffs, two_term_ladder
 
 
 class InvariantKind(enum.Enum):
@@ -84,9 +84,18 @@ def link_coeffs(kind: InvariantKind) -> SkeinCoeffs:
 
 
 def knot_coeffs(kind: InvariantKind) -> KnotCoeffs:
-    """k1 = l1^2 + 2*l2 and k2 = -l2^2 for the kind's link coefficients."""
+    """k1 = u + v and k2 = -u*v for the (u, v) pair of the kind's family;
+    ``eq8-coeffs`` checks them against l1^2 + 2*l2 and -l2^2."""
+    return KnotCoeffs(*recurrence_coeffs(family_spec(family_for_kind(kind))))
+
+
+def _link_pair(kind: InvariantKind) -> tuple[LaurentPoly, LaurentPoly]:
+    """(l1, l2) in the variables of the kind's link series: (a, z) for the
+    two-variable invariant, where l1 = a*z and l2 = a^2."""
     c = link_coeffs(kind)
-    return KnotCoeffs(c.l1 * c.l1 + 2 * c.l2, -(c.l2 * c.l2))
+    if kind is InvariantKind.HOMFLY:
+        return to_az_form(c.l1).poly, to_az_form(c.l2).poly
+    return c.l1, c.l2
 
 
 def unlink2(kind: InvariantKind) -> LaurentPoly:
@@ -98,11 +107,8 @@ def unlink2(kind: InvariantKind) -> LaurentPoly:
     polynomial in (a, t); it is returned in the (a, z) variables as
     (a^-1 - a) * z^-1.
     """
-    if kind is InvariantKind.HOMFLY:
-        zinv = Monomial.var("z", -1)
-        return (_v("a", -1) - _v("a")) * zinv.as_poly()
-    c = link_coeffs(kind)
-    return exact_div(LaurentPoly.one() - c.l2, c.l1)
+    l1, l2 = _link_pair(kind)
+    return exact_div(LaurentPoly.one() - l2, l1)
 
 
 @dataclass(frozen=True)
@@ -156,12 +162,7 @@ def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
     """
     if n_max < 2:
         raise BadRangeError(f"n_max must be at least 2, got {n_max}")
-    if kind is InvariantKind.HOMFLY:
-        l1, l2 = _v("a") * _v("z"), _v("a", 2)
-    else:
-        c = link_coeffs(kind)
-        l1, l2 = c.l1, c.l2
-    ladder = two_term_ladder(l1, l2, unlink2(kind), LaurentPoly.one())
+    ladder = two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one())
     entries = dict(enumerate(islice(ladder, n_max + 1)))
     if kind is InvariantKind.HOMFLY:
         del entries[0]
@@ -171,15 +172,17 @@ def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
 def knot_series(kind: InvariantKind, m_max: int) -> InvariantSeries:
     """Entries for the torus knots T(2m+1,2), m = 0..m_max.
 
-    The ladder is seeded with 1 twice, so the entry after the unknot (1)
-    is k1 + k2, the trefoil; every entry is a Laurent polynomial in the
-    kind's own variables.
+    Entry m is [m+1] - u*v*[m] for the (u, v) pair of the kind's family,
+    each number a closed sum: the unknot [1] = 1, the trefoil
+    [2] - u*v = k1 + k2.  Every entry is a Laurent polynomial in the kind's
+    own variables.
     """
     if m_max < 0:
         raise BadRangeError(f"m_max must be nonnegative, got {m_max}")
-    c = knot_coeffs(kind)
-    ladder = two_term_ladder(c.k1, c.k2, LaurentPoly.one(), LaurentPoly.one())
-    entries = {2 * m + 1: p for m, p in enumerate(islice(ladder, 1, m_max + 2))}
+    spec = family_spec(family_for_kind(kind))
+    _, k2 = recurrence_coeffs(spec)  # -u*v
+    numbers = pairwise(qp_number(spec, n) for n in range(m_max + 2))
+    entries = {2 * m + 1: b + k2 * a for m, (a, b) in enumerate(numbers)}
     return InvariantSeries(kind, "knot", entries)
 
 
@@ -203,10 +206,8 @@ def skein_from_numbers(f: Family) -> SkeinCoeffs:
     with positive leading coefficient.  For the three invariant families
     this lands exactly on link_coeffs.
     """
-    spec = family_spec(f)
-    k1 = spec.u.as_poly() + spec.v.as_poly()
-    minus_k2 = (spec.u * spec.v).as_poly()
-    l2 = exact_sqrt(minus_k2)
+    k1, k2 = recurrence_coeffs(family_spec(f))
+    l2 = exact_sqrt(-k2)
     l1 = exact_sqrt(k1 - 2 * l2)
     return SkeinCoeffs(l1, l2)
 

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Callable
 
 from qpknot.errors import BadRangeError, UnknownCheckError
-from qpknot.laurent import LaurentPoly, Monomial
+from qpknot.laurent import Monomial
 from qpknot.qpnumbers import (
     Family,
     family_spec,
@@ -22,7 +22,7 @@ from qpknot.qpnumbers import (
     homfly_jones_multiplier,
     qp_number,
     qp_number_division,
-    two_term_ladder,
+    qp_numbers,
 )
 from qpknot.skein import (
     InvariantKind,
@@ -37,6 +37,7 @@ from qpknot.skein import (
     specialize_homfly,
     to_az_form,
 )
+from qpknot.substitutions import h1_to_h, h2_to_h
 
 
 # knot_series(kind, m_max) for one run: ``cache(knot_series)``, made by the
@@ -69,17 +70,14 @@ def _report(name: str, n_range: tuple[int, int], failures: list[str], detail: st
 def _check_three_route(n_max: int, knots: KnotTable) -> CheckReport:
     """Closed sum, recurrence and exact division agree for every family.
 
-    The recurrence route is walked incrementally so the check stays
-    quadratic in n_max; qp_number_recurrence computes the same ladder.
+    The recurrence route walks the number generator once per family, so
+    the check stays quadratic in n_max.
     """
     failures = []
     for fam in Family:
         spec = family_spec(fam)
-        k1 = spec.u.as_poly() + spec.v.as_poly()
-        k2 = -(spec.u * spec.v).as_poly()
-        ladder = two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one())
-        # range first: zip stops before asking the ladder for an unused entry
-        for n, r in zip(range(1, n_max + 1), islice(ladder, 1, None)):
+        # range first: zip stops before asking for an unused number
+        for n, r in zip(range(1, n_max + 1), islice(qp_numbers(spec), 1, None)):
             s = qp_number(spec, n)
             d = qp_number_division(spec, n)
             if not (s == r == d):
@@ -112,8 +110,9 @@ _EXPECTED_KNOT_COEFFS = {
 
 
 def _check_eq8_coeffs(n_max: int, knots: KnotTable) -> CheckReport:
-    """Knot coefficients match k1 = l1^2 + 2*l2, k2 = -l2^2 and the
-    tabulated closed forms."""
+    """The knot coefficients k1 = u + v, k2 = -u*v of the number families
+    match l1^2 + 2*l2, -l2^2 of the link coefficients and the tabulated
+    closed forms."""
     failures = []
     for kind in InvariantKind:
         c = link_coeffs(kind)
@@ -151,7 +150,8 @@ def _check_trefoil(n_max: int, knots: KnotTable) -> CheckReport:
 
 
 def _check_knot_vs_link(n_max: int, knots: KnotTable) -> CheckReport:
-    """Knot entries agree with the odd link entries, m = 0..n_max."""
+    """Knot entries, built from the numbers, agree with the odd entries of
+    the link ladder, m = 0..n_max."""
     failures = []
     for kind in InvariantKind:
         series = knots(kind, n_max)
@@ -242,36 +242,25 @@ def _check_eq34_multiplier(n_max: int, knots: KnotTable) -> CheckReport:
     return _report("eq34-multiplier", (1, n_max), failures, detail)
 
 
-def _check_h1_equivalence(n_max: int, knots: KnotTable) -> CheckReport:
-    """Route-1 numbers substitute exactly onto the two-variable numbers."""
-    from qpknot.substitutions import h1_to_h
-
+def _route_equivalence(name: str, route, fam: Family, n_max: int) -> CheckReport:
     failures = []
-    h1 = family_spec(Family.H1)
-    hom = family_spec(Family.HOMFLY)
     for n in range(1, n_max + 1):
-        lhs = h1_to_h(qp_number(h1, n))
-        rhs = qp_number(hom, n)
+        lhs = route(qp_number(family_spec(fam), n))
+        rhs = qp_number(family_spec(Family.HOMFLY), n)
         if lhs != rhs:
             failures.append(f"n={n}: {lhs} != {rhs}")
             break
-    return _report("h1-equivalence", (1, n_max), failures)
+    return _report(name, (1, n_max), failures)
+
+
+def _check_h1_equivalence(n_max: int, knots: KnotTable) -> CheckReport:
+    """Route-1 numbers substitute exactly onto the two-variable numbers."""
+    return _route_equivalence("h1-equivalence", h1_to_h, Family.H1, n_max)
 
 
 def _check_h2_equivalence(n_max: int, knots: KnotTable) -> CheckReport:
     """Route-2 numbers substitute exactly onto the two-variable numbers."""
-    from qpknot.substitutions import h2_to_h
-
-    failures = []
-    h2 = family_spec(Family.H2)
-    hom = family_spec(Family.HOMFLY)
-    for n in range(1, n_max + 1):
-        lhs = h2_to_h(qp_number(h2, n))
-        rhs = qp_number(hom, n)
-        if lhs != rhs:
-            failures.append(f"n={n}: {lhs} != {rhs}")
-            break
-    return _report("h2-equivalence", (1, n_max), failures)
+    return _route_equivalence("h2-equivalence", h2_to_h, Family.H2, n_max)
 
 
 def _check_az_roundtrip(n_max: int, knots: KnotTable) -> CheckReport:

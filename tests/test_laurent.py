@@ -200,6 +200,29 @@ class TestCanonicalText:
             assert str(parse_poly(text)) == text
 
 
+class TestConstruction:
+    def test_from_terms_sums_repeated_monomials(self):
+        t = Monomial.var("t")
+        assert LaurentPoly.from_terms([(t, 1), (t, -1)]) == 0
+        assert LaurentPoly.from_terms([(t, 1), ("t", -1)]) == 0
+        assert LaurentPoly.from_terms([("t", 1), ("t", 2)]) == 3 * T
+        assert LaurentPoly.from_terms([(t, 2), (1, 5), (t, -1)]) == T + 5
+
+    def test_mapping_and_json_merge_the_same_way(self):
+        # {t: 1, "t": 2} names t twice; JSON may list a monomial twice
+        assert LaurentPoly({Monomial.var("t"): 1, "t": 2}) == 3 * T
+        doc = (
+            '{"terms": [{"coeff": "1", "monomial": {"t": "1/1"}},'
+            ' {"coeff": "2", "monomial": {"t": "2/2"}},'
+            ' {"coeff": "-3", "monomial": {"t": "1"}}]}'
+        )
+        assert LaurentPoly.from_json(doc) == 0
+
+    def test_coefficients_must_be_ints(self):
+        with pytest.raises(TypeError):
+            LaurentPoly.from_terms([("t", 1.5)])
+
+
 class TestHashContract:
     def test_constants_hash_like_ints(self):
         assert LaurentPoly(5) == 5

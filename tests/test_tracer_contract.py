@@ -50,6 +50,12 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert t.stats["skein.to_az_form"].calls == 1
         assert t.stats["skein.from_az_form"].calls == 1
         assert t.stats["kernel.mono_mul"].calls > 0
+        # the knot series is built from the closed sums [0]..[4]
+        assert t.stats["qpnumbers.qp_number"].calls == 5
+        # the route is looked up when the check runs, so the wrapper sees it
+        assert verify.run_check("h1-equivalence", 3).passed
+        assert verify.run_check("h2-equivalence", 3).passed
+        assert t.stats["substitutions.route"].calls == 6
     finally:
         tracer_module.uninstall(t)
     assert _kernel.mono_mul is _pykernel.mono_mul

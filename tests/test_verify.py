@@ -116,6 +116,26 @@ class TestReports:
         assert not report.passed
         assert report.detail == "n=2: a^3 != a^2"
 
+    def test_knot_checks_report_a_wrong_number_pair(self, monkeypatch):
+        # the knot series and knot coefficients come from the numbers, so a
+        # wrong (u, v) no longer agrees with the link coefficients
+        from qpknot import qpnumbers
+        from qpknot.laurent import Monomial
+
+        wrong = qpnumbers.QPSpec(Monomial({"a": 3, "t": 1}), Monomial({"a": 3, "t": -1}))
+        monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
+        expected = {
+            "eq8-coeffs": "homfly: (a^3*t + a^3*t^-1, -a^6) does not match formula",
+            "knot-vs-link": "homfly m=1: knot -a^6 + a^3*t + a^3*t^-1"
+            " != link -a^4 + a^2*t + a^2*t^-1",
+            "trefoil": "homfly: -a^6 + a^3*t + a^3*t^-1 != -a^4 + a^2*t + a^2*t^-1",
+            "homfly-specialize": "m=1: a->t gives -t^6 + t^4 + t^2 != -t^4 + t^3 + t",
+        }
+        for name, detail in expected.items():
+            report = run_check(name, 5)
+            assert not report.passed
+            assert report.detail == detail
+
     def test_failure_rendering(self):
         from qpknot.verify import _report
 
