@@ -12,7 +12,7 @@ Data contract:
   dict is 0.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 
 def mono_mul(m1, m2):
@@ -75,35 +75,53 @@ def mono_deg(m):
     return (num // g, den // g)
 
 
+def exp_scale(*polys):
+    """Least common denominator of the exponents of every monomial in the
+    given collections of monomials (1 when there are none)."""
+    return lcm(*{d for t in polys for m in t for _, _, d in m})
+
+
+class Order(dict):
+    """Sort keys of monomials, computed on first lookup and kept for the
+    life of the table.  Ascending key order is descending graded-lex order.
+
+    Every exponent is read as the int ``e = num * scale // den``, so
+    ``scale`` must be a multiple of every denominator looked up.  The key is
+    ``-(sum of e)``, then for each variable ``ord(v) - 123, -e`` when
+    ``e > 0`` and ``123 - ord(v), -e`` otherwise, then a closing ``0`` that
+    stands for every variable the monomial lacks.  The variable codes lie in
+    -26..-1 and 1..26, on either side of that 0, so at the first variable
+    where two monomials differ a positive exponent comes before a missing
+    one, and a missing one before a negative one.
+    """
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def __missing__(self, m):
+        scale = self.scale
+        key = [0]
+        deg = 0
+        for v, n, d in m:
+            e = n * scale // d
+            deg += e
+            key += (ord(v) - 123, -e) if e > 0 else (123 - ord(v), -e)
+        key[0] = -deg
+        key.append(0)
+        key = self[m] = tuple(key)
+        return key
+
+
 def mono_cmp(m1, m2):
     """Graded-lex comparison: total degree first, ties broken at the
     alphabetically first differing variable, larger exponent first.
     Returns -1, 0 or 1."""
-    if m1 == m2:
-        return 0
-    n1, d1 = mono_deg(m1)
-    n2, d2 = mono_deg(m2)
-    lhs = n1 * d2
-    rhs = n2 * d1
-    if lhs != rhs:
-        return 1 if lhs > rhs else -1
-    i = j = 0
-    len1 = len(m1)
-    len2 = len(m2)
-    while i < len1 or j < len2:
-        if j >= len2 or (i < len1 and m1[i][0] < m2[j][0]):
-            return 1 if m1[i][1] > 0 else -1
-        if i >= len1 or m2[j][0] < m1[i][0]:
-            return -1 if m2[j][1] > 0 else 1
-        e1 = m1[i]
-        e2 = m2[j]
-        lhs = e1[1] * e2[2]
-        rhs = e2[1] * e1[2]
-        if lhs != rhs:
-            return 1 if lhs > rhs else -1
-        i += 1
-        j += 1
-    return 0
+    order = Order(exp_scale((m1, m2)))
+    k1 = order[m1]
+    k2 = order[m2]
+    return (k1 < k2) - (k1 > k2)
 
 
 def poly_add(t1, t2):
@@ -156,11 +174,7 @@ def poly_mul(t1, t2):
 
 def poly_term_mul(t, mono, coeff):
     """Multiply a term dict by the single term coeff * mono."""
-    if not t or coeff == 0:
-        return {}
-    if not mono:
-        return {m: c * coeff for m, c in t.items()}
-    return {mono_mul(m, mono): c * coeff for m, c in t.items()}
+    return poly_accum_term_mul({}, t, mono, coeff)
 
 
 def poly_accum_term_mul(out, t, mono, coeff):

@@ -12,7 +12,6 @@ alphabetically first differing variable with the larger exponent winning.
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 from math import isqrt
@@ -179,76 +178,41 @@ def _json_term(entry: Mapping) -> tuple:
     return Monomial(exps), int(entry["coeff"])
 
 
-def _leading_key(terms: dict) -> tuple:
-    it = iter(terms)
-    best = next(it)
-    for m in it:
-        if _K.mono_cmp(m, best) > 0:
-            best = m
-    return best
-
-
-def _min_deg(terms: dict) -> tuple:
-    it = iter(terms)
-    bn, bd = _K.mono_deg(next(it))
-    for m in it:
-        n, d = _K.mono_deg(m)
-        if n * bd < bn * d:
-            bn, bd = n, d
-    return bn, bd
-
-
 def _ordered_keys(terms: dict) -> list:
-    return sorted(terms, key=functools.cmp_to_key(_K.mono_cmp), reverse=True)
+    return sorted(terms, key=_K.Order(_K.exp_scale(terms)).__getitem__)
 
 
-_ZERO_RANGE = (0, 1, 0, 1)
-
-
-def _exponent_ranges(terms: dict) -> dict:
+def _exponent_bounds(terms: dict, scale: int) -> dict:
     """Least and greatest exponent of each variable over the terms, as
-    ``var -> (lo_num, lo_den, hi_num, hi_den)``; a term without the
-    variable has exponent 0 in it."""
-    acc: dict = {}  # var -> [lo_num, lo_den, hi_num, hi_den, terms with var]
+    ``var -> (lo, hi)`` in units of 1/scale; a term without the variable
+    has exponent 0 in it."""
+    seen: dict = {}
     for key in terms:
         for v, n, d in key:
-            r = acc.get(v)
-            if r is None:
-                acc[v] = [n, d, n, d, 1]
-                continue
-            if n * r[1] < r[0] * d:
-                r[0], r[1] = n, d
-            elif n * r[3] > r[2] * d:
-                r[2], r[3] = n, d
-            r[4] += 1
-    ranges = {}
-    for v, (lo_n, lo_d, hi_n, hi_d, count) in acc.items():
-        if count < len(terms):
-            if lo_n > 0:
-                lo_n, lo_d = 0, 1
-            if hi_n < 0:
-                hi_n, hi_d = 0, 1
-        ranges[v] = (lo_n, lo_d, hi_n, hi_d)
-    return ranges
+            seen.setdefault(v, []).append(n * scale // d)
+    for es in seen.values():
+        if len(es) < len(terms):
+            es.append(0)
+    return {v: (min(es), max(es)) for v, es in seen.items()}
 
 
-def _check_in_box(key: tuple, box: list, what: str, error: type) -> None:
+def _check_in_box(key: tuple, box: list, scale: int, what: str, error: type) -> None:
     """Raise ``error`` when the monomial ``key`` lies outside ``box``, a list
-    of ``(var, lo_num, lo_den, hi_num, hi_den)`` exponent bounds (positive
-    denominators, not necessarily reduced) sorted by variable that covers
-    every variable of ``key``."""
+    of ``(var, lo, hi)`` exponent bounds in units of 1/scale, sorted by
+    variable, that covers every variable of ``key``."""
     i = 0
     nk = len(key)
-    for v, lo_n, lo_d, hi_n, hi_d in box:
+    for v, lo, hi in box:
         if i < nk and key[i][0] == v:
             _, n, d = key[i]
+            e = n * scale // d
             i += 1
         else:
-            n, d = 0, 1
-        if n * lo_d < lo_n * d or n * hi_d > hi_n * d:
+            e = 0
+        if e < lo or e > hi:
             raise error(
-                f"{what} term needs {v}-exponent {Fraction(n, d)}, outside the "
-                f"Newton bound [{Fraction(lo_n, lo_d)}, {Fraction(hi_n, hi_d)}]"
+                f"{what} term needs {v}-exponent {Fraction(e, scale)}, outside the "
+                f"Newton bound [{Fraction(lo, scale)}, {Fraction(hi, scale)}]"
             )
 
 
@@ -333,7 +297,7 @@ class LaurentPoly:
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        key = _leading_key(self._t)
+        key = min(self._t, key=_K.Order(_K.exp_scale(self._t)).__getitem__)
         return Monomial._from_key(key), self._t[key]
 
     def __bool__(self) -> bool:
@@ -550,11 +514,9 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
 
     den_t = den._t
-    lt_den = _leading_key(den_t)
-    dc = den_t[lt_den]
-    dm_inv = _K.mono_pow(lt_den, -1, 1)
-
     if len(den_t) == 1:
+        ((dm, dc),) = den_t.items()
+        dm_inv = _K.mono_pow(dm, -1, 1)
         out = {}
         for key, coeff in num._t.items():
             if coeff % dc:
@@ -562,29 +524,34 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             out[_K.mono_mul(key, dm_inv)] = coeff // dc
         return LaurentPoly._raw(out)
 
-    num_r = _exponent_ranges(num._t)
-    den_r = _exponent_ranges(den_t)
+    scale = _K.exp_scale(num._t, den_t)
+    order = _K.Order(scale)
+    lt_den = min(den_t, key=order.__getitem__)
+    dc = den_t[lt_den]
+    dm_inv = _K.mono_pow(lt_den, -1, 1)
+    num_b = _exponent_bounds(num._t, scale)
+    den_b = _exponent_bounds(den_t, scale)
     box = []
-    for v in sorted(num_r.keys() | den_r.keys()):
-        a, b, c, d = num_r.get(v, _ZERO_RANGE)
-        e, f, g, h = den_r.get(v, _ZERO_RANGE)
-        box.append((v, a * f - e * b, b * f, c * h - g * d, d * h))
-    floor_n, floor_d = _min_deg(num._t)
+    for v in sorted(num_b.keys() | den_b.keys()):
+        n_lo, n_hi = num_b.get(v, (0, 0))
+        d_lo, d_hi = den_b.get(v, (0, 0))
+        box.append((v, n_lo - d_lo, n_hi - d_hi))
+    # a key starts with minus the degree, so top is minus num's least degree
+    top = max(order[m][0] for m in num._t)
     rem = dict(num._t)
     quot: dict = {}
     while rem:
-        lt = _leading_key(rem)
+        lt = min(rem, key=order.__getitem__)
         qm = _K.mono_mul(lt, dm_inv)
-        _check_in_box(qm, box, "quotient", NotDivisibleError)
-        ln, ld = _K.mono_deg(lt)
-        if ln * floor_d < floor_n * ld:
+        _check_in_box(qm, box, scale, "quotient", NotDivisibleError)
+        if order[lt][0] > top:
             raise NotDivisibleError("remainder degree fell below the numerator's range")
         c = rem[lt]
         if c % dc:
             raise NotDivisibleError(f"coefficient {c} not divisible by {dc}")
         q = c // dc
         quot[qm] = q
-        rem = _K.poly_add(rem, _K.poly_term_mul(den_t, qm, -q))
+        _K.poly_accum_term_mul(rem, den_t, qm, -q)
     return LaurentPoly._raw(quot)
 
 
@@ -601,7 +568,10 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero:
         return LaurentPoly.zero()
 
-    lt = _leading_key(p._t)
+    # root exponents have half the denominators of p's, so p's are even here
+    scale = 2 * _K.exp_scale(p._t)
+    order = _K.Order(scale)
+    lt = min(p._t, key=order.__getitem__)
     lc = p._t[lt]
     if lc < 0:
         raise NotAPerfectSquareError("leading coefficient is negative")
@@ -611,25 +581,23 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     rm = _K.mono_pow(lt, 1, 2)
     rm_inv = _K.mono_pow(rm, -1, 1)
 
-    box = [
-        (v, lo_n, 2 * lo_d, hi_n, 2 * hi_d)
-        for v, (lo_n, lo_d, hi_n, hi_d) in sorted(_exponent_ranges(p._t).items())
-    ]
-    floor_n, floor_d = _min_deg(p._t)  # root terms have degree >= floor/2
+    box = [(v, lo // 2, hi // 2) for v, (lo, hi) in sorted(_exponent_bounds(p._t, scale).items())]
+    # root terms have degree >= (least degree of p) / 2, i.e. 2 * key[0] <= top
+    top = max(order[m][0] for m in p._t)
     root = {rm: rc}
-    rem = _K.poly_add(p._t, {_K.mono_pow(rm, 2, 1): -rc * rc})
+    rem = dict(p._t)
+    del rem[lt]  # lt = rm^2 and lc = rc^2
     while rem:
-        lt = _leading_key(rem)
+        lt = min(rem, key=order.__getitem__)
         cm = _K.mono_mul(lt, rm_inv)
-        _check_in_box(cm, box, "root", NotAPerfectSquareError)
+        _check_in_box(cm, box, scale, "root", NotAPerfectSquareError)
         c = rem[lt]
         if c % (2 * rc):
             raise NotAPerfectSquareError(f"coefficient {c} not divisible by {2 * rc}")
         cc = c // (2 * rc)
-        cn, cd = _K.mono_deg(cm)
-        if 2 * cn * floor_d < floor_n * cd:
+        if 2 * order[cm][0] > top:
             raise NotAPerfectSquareError("candidate term degree fell below the root's range")
-        rem = _K.poly_add(rem, _K.poly_term_mul(root, cm, -2 * cc))
-        rem = _K.poly_add(rem, {_K.mono_pow(cm, 2, 1): -cc * cc})
+        _K.poly_accum_term_mul(rem, root, cm, -2 * cc)
+        _K.poly_accum_term_mul(rem, {cm: cc}, cm, -cc)
         root[cm] = cc
     return LaurentPoly._raw(root)

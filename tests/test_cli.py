@@ -210,6 +210,13 @@ class TestEval:
         code, _ = run("eval", "(t^2 - 1)/(t - 2)")
         assert code == 1
 
+    def test_non_ascii_digit_is_usage_error(self, capsys):
+        code, out = run("eval", "t^\u00b2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: unexpected character '\u00b2' (offset 2)\n"
+        code, out = run("eval", "t*\u0663")
+        assert (code, out) == (2, "")
+
     def test_deep_nesting_is_usage_error(self):
         code, _ = run("eval", "(" * 1000 + "q" + ")" * 1000)
         assert code == 2

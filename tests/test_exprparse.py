@@ -74,6 +74,16 @@ class TestParseErrors:
             parse_expression("t + $")
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize(
+        "src, offset",
+        [("t^\u00b2", 2), ("t^(1/\u00b2)", 5), ("t*\u0663", 2), ("\uff11 + t", 0)],
+    )
+    def test_only_ascii_digits(self, src, offset):
+        # superscript two, Arabic-Indic three, fullwidth one: not literals
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+            parse_expression(src)
+        assert exc.value.offset == offset
+
     def test_trailing_input(self):
         with pytest.raises(ExprSyntaxError) as exc:
             parse_expression("t t")

@@ -48,6 +48,8 @@ class TestPyKernel:
     def test_poly_accum_term_mul_matches_term_mul(self):
         t = {key({"t": 1}): 2, (): -1}
         out = {key({"q": 1}): 7}
-        expected = _pykernel.poly_add(out, _pykernel.poly_term_mul(t, key({"q": 1}), 3))
-        _pykernel.poly_accum_term_mul(out, t, key({"q": 1}), 3)
-        assert out == expected
+        assert _pykernel.poly_term_mul(t, key({"q": 1}), 3) == {key({"q": 1, "t": 1}): 6, key({"q": 1}): -3}
+        assert _pykernel.poly_accum_term_mul(out, t, key({"q": 1}), 3) is out
+        assert out == {key({"q": 1, "t": 1}): 6, key({"q": 1}): 4}
+        _pykernel.poly_accum_term_mul(out, {(): 1}, key({"q": 1}), -4)
+        assert out == {key({"q": 1, "t": 1}): 6}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpknot import (
     DivisionByZeroError,
@@ -20,7 +21,7 @@ from qpknot import (
     parse_poly,
 )
 
-from strategies import nonzero_polys, polys, substitution_maps
+from strategies import VARS, nonzero_coeffs, nonzero_polys, polys, substitution_maps
 
 T = LaurentPoly.var("t")
 A = LaurentPoly.var("a")
@@ -144,6 +145,45 @@ class TestExactDiv:
         with pytest.raises(NotDivisibleError, match=f"{var}-exponent .* Newton bound"):
             exact_div(parse_poly(num), parse_poly(den))
 
+    @pytest.mark.parametrize(
+        "num, den, text",
+        [
+            (
+                "t^(1/2) + 1",
+                "t^(1/3) - 1",
+                "quotient term needs t-exponent -1/6, outside the Newton bound [0, 1/6]",
+            ),
+            (
+                "a^(2/3)*t + 1",
+                "a^(1/2) - t",
+                "quotient term needs a-exponent 2/3, outside the Newton bound [0, 1/6]",
+            ),
+            (
+                "t^(-1/2) + t^(3/2)",
+                "t^(1/2) - 1",
+                "quotient term needs t-exponent -1, outside the Newton bound [-1/2, 1]",
+            ),
+        ],
+    )
+    def test_fractional_newton_bound_texts(self, num, den, text):
+        n, d = parse_poly(num), parse_poly(den)
+        n0, d0 = LaurentPoly(n), LaurentPoly(d)
+        with pytest.raises(NotDivisibleError) as exc:
+            exact_div(n, d)
+        assert str(exc.value) == text
+        # the first and third cases fail after some reduction steps
+        assert (n, d) == (n0, d0)
+
+    def test_inputs_left_untouched(self):
+        num = (Q ** 5 - P ** 5) * (Q ** 2 + A * P)
+        den = Q ** 2 + A * P
+        num0, den0 = LaurentPoly(num), LaurentPoly(den)
+        assert exact_div(num, den) == Q ** 5 - P ** 5
+        assert (num, den) == (num0, den0)
+        with pytest.raises(NotDivisibleError):
+            exact_div(num + 1, den)
+        assert (num, den) == (num0, den0)
+
 
 class TestExactSqrt:
     def test_half_power_root(self):
@@ -175,8 +215,78 @@ class TestExactSqrt:
         with pytest.raises(NotAPerfectSquareError, match=r"x-exponent -1, .* Newton bound \[0, 1\]"):
             exact_sqrt(parse_poly("x^2 + 4*y^2"))
 
+    @pytest.mark.parametrize(
+        "src, text",
+        [
+            (
+                "t^(1/2) + t^(1/3)",
+                "root term needs t-exponent 1/12, outside the Newton bound [1/6, 1/4]",
+            ),
+            (
+                "x^(2/3) + 4*y^(1/2)",
+                "root term needs x-exponent -1/3, outside the Newton bound [0, 1/3]",
+            ),
+            (
+                "(t^(1/3) + a^(1/2) - 2)^6 + t^(1/6)",
+                "root term needs a-exponent -3/2, outside the Newton bound [0, 3/2]",
+            ),
+        ],
+    )
+    def test_fractional_newton_bound_texts(self, src, text):
+        p = parse_poly(src)
+        p0 = LaurentPoly(p)
+        with pytest.raises(NotAPerfectSquareError) as exc:
+            exact_sqrt(p)
+        assert str(exc.value) == text
+        assert p == p0
+
+    def test_input_left_untouched(self):
+        root = parse_poly("t^(1/2)*a^(2/3) - 3*q^(-1/4) + 2")
+        p = root * root
+        p0 = LaurentPoly(p)
+        assert exact_sqrt(p) in (root, -root)
+        assert p == p0
+
     def test_zero(self):
         assert exact_sqrt(LaurentPoly.zero()) == LaurentPoly.zero()
+
+
+# exponents with denominators 1, 2, 3, 4 and 6, negative ones included; small
+# numerators make equal degrees, and so the tie-breaks, common
+_order_monomials = st.dictionaries(
+    st.sampled_from(VARS),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2, 3, 4, 6])),
+    max_size=4,
+).map(Monomial)
+
+
+def _graded_lex_rank(m: Monomial, names: list) -> tuple:
+    """Degree, then the exponents over ``names``; larger ranks come first."""
+    e = m.exponents
+    return sum(e.values(), Fraction(0)), [e.get(v, Fraction(0)) for v in names]
+
+
+class TestOrder:
+    """Canonical order against a sort built from `Monomial.exponents` alone."""
+
+    @given(st.dictionaries(_order_monomials, nonzero_coeffs, min_size=1, max_size=12).map(LaurentPoly))
+    def test_terms_sort_by_degree_then_exponents(self, p):
+        monos = [m for m, _ in p.terms()]
+        names = sorted({v for m in monos for v in m.exponents})
+        assert monos == sorted(monos, key=lambda m: _graded_lex_rank(m, names), reverse=True)
+        assert p.leading_term()[0] == monos[0]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"a": 2}, {"a": 2, "q": -1, "t": 1}),
+            ({"a": 2, "q": 1, "t": -1}, {"a": 2}),
+            ({"t": 1}, {"a": -1, "t": 2}),
+        ],
+    )
+    def test_absent_variable_is_exponent_zero(self, first, second):
+        p = Monomial(first).as_poly() + Monomial(second).as_poly()
+        assert [m for m, _ in p.terms()] == [Monomial(first), Monomial(second)]
 
 
 class TestCanonicalText:

@@ -45,8 +45,12 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
     try:
         tracer_module.install(t)
         assert _kernel.mono_mul is not _pykernel.mono_mul
-        p = qpknot.knot_series(qpknot.InvariantKind.HOMFLY, 3).knot(3)
+        s = qpknot.knot_series(qpknot.InvariantKind.HOMFLY, 3)
+        p = s.knot(3)
         assert qpknot.from_az_form(qpknot.to_az_form(p)) == p
+        # division reduces its remainder in place through the kernel
+        assert qpknot.exact_div(p * s.knot(2), s.knot(2)) == p
+        assert t.stats["kernel.poly_accum_term_mul"].calls > 0
         assert t.stats["skein.to_az_form"].calls == 1
         assert t.stats["skein.from_az_form"].calls == 1
         assert t.stats["kernel.mono_mul"].calls > 0
