@@ -6,11 +6,18 @@ module on purpose: `perfbench/tracer.py` fetches nine of them from
 merging the two modules would count kernel-internal calls in the traced
 run and dropping one of the nine would crash it.
 
+`poly_add`, `poly_mul` and `poly_term_mul` are built on
+`poly_accum_term_mul` inside `_pykernel`, so a traced run counts each ring
+call once, under the name the ring called.  The ring calls
+`poly_accum_term_mul` itself for subtraction (``a - b`` is ``a`` plus
+``b`` times -1), for the merge in `from_az_form` and for the in-place
+remainder updates of division and square roots.
+
 Two of the nine have no caller in the ring and stay only because the
 tracer fetches them by name: `mono_cmp`, since the ring orders monomials
 by the keys of an `Order` table (one integer frame per operation), and
-`poly_term_mul`, since division and square roots update their remainder
-in place with `poly_accum_term_mul`.  `Order` and `exp_scale` are not
+`poly_term_mul`, since every product by one term sums into an existing
+dict through `poly_accum_term_mul`.  `Order` and `exp_scale` are not
 traced; their time counts towards the calling operation.
 """
 

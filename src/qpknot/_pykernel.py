@@ -10,6 +10,14 @@ Data contract:
   exponent with ``num != 0`` and ``den >= 1``.  The empty tuple is 1.
 * polynomial: dict mapping monomial -> nonzero int coefficient.  The empty
   dict is 0.
+
+`poly_accum_term_mul` is the one loop that sums one term dict into
+another.  `poly_add` (a copy of the larger operand plus the smaller),
+`poly_mul` (the larger times each term of the smaller) and `poly_term_mul`
+(into an empty dict) are built on it, and the ring calls it directly for
+subtraction, for the (a, z) -> t merge and for the remainder updates of
+division and square roots.  It keeps a branch for the empty monomial so
+that a plain sum makes no `mono_mul` call per term.
 """
 
 from math import gcd, lcm
@@ -126,20 +134,9 @@ def mono_cmp(m1, m2):
 
 def poly_add(t1, t2):
     """Coefficientwise sum of two term dicts."""
-    if not t2:
-        return dict(t1)
-    if not t1:
-        return dict(t2)
     if len(t1) < len(t2):
         t1, t2 = t2, t1
-    out = dict(t1)
-    for m, c in t2.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        elif m in out:
-            del out[m]
-    return out
+    return poly_accum_term_mul(dict(t1), t2, (), 1)
 
 
 def poly_neg(t):
@@ -147,28 +144,13 @@ def poly_neg(t):
 
 
 def poly_mul(t1, t2):
-    """Distributive product of two term dicts."""
-    if not t1 or not t2:
-        return {}
+    """Distributive product of two term dicts: the larger times each term
+    of the smaller, summed into one dict."""
     if len(t1) < len(t2):
         t1, t2 = t2, t1
     out = {}
     for m2, c2 in t2.items():
-        if m2:
-            for m1, c1 in t1.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        else:
-            for m1, c1 in t1.items():
-                s = out.get(m1, 0) + c1 * c2
-                if s:
-                    out[m1] = s
-                elif m1 in out:
-                    del out[m1]
+        poly_accum_term_mul(out, t1, m2, c2)
     return out
 
 

@@ -60,12 +60,12 @@ class Monomial:
                 e = _as_exponent(exps[name])
                 if e != 0:
                     key.append((_check_var(name), e.numerator, e.denominator))
-        object.__setattr__(self, "_key", tuple(key))
+        self._key = tuple(key)
 
     @classmethod
     def _from_key(cls, key: tuple) -> "Monomial":
         m = cls.__new__(cls)
-        object.__setattr__(m, "_key", key)
+        m._key = key
         return m
 
     @classmethod
@@ -110,9 +110,9 @@ class Monomial:
         return self ** -1
 
     def as_poly(self, coeff: int = 1) -> "LaurentPoly":
-        if coeff == 0:
-            return LaurentPoly._raw({})
-        return LaurentPoly._raw({self._key: coeff})
+        if not isinstance(coeff, int):
+            raise TypeError("coefficients must be ints")
+        return LaurentPoly._raw({self._key: int(coeff)} if coeff else {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._key == other._key
@@ -225,7 +225,7 @@ class LaurentPoly:
     not exist in the ring.
     """
 
-    __slots__ = ("_t", "_h")
+    __slots__ = ("_t",)
 
     def __init__(self, value=0):
         if isinstance(value, LaurentPoly):
@@ -233,19 +233,17 @@ class LaurentPoly:
         elif isinstance(value, Monomial):
             terms = {value._key: 1}
         elif isinstance(value, int):
-            terms = {(): value} if value else {}
+            terms = {(): int(value)} if value else {}
         elif isinstance(value, Mapping):
             terms = _merge_terms(value.items())
         else:
             raise TypeError(f"cannot build a polynomial from {value!r}")
-        object.__setattr__(self, "_t", dict(terms))
-        object.__setattr__(self, "_h", None)
+        self._t = dict(terms)
 
     @classmethod
     def _raw(cls, terms: dict) -> "LaurentPoly":
         p = cls.__new__(cls)
-        object.__setattr__(p, "_t", terms)
-        object.__setattr__(p, "_h", None)
+        p._t = terms
         return p
 
     @classmethod
@@ -311,17 +309,12 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._h
-        if h is None:
-            # constants hash like the ints they equal
-            if not self._t:
-                h = hash(0)
-            elif len(self._t) == 1 and () in self._t:
-                h = hash(self._t[()])
-            else:
-                h = hash(frozenset(self._t.items()))
-            object.__setattr__(self, "_h", h)
-        return h
+        # constants hash like the ints they equal
+        if not self._t:
+            return hash(0)
+        if len(self._t) == 1 and () in self._t:
+            return hash(self._t[()])
+        return hash(frozenset(self._t.items()))
 
     @staticmethod
     def _coerce(other) -> "LaurentPoly | None":
@@ -346,13 +339,13 @@ class LaurentPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_add(self._t, _K.poly_neg(q._t)))
+        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(self._t), q._t, (), -1))
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_add(q._t, _K.poly_neg(self._t)))
+        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(q._t), self._t, (), -1))
 
     def __mul__(self, other):
         q = self._coerce(other)

@@ -79,9 +79,11 @@ def qp_number(spec: QPSpec, n: int) -> LaurentPoly:
     v = spec.v._key
     term = _K.mono_pow(u, n - 1, 1)
     step = _K.mono_mul(_K.mono_pow(u, -1, 1), v)
+    # u != v, so the step v/u is not 1 and, exponents being torsion-free,
+    # the n terms u^(n-1) * (v/u)^i are distinct: each is stored once
     out: dict = {}
     for _ in range(n):
-        out[term] = out.get(term, 0) + 1
+        out[term] = 1
         term = _K.mono_mul(term, step)
     return LaurentPoly._raw(out)
 

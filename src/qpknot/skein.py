@@ -307,8 +307,8 @@ def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
     half row per parity of the z-exponent.  A step from odd to even powers
     of w makes the new c(0) = c(-1) - c(1) = -2 c(1); g_j is added at w^0
     on the steps whose parity matches the row.  The finished half is
-    mirrored onto w^-k, and each output term is keyed once and summed in,
-    so terms that already carry t merge.  Requires nonnegative integer
+    mirrored onto w^-k, and the row times its a-part is summed in, so
+    terms that already carry t merge.  Requires nonnegative integer
     z-exponents; link entries carrying z^-1 have no Laurent image in t and
     raise :class:`NotExpressibleError`.
     """
@@ -334,12 +334,6 @@ def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
                 half[0] += zrow.get(j, 0)
         sign = -1 if parity else 1
         row = [sign * c for c in reversed(half[1 - parity :])] + half
-        for i, c in enumerate(row):
-            if c:
-                key = _K.mono_mul(rest, _t_key(2 * i - top))
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        t_row = {_t_key(2 * i - top): c for i, c in enumerate(row) if c}
+        _K.poly_accum_term_mul(out, t_row, rest, 1)
     return LaurentPoly._raw(out)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpknot import _kernel
 from qpknot import (
     DivisionByZeroError,
     LaurentPoly,
@@ -266,6 +267,54 @@ def _graded_lex_rank(m: Monomial, names: list) -> tuple:
     return sum(e.values(), Fraction(0)), [e.get(v, Fraction(0)) for v in names]
 
 
+class TestReductionSteps:
+    """A failing division or square root stops after a fixed number of
+    remainder updates; a change to the reduction that costs more steps, or
+    fails elsewhere, shows here."""
+
+    @staticmethod
+    def _steps(monkeypatch, op, *args):
+        real = _kernel.poly_accum_term_mul
+        calls = []
+
+        def counted(*a):
+            calls.append(1)
+            return real(*a)
+
+        monkeypatch.setattr(_kernel, "poly_accum_term_mul", counted)
+        with pytest.raises((NotDivisibleError, NotAPerfectSquareError)) as exc:
+            op(*args)
+        monkeypatch.undo()
+        return len(calls), str(exc.value)
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_binomial_sum_over_difference(self, monkeypatch, n):
+        num = parse_poly(f"(a*t)^{n} + (q*p)^{n}")
+        den = parse_poly("a*t - q*p")
+        assert self._steps(monkeypatch, exact_div, num, den) == (
+            n,
+            f"quotient term needs a-exponent -1, outside the Newton bound [0, {n - 1}]",
+        )
+
+    @pytest.mark.parametrize(
+        "num, den, steps, error",
+        [
+            ("x^3+y^3+1", "x+y+1", 5, "x-exponent -1, outside the Newton bound [0, 2]"),
+            ("t^5+1", "t^2-1", 2, "t-exponent -1, outside the Newton bound [0, 3]"),
+        ],
+    )
+    def test_division(self, monkeypatch, num, den, steps, error):
+        got = self._steps(monkeypatch, exact_div, parse_poly(num), parse_poly(den))
+        assert got == (steps, f"quotient term needs {error}")
+
+    def test_sqrt(self, monkeypatch):
+        p = parse_poly("x^2 + 2*x*y + 2*y^2")
+        assert self._steps(monkeypatch, exact_sqrt, p) == (
+            2,
+            "root term needs x-exponent -1, outside the Newton bound [0, 1]",
+        )
+
+
 class TestOrder:
     """Canonical order against a sort built from `Monomial.exponents` alone."""
 
@@ -331,6 +380,17 @@ class TestConstruction:
     def test_coefficients_must_be_ints(self):
         with pytest.raises(TypeError):
             LaurentPoly.from_terms([("t", 1.5)])
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            Monomial.var("t").as_poly(2.5)
+
+    @pytest.mark.parametrize(
+        "p", [LaurentPoly(True), Monomial.var("t").as_poly(True)], ids=["int", "as_poly"]
+    )
+    def test_bool_coefficients_are_stored_as_ints(self, p):
+        (coeff,) = p._t.values()
+        assert type(coeff) is int
+        assert "True" not in str(p)
+        assert LaurentPoly.from_json(p.to_json()) == p
 
 
 class TestHashContract:

@@ -60,6 +60,19 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert verify.run_check("h1-equivalence", 3).passed
         assert verify.run_check("h2-equivalence", 3).passed
         assert t.stats["substitutions.route"].calls == 6
+        # the kernel builds its sums on poly_accum_term_mul internally, so
+        # each ring operation counts once under its own kernel name
+        names = ("poly_mul", "poly_add", "poly_accum_term_mul", "mono_mul")
+        a, b = p + 1, s.knot(2)
+        for op, counted in [
+            (lambda: a * b, "poly_mul"),
+            (lambda: a + b, "poly_add"),
+            (lambda: a - b, "poly_accum_term_mul"),
+        ]:
+            start = {n: t.stats[f"kernel.{n}"].calls for n in names}
+            op()
+            added = {n: t.stats[f"kernel.{n}"].calls - start[n] for n in names}
+            assert added == {n: int(n == counted) for n in names}
     finally:
         tracer_module.uninstall(t)
     assert _kernel.mono_mul is _pykernel.mono_mul
