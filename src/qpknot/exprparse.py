@@ -16,65 +16,64 @@ else the parser raises at the offending offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Union
 
+from qpknot._record import Record
 from qpknot.errors import ExprSyntaxError, NonMonomialFractionalPowerError
 from qpknot.laurent import LaurentPoly, Monomial, exact_div
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "Node"
+class Neg(Record):
+    __slots__ = ("child",)
+    child: Node
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Add(Record):
+    __slots__ = ("left", "right")
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
+class Sub(Record):
+    __slots__ = ("left", "right")
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
+class Mul(Record):
+    __slots__ = ("left", "right")
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Node"
-    right: "Node"
+class Div(Record):
+    __slots__ = ("left", "right")
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
+class Pow(Record):
+    __slots__ = ("base", "exponent")
+    base: Node
     exponent: Fraction
 
 
-Node = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
+Node = Lit | Var | Neg | Add | Sub | Mul | Div | Pow
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "text", "offset")
     kind: str  # INT VAR OP END
     text: str
     offset: int

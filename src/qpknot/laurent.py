@@ -13,9 +13,9 @@ alphabetically first differing variable with the larger exponent winning.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Union
 
 from qpknot import _kernel as _K
 from qpknot.errors import (
@@ -25,7 +25,7 @@ from qpknot.errors import (
     NotDivisibleError,
 )
 
-RationalLike = Union[int, Fraction, tuple]
+RationalLike = int | Fraction | tuple
 
 
 def _as_exponent(r: RationalLike) -> Fraction:

@@ -9,25 +9,26 @@ exact division), which the verification suite cross-checks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
 
+from qpknot._record import Record
 from qpknot.errors import NegativeIndexError
 from qpknot.laurent import LaurentPoly, Monomial, exact_div
 from qpknot import _kernel as _K
 
 
-@dataclass(frozen=True)
-class QPSpec:
+class QPSpec(Record):
     """Ordered monomial pair (u, v) defining the family [n]_{u,v}."""
 
+    __slots__ = ("u", "v")
     u: Monomial
     v: Monomial
 
-    def __post_init__(self):
-        if self.u == self.v:
+    def __init__(self, u: Monomial, v: Monomial):
+        if u == v:
             raise ValueError("u and v must differ, the defining quotient is singular")
+        super().__init__(u, v)
 
 
 class Family(enum.Enum):

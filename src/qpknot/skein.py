@@ -15,12 +15,12 @@ polynomials; odd entries convert back to (a, t) exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
-from typing import Mapping
 
 from qpknot import _kernel as _K
+from qpknot._record import Record
 from qpknot.errors import BadRangeError, NotExpressibleError
 from qpknot.laurent import LaurentPoly, Monomial, exact_div, exact_sqrt
 from qpknot.qpnumbers import Family, family_spec, qp_number, recurrence_coeffs, two_term_ladder
@@ -50,18 +50,18 @@ def family_for_kind(kind: InvariantKind) -> Family:
     return Family(kind.value)
 
 
-@dataclass(frozen=True)
-class SkeinCoeffs:
+class SkeinCoeffs(Record):
     """Link-recurrence coefficient pair (l1, l2)."""
 
+    __slots__ = ("l1", "l2")
     l1: LaurentPoly
     l2: LaurentPoly
 
 
-@dataclass(frozen=True)
-class KnotCoeffs:
+class KnotCoeffs(Record):
     """Knot-recurrence coefficient pair (k1, k2)."""
 
+    __slots__ = ("k1", "k2")
     k1: LaurentPoly
     k2: LaurentPoly
 
@@ -111,14 +111,14 @@ def unlink2(kind: InvariantKind) -> LaurentPoly:
     return exact_div(LaurentPoly.one() - l2, l1)
 
 
-@dataclass(frozen=True)
-class InvariantSeries:
+class InvariantSeries(Record):
     """Indexed family of polynomial values for one invariant kind.
 
     ``entries`` maps the series index n to the polynomial of L(n,2);
     knot series hold only odd n = 2m+1.
     """
 
+    __slots__ = ("kind", "indexing", "entries")
     kind: InvariantKind
     indexing: str  # "knot" | "link"
     entries: Mapping[int, LaurentPoly]
@@ -153,17 +153,27 @@ class InvariantSeries:
         return cls(InvariantKind(obj["kind"]), obj["indexing"], entries)
 
 
-def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
-    """Entries of L(n,2) for n up to n_max via the two-term recurrence.
+def link_entries(kind: InvariantKind) -> Iterator[LaurentPoly]:
+    """Yield the entries of L(n,2), n = 0, 1, 2, ..., by the two-term
+    recurrence in (l1, l2), each only when it is asked for.
 
-    Seeds are entries[1] = 1 (unknot) and entries[0] = unlink2; the n = 0
-    entry is kept only where it lives in the kind's own variables
-    (Alexander, Jones).  The two-variable series is produced in (a, z).
+    Seeds are the n = 0 entry unlink2 and the n = 1 entry 1 (unknot); the
+    two-variable entries are produced in (a, z).  The generator keeps only
+    the last two entries, so a consumer that compares and drops them never
+    holds the whole ladder.
+    """
+    return two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one())
+
+
+def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
+    """The first n_max + 1 entries of :func:`link_entries`.
+
+    The n = 0 entry is kept only where it lives in the kind's own
+    variables (Alexander, Jones).
     """
     if n_max < 2:
         raise BadRangeError(f"n_max must be at least 2, got {n_max}")
-    ladder = two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one())
-    entries = dict(enumerate(islice(ladder, n_max + 1)))
+    entries = dict(enumerate(islice(link_entries(kind), n_max + 1)))
     if kind is InvariantKind.HOMFLY:
         del entries[0]
     return InvariantSeries(kind, "link", entries)
@@ -215,10 +225,10 @@ def skein_from_numbers(f: Family) -> SkeinCoeffs:
 # -- the z = t^(1/2) - t^(-1/2) change of variable ---------------------------
 
 
-@dataclass(frozen=True)
-class AZForm:
+class AZForm(Record):
     """A polynomial rewritten over (a, z) with z = t^(1/2) - t^(-1/2)."""
 
+    __slots__ = ("poly",)
     poly: LaurentPoly
 
 

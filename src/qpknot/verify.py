@@ -8,11 +8,11 @@ lives for one run, so a series that several checks compare is built once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache
 from itertools import islice
-from typing import Callable
 
+from qpknot._record import Record
 from qpknot.errors import BadRangeError, UnknownCheckError
 from qpknot.laurent import Monomial
 from qpknot.qpnumbers import (
@@ -32,7 +32,7 @@ from qpknot.skein import (
     knot_coeffs,
     knot_series,
     link_coeffs,
-    link_series,
+    link_entries,
     skein_from_numbers,
     specialize_homfly,
     to_az_form,
@@ -45,8 +45,8 @@ from qpknot.substitutions import h1_to_h, h2_to_h
 KnotTable = Callable[[InvariantKind, int], InvariantSeries]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
+    __slots__ = ("name", "passed", "detail", "n_range")
     name: str
     passed: bool
     detail: str
@@ -151,13 +151,12 @@ def _check_trefoil(n_max: int, knots: KnotTable) -> CheckReport:
 
 def _check_knot_vs_link(n_max: int, knots: KnotTable) -> CheckReport:
     """Knot entries, built from the numbers, agree with the odd entries of
-    the link ladder, m = 0..n_max."""
+    the link ladder, m = 0..n_max.  The ladder is walked, never stored."""
     failures = []
     for kind in InvariantKind:
         series = knots(kind, n_max)
-        links = link_series(kind, 2 * n_max + 1)
-        for m in range(0, n_max + 1):
-            link_entry = links.entry(2 * m + 1)
+        odd_links = islice(link_entries(kind), 1, 2 * n_max + 2, 2)
+        for m, link_entry in enumerate(odd_links):
             if kind is InvariantKind.HOMFLY:
                 link_entry = from_az_form(link_entry)
             if series.knot(m) != link_entry:

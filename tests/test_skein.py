@@ -3,6 +3,7 @@ the reverse square-root construction and the (a, z) change of variable."""
 
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from qpknot import (
     to_az_form,
     unlink2,
 )
-from qpknot.skein import InvariantSeries
+from qpknot.skein import InvariantSeries, link_entries
 
 A = InvariantKind.ALEXANDER
 V = InvariantKind.JONES
@@ -110,6 +111,14 @@ class TestLinkSeries:
     def test_bad_range(self):
         with pytest.raises(BadRangeError):
             link_series(A, 1)
+
+    def test_series_is_a_prefix_of_the_entry_generator(self):
+        for kind in InvariantKind:
+            walked = list(islice(link_entries(kind), 10))
+            assert walked[0] == unlink2(kind)
+            stored = link_series(kind, 9).entries
+            assert stored == {n: e for n, e in enumerate(walked) if n in stored}
+            assert (0 in stored) is (kind is not H)
 
     def test_recurrence_holds_in_stored_entries(self):
         for kind in (A, V):

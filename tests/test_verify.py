@@ -136,6 +136,28 @@ class TestReports:
             assert not report.passed
             assert report.detail == detail
 
+    def test_knot_vs_link_walks_the_ladder(self, monkeypatch):
+        # the check streams link_entries; a stored link_series is never built
+        import qpknot
+        from qpknot import qpnumbers, skein, verify
+        from qpknot.laurent import Monomial
+
+        def no_series(*args):
+            raise AssertionError("knot-vs-link built a link_series")
+
+        for module in (qpknot, skein):
+            monkeypatch.setattr(module, "link_series", no_series)
+        monkeypatch.setattr(verify, "link_series", no_series, raising=False)
+        assert run_check("knot-vs-link", 8).passed
+
+        wrong = qpnumbers.QPSpec(Monomial({"a": 3, "t": 1}), Monomial({"a": 3, "t": -1}))
+        monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
+        report = run_check("knot-vs-link", 8)
+        assert not report.passed
+        assert report.detail == (
+            "homfly m=1: knot -a^6 + a^3*t + a^3*t^-1 != link -a^4 + a^2*t + a^2*t^-1"
+        )
+
     def test_failure_rendering(self):
         from qpknot.verify import _report
 
