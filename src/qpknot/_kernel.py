@@ -11,13 +11,15 @@ run and dropping one of the nine would crash it.
 call once, under the name the ring called.  The ring calls
 `poly_accum_term_mul` itself for subtraction (``a - b`` is ``a`` plus
 ``b`` times -1), for the merge in `from_az_form` and for the in-place
-remainder updates of division and square roots.
+remainder updates of square roots.  Division reduces on packed int keys
+and updates its remainder through `packed_accum_term_mul`, which the
+tracer does not fetch; its time counts towards `exact_div`.
 
 Two of the nine have no caller in the ring and stay only because the
 tracer fetches them by name: `mono_cmp`, since the ring orders monomials
-by the keys of an `Order` table (one integer frame per operation), and
-`poly_term_mul`, since every product by one term sums into an existing
-dict through `poly_accum_term_mul`.  `Order` and `exp_scale` are not
+by the keys of an `Order` table (one integer frame per operation) or, in
+division, by packed keys, and `poly_term_mul`, since every product by one
+term sums into an existing dict through `poly_accum_term_mul`.  `Order` and `exp_scale` are not
 traced; their time counts towards the calling operation.
 """
 
@@ -28,6 +30,7 @@ from qpknot._pykernel import (
     mono_deg,
     mono_mul,
     mono_pow,
+    packed_accum_term_mul,
     poly_accum_term_mul,
     poly_add,
     poly_mul,

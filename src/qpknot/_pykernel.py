@@ -16,8 +16,13 @@ another.  `poly_add` (a copy of the larger operand plus the smaller),
 `poly_mul` (the larger times each term of the smaller) and `poly_term_mul`
 (into an empty dict) are built on it, and the ring calls it directly for
 subtraction, for the (a, z) -> t merge and for the remainder updates of
-division and square roots.  It keeps a branch for the empty monomial so
-that a plain sum makes no `mono_mul` call per term.
+square roots.  It keeps a branch for the empty monomial so that a plain
+sum makes no `mono_mul` call per term.
+
+`packed_accum_term_mul` is the same loop over packed int keys, where one
+int addition multiplies two monomials.  Exact division encodes its
+operands as such keys in a frame of its own (see `laurent.exact_div`) and
+updates its remainder through this loop only.
 """
 
 from math import gcd, lcm
@@ -178,4 +183,17 @@ def poly_accum_term_mul(out, t, mono, coeff):
                 out[m] = s
             elif m in out:
                 del out[m]
+    return out
+
+
+def packed_accum_term_mul(out, t, key, coeff):
+    """In-place out += t * (coeff * key) on packed int keys, where adding
+    two keys multiplies their monomials; returns out."""
+    for k, c in t.items():
+        k += key
+        s = out.get(k, 0) + c * coeff
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
     return out

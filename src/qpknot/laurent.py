@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from qpknot import _kernel as _K
 from qpknot.errors import (
@@ -210,10 +210,15 @@ def _check_in_box(key: tuple, box: list, scale: int, what: str, error: type) -> 
         else:
             e = 0
         if e < lo or e > hi:
-            raise error(
-                f"{what} term needs {v}-exponent {Fraction(e, scale)}, outside the "
-                f"Newton bound [{Fraction(lo, scale)}, {Fraction(hi, scale)}]"
-            )
+            raise error(_outside_box(what, v, e, lo, hi, scale))
+
+
+def _outside_box(what: str, v: str, e: int, lo: int, hi: int, scale: int) -> str:
+    """Why a candidate with v-exponent e/scale fails the box [lo, hi]/scale."""
+    return (
+        f"{what} term needs {v}-exponent {Fraction(e, scale)}, outside the "
+        f"Newton bound [{Fraction(lo, scale)}, {Fraction(hi, scale)}]"
+    )
 
 
 class LaurentPoly:
@@ -500,6 +505,31 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Candidates strictly decrease in a monomial order and their exponents
     have bounded denominators, so they are distinct points of a finite box
     and the reduction always stops.
+
+    The reduction runs on packed keys in a frame built for this call.  With
+    ``scale`` the least common denominator of both operands' exponents, a
+    monomial is one int: one bit field per variable holds its exponent
+    times ``scale``, biased to be nonnegative, the alphabetically first
+    variable in the highest of them, and the total degree sits above them
+    all.  While every field holds its value, adding two keys multiplies
+    their monomials and ascending int order is graded-lex order.  Writing
+    [n_lo, n_hi] and [d_lo, d_hi] for the least and greatest exponent of v
+    in num and den, the field of v spans
+    [min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo)], which
+    holds every monomial the loop compares or decodes:
+
+    * numerator and divisor terms lie in [n_lo, n_hi] and [d_lo, d_hi];
+    * every remainder term lies in the numerator's Newton box, since a
+      quotient term enters the remainder only after passing the box check,
+      so its product with a divisor term lies in
+      [n_lo - d_lo + d_lo, n_hi - d_hi + d_hi];
+    * a candidate is a remainder term over the divisor's leading term, so
+      it lies in [n_lo - d_hi, n_hi - d_lo].
+
+    The degree is a sum of such exponents and needs no bound: its field is
+    the top one.  Only the divisor's other terms are added into the
+    remainder, since its leading term cancels exactly, and the quotient is
+    decoded to monomials once, at the end.
     """
     if den.is_zero:
         raise DivisionByZeroError("division by the zero polynomial")
@@ -517,35 +547,63 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             out[_K.mono_mul(key, dm_inv)] = coeff // dc
         return LaurentPoly._raw(out)
 
-    scale = _K.exp_scale(num._t, den_t)
-    order = _K.Order(scale)
-    lt_den = min(den_t, key=order.__getitem__)
-    dc = den_t[lt_den]
-    dm_inv = _K.mono_pow(lt_den, -1, 1)
-    num_b = _exponent_bounds(num._t, scale)
+    num_t = num._t
+    scale = _K.exp_scale(num_t, den_t)
+    num_b = _exponent_bounds(num_t, scale)
     den_b = _exponent_bounds(den_t, scale)
-    box = []
-    for v in sorted(num_b.keys() | den_b.keys()):
+    # (var, shift, mask, least exponent lo, box lo - lo, box hi - lo)
+    fields = []
+    shift = 0
+    for v in sorted(num_b.keys() | den_b.keys(), reverse=True):
         n_lo, n_hi = num_b.get(v, (0, 0))
         d_lo, d_hi = den_b.get(v, (0, 0))
-        box.append((v, n_lo - d_lo, n_hi - d_hi))
-    # a key starts with minus the degree, so top is minus num's least degree
-    top = max(order[m][0] for m in num._t)
-    rem = dict(num._t)
+        lo = min(n_lo, d_lo, n_lo - d_hi)
+        width = (max(n_hi, d_hi, n_hi - d_lo) - lo).bit_length()
+        fields.append((v, shift, (1 << width) - 1, lo, n_lo - d_lo - lo, n_hi - d_hi - lo))
+        shift += width
+    fields.reverse()
+    weight = {v: (1 << s) + (1 << shift) for v, s, *_ in fields}
+    bias = sum(-lo << s for _, s, _, lo, _, _ in fields)
+
+    def pack(m):
+        return sum(n * scale // d * weight[v] for v, n, d in m)
+
+    rem = {bias + pack(m): c for m, c in num_t.items()}
+    # unbiased: a remainder key plus a divisor key is the key of their product
+    tail = {pack(m): c for m, c in den_t.items()}
+    lead = max(tail)
+    dc = tail.pop(lead)
+    # the least key of the numerator's least degree
+    floor = min(rem) >> shift << shift
     quot: dict = {}
     while rem:
-        lt = min(rem, key=order.__getitem__)
-        qm = _K.mono_mul(lt, dm_inv)
-        _check_in_box(qm, box, scale, "quotient", NotDivisibleError)
-        if order[lt][0] > top:
+        lt = max(rem)
+        qk = lt - lead
+        for v, s, mask, lo, box_lo, box_hi in fields:
+            e = qk >> s & mask
+            if e < box_lo or e > box_hi:
+                raise NotDivisibleError(
+                    _outside_box("quotient", v, e + lo, box_lo + lo, box_hi + lo, scale)
+                )
+        if lt < floor:
             raise NotDivisibleError("remainder degree fell below the numerator's range")
-        c = rem[lt]
+        c = rem.pop(lt)
         if c % dc:
             raise NotDivisibleError(f"coefficient {c} not divisible by {dc}")
         q = c // dc
-        quot[qm] = q
-        _K.poly_accum_term_mul(rem, den_t, qm, -q)
-    return LaurentPoly._raw(quot)
+        quot[qk] = q
+        _K.packed_accum_term_mul(rem, tail, qk, -q)
+
+    out = {}
+    for qk, q in quot.items():
+        key = []
+        for v, s, mask, lo, _, _ in fields:
+            e = (qk >> s & mask) + lo
+            if e:
+                g = gcd(e, scale)
+                key.append((v, e // g, scale // g))
+        out[tuple(key)] = q
+    return LaurentPoly._raw(out)
 
 
 def exact_sqrt(p: LaurentPoly) -> LaurentPoly:

@@ -6,6 +6,8 @@ through ``terms()`` and ``Monomial.exponents`` only and evaluates it with
 and L the least common multiple of every exponent denominator in play, so
 x^(n/d) becomes the integer power r^(L*n/d) and evaluation is a ring
 homomorphism.  The (a, z) conversions are checked at t = s^2, z = s - 1/s.
+Exponents near 10^6 are evaluated modulo a large prime, where a power
+costs a few dozen multiplications whatever its size.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from qpknot import (
     InvariantKind,
     LaurentPoly,
     Monomial,
+    NotDivisibleError,
     exact_div,
     exact_sqrt,
     from_az_form,
@@ -155,6 +158,99 @@ az_polys = st.dictionaries(
 def az_point(s, r, *polys):
     """a = r^L; t = s^2 and z = s - 1/s, so that z = t^(1/2) - t^(-1/2)."""
     return {"a": (r, denominators(*polys)), "t": (s, 2), "z": (s - 1 / s, 1)}
+
+
+# -- the packed frame of exact_div ------------------------------------------
+
+PRIME = 2**61 - 1
+
+# Frame edge cases: denominators 1-6, negative exponents, constant terms,
+# variables in one operand only, and exponents near +-10^6, which set the
+# widest bit fields.
+frame_exponents = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=6)
+)
+far_exponents = st.builds(
+    lambda sign, e: sign * 10**6 + e, st.sampled_from((1, -1)), frame_exponents
+)
+var_sets = st.lists(st.sampled_from(VARS), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def frame_polys(draw, names, min_terms=0, max_terms=4, far_var=None):
+    """A polynomial over ``names``, with a constant term half the time and,
+    given ``far_var``, one term whose exponent of it is near +-10^6."""
+    monos = st.dictionaries(st.sampled_from(names), frame_exponents)
+    terms = draw(
+        st.dictionaries(monos.map(Monomial), coeffs, min_size=min_terms, max_size=max_terms)
+    )
+    if draw(st.booleans()):
+        terms[Monomial.one()] = draw(coeffs)
+    if far_var is not None:
+        exps = draw(monos)
+        exps[far_var] = draw(far_exponents)
+        terms[Monomial(exps)] = draw(coeffs)
+    return LaurentPoly(terms)
+
+
+@st.composite
+def exact_pairs(draw):
+    """(p, q), q with at least two terms; either may carry a far exponent."""
+    p_vars, q_vars = draw(var_sets), draw(var_sets)
+    p_far = draw(st.sampled_from((None, *p_vars)))
+    q_far = draw(st.sampled_from((None, *q_vars)))
+    p = draw(frame_polys(p_vars, far_var=p_far))
+    return p, draw(frame_polys(q_vars, min_terms=2, far_var=q_far))
+
+
+@st.composite
+def perturbed_triples(draw):
+    """(p, q, r) with q as above and r small.  A far exponent goes on a
+    variable of p that q lacks: a far one that q shares would let a failing
+    division walk its remainder across 10^6 steps of q's exponents."""
+    p_vars, q_vars = draw(var_sets), draw(var_sets)
+    far_var = draw(st.sampled_from((None, *(v for v in VARS if v not in q_vars))))
+    p = draw(frame_polys(p_vars, far_var=far_var))
+    q = draw(frame_polys(q_vars, min_terms=2))
+    r = draw(frame_polys(p_vars, max_terms=2))
+    return p, q, r
+
+
+def residue(p, point):
+    """Value of ``p`` modulo PRIME, ``point`` mapping each variable to
+    ``(base, scale)`` with x^e evaluating to base^(scale*e) and ``base`` a
+    rational whose numerator and denominator PRIME does not divide."""
+    total = 0
+    for mono, coeff in p.terms():
+        term = coeff
+        for v, e in mono.exponents.items():
+            base, scale = point[v]
+            k = scale * e
+            assert k.denominator == 1, k
+            root = base.numerator * pow(base.denominator, -1, PRIME)
+            term = term * pow(root, int(k), PRIME) % PRIME
+        total += term
+    return total % PRIME
+
+
+class TestDivisionFrame:
+    @EXAMPLES
+    @given(exact_pairs())
+    def test_product_divides_back(self, pq):
+        p, q = pq
+        assert exact_div(p * q, q) == p
+
+    @EXAMPLES
+    @given(perturbed_triples(), points)
+    def test_quotient_or_not_divisible(self, pqr, roots):
+        p, q, r = pqr
+        num = p * q + r
+        try:
+            got = exact_div(num, q)
+        except NotDivisibleError:
+            return
+        x = at(roots, q, num, got)
+        assert residue(got, x) * residue(q, x) % PRIME == residue(num, x)
 
 
 class TestAZConversions:

@@ -270,18 +270,20 @@ def _graded_lex_rank(m: Monomial, names: list) -> tuple:
 class TestReductionSteps:
     """A failing division or square root stops after a fixed number of
     remainder updates; a change to the reduction that costs more steps, or
-    fails elsewhere, shows here."""
+    fails elsewhere, shows here.  Division updates its packed remainder
+    through `packed_accum_term_mul`, a square root its remainder through
+    `poly_accum_term_mul`."""
 
     @staticmethod
-    def _steps(monkeypatch, op, *args):
-        real = _kernel.poly_accum_term_mul
+    def _steps(monkeypatch, update, op, *args):
+        real = getattr(_kernel, update)
         calls = []
 
         def counted(*a):
             calls.append(1)
             return real(*a)
 
-        monkeypatch.setattr(_kernel, "poly_accum_term_mul", counted)
+        monkeypatch.setattr(_kernel, update, counted)
         with pytest.raises((NotDivisibleError, NotAPerfectSquareError)) as exc:
             op(*args)
         monkeypatch.undo()
@@ -291,7 +293,7 @@ class TestReductionSteps:
     def test_binomial_sum_over_difference(self, monkeypatch, n):
         num = parse_poly(f"(a*t)^{n} + (q*p)^{n}")
         den = parse_poly("a*t - q*p")
-        assert self._steps(monkeypatch, exact_div, num, den) == (
+        assert self._steps(monkeypatch, "packed_accum_term_mul", exact_div, num, den) == (
             n,
             f"quotient term needs a-exponent -1, outside the Newton bound [0, {n - 1}]",
         )
@@ -301,15 +303,18 @@ class TestReductionSteps:
         [
             ("x^3+y^3+1", "x+y+1", 5, "x-exponent -1, outside the Newton bound [0, 2]"),
             ("t^5+1", "t^2-1", 2, "t-exponent -1, outside the Newton bound [0, 3]"),
+            ("t^(7/2) + 1", "t^(1/2) - 1", 7, "t-exponent -1/2, outside the Newton bound [0, 3]"),
+            ("a*t^2 + q", "a - q", 1, "a-exponent -1, outside the Newton bound [0, 0]"),
         ],
     )
     def test_division(self, monkeypatch, num, den, steps, error):
-        got = self._steps(monkeypatch, exact_div, parse_poly(num), parse_poly(den))
+        n, d = parse_poly(num), parse_poly(den)
+        got = self._steps(monkeypatch, "packed_accum_term_mul", exact_div, n, d)
         assert got == (steps, f"quotient term needs {error}")
 
     def test_sqrt(self, monkeypatch):
         p = parse_poly("x^2 + 2*x*y + 2*y^2")
-        assert self._steps(monkeypatch, exact_sqrt, p) == (
+        assert self._steps(monkeypatch, "poly_accum_term_mul", exact_sqrt, p) == (
             2,
             "root term needs x-exponent -1, outside the Newton bound [0, 1]",
         )

@@ -167,6 +167,48 @@ class TestKnotSeries:
             knot_series(A, -1)
 
 
+def closed_form_knot(m: int) -> dict:
+    """Entry m of the two-variable knot series as ``(a, t) exponent pair ->
+    coefficient``, from the closed form alone: the sum over i = 0..m of
+    a^(2m)*t^(m-2i), minus the sum over i = 0..m-1 of a^(2m+2)*t^(m-1-2i)."""
+    terms = {(2 * m, m - 2 * i): 1 for i in range(m + 1)}
+    terms.update({(2 * m + 2, m - 1 - 2 * i): -1 for i in range(m)})
+    return terms
+
+
+def specialized(terms: dict, a_to_t: int) -> dict:
+    """The image under a -> t^a_to_t, as ``t exponent -> coefficient``."""
+    out: dict = {}
+    for (ea, et), c in terms.items():
+        e = et + a_to_t * ea
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+class TestKnotOracle:
+    """Every knot entry up to m = 120 against its closed form, built from
+    integer exponents and ±1 coefficients without the ring's arithmetic."""
+
+    M = 120
+
+    def test_homfly(self):
+        s = knot_series(H, self.M)
+        for m in range(self.M + 1):
+            want = LaurentPoly.from_terms(
+                (Monomial({"a": ea, "t": et}), c) for (ea, et), c in closed_form_knot(m).items()
+            )
+            assert s.knot(m)._t == want._t, m
+
+    @pytest.mark.parametrize("kind, a_to_t", [(A, 0), (V, 1)])
+    def test_one_variable_specializations(self, kind, a_to_t):
+        s = knot_series(kind, self.M)
+        for m in range(self.M + 1):
+            want = LaurentPoly.from_terms(
+                (Monomial({"t": e}), c) for e, c in specialized(closed_form_knot(m), a_to_t).items()
+            )
+            assert s.knot(m)._t == want._t, m
+
+
 class TestSpecialize:
     def test_trefoil_examples(self):
         trefoil = parse_poly("a^2*t + a^2*t^-1 - a^4")

@@ -47,10 +47,20 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert _kernel.mono_mul is not _pykernel.mono_mul
         s = qpknot.knot_series(qpknot.InvariantKind.HOMFLY, 3)
         p = s.knot(3)
-        assert qpknot.from_az_form(qpknot.to_az_form(p)) == p
-        # division reduces its remainder in place through the kernel
-        assert qpknot.exact_div(p * s.knot(2), s.knot(2)) == p
-        assert t.stats["kernel.poly_accum_term_mul"].calls > 0
+        az = qpknot.to_az_form(p)
+        merges = t.stats["kernel.poly_accum_term_mul"].calls
+        # from_az_form merges its rows through the kernel's summing loop
+        assert qpknot.from_az_form(az) == p
+        assert t.stats["kernel.poly_accum_term_mul"].calls > merges
+        # division reduces on packed keys inside exact_div: one traced call,
+        # counted by its quotient's terms, and no traced kernel call
+        num, den = p * s.knot(2), s.knot(2)
+        div = t.stats["laurent.exact_div"]
+        start = (div.calls, div.count)
+        kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
+        assert qpknot.exact_div(num, den) == p
+        assert (div.calls - start[0], div.count - start[1]) == (1, p.term_count())
+        assert {n: t.stats[n].calls for n in kernel} == kernel
         assert t.stats["skein.to_az_form"].calls == 1
         assert t.stats["skein.from_az_form"].calls == 1
         assert t.stats["kernel.mono_mul"].calls > 0
