@@ -10,22 +10,25 @@ run and dropping one of the nine would crash it.
 `poly_accum_term_mul` inside `_pykernel`, so a traced run counts each ring
 call once, under the name the ring called.  The ring calls
 `poly_accum_term_mul` itself for subtraction (``a - b`` is ``a`` plus
-``b`` times -1), for the merge in `from_az_form` and for the in-place
-remainder updates of square roots.  Division reduces on packed int keys
-and updates its remainder through `packed_accum_term_mul`, which the
-tracer does not fetch; its time counts towards `exact_div`.
+``b`` times -1) and for the merge in `from_az_form`.
+
+Ordering, division and square roots run on the packed int keys of a
+`Frame` (one per operation): printing and `leading_term` sort and scan by
+`Frame.pack`, and `exact_div` and `exact_sqrt` reduce on packed keys and
+update their remainders through `packed_accum_term_mul`.  `Frame`,
+`exp_scale`, `exponent_bounds` and `packed_accum_term_mul` are not traced;
+their time counts towards the calling operation.
 
 Two of the nine have no caller in the ring and stay only because the
-tracer fetches them by name: `mono_cmp`, since the ring orders monomials
-by the keys of an `Order` table (one integer frame per operation) or, in
-division, by packed keys, and `poly_term_mul`, since every product by one
-term sums into an existing dict through `poly_accum_term_mul`.  `Order` and `exp_scale` are not
-traced; their time counts towards the calling operation.
+tracer fetches them by name: `mono_cmp`, which packs its two monomials in
+a frame of their own, and `poly_term_mul`, since every product by one term
+sums into an existing dict through `poly_accum_term_mul`.
 """
 
 from qpknot._pykernel import (
-    Order,
+    Frame,
     exp_scale,
+    exponent_bounds,
     mono_cmp,
     mono_deg,
     mono_mul,

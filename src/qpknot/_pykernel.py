@@ -15,14 +15,14 @@ Data contract:
 another.  `poly_add` (a copy of the larger operand plus the smaller),
 `poly_mul` (the larger times each term of the smaller) and `poly_term_mul`
 (into an empty dict) are built on it, and the ring calls it directly for
-subtraction, for the (a, z) -> t merge and for the remainder updates of
-square roots.  It keeps a branch for the empty monomial so that a plain
-sum makes no `mono_mul` call per term.
+subtraction and for the (a, z) -> t merge.  It keeps a branch for the
+empty monomial so that a plain sum makes no `mono_mul` call per term.
 
-`packed_accum_term_mul` is the same loop over packed int keys, where one
-int addition multiplies two monomials.  Exact division encodes its
-operands as such keys in a frame of its own (see `laurent.exact_div`) and
-updates its remainder through this loop only.
+`Frame` is the one monomial order: it packs a monomial into one int whose
+int order is graded-lex order and in which one int addition multiplies two
+monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys, and
+exact division and square roots reduce on them, updating their remainders
+through `packed_accum_term_mul`, the summing loop over packed keys.
 """
 
 from math import gcd, lcm
@@ -94,47 +94,110 @@ def exp_scale(*polys):
     return lcm(*{d for t in polys for m in t for _, _, d in m})
 
 
-class Order(dict):
-    """Sort keys of monomials, computed on first lookup and kept for the
-    life of the table.  Ascending key order is descending graded-lex order.
+def exponent_bounds(terms, scale):
+    """Least and greatest exponent of each variable over the monomials
+    ``terms``, as ``var -> (lo, hi)`` in units of 1/scale; a monomial without
+    the variable has exponent 0 in it."""
+    seen = {}
+    for m in terms:
+        for v, n, d in m:
+            seen.setdefault(v, []).append(n * scale // d)
+    for es in seen.values():
+        if len(es) < len(terms):
+            es.append(0)
+    return {v: (min(es), max(es)) for v, es in seen.items()}
 
-    Every exponent is read as the int ``e = num * scale // den``, so
-    ``scale`` must be a multiple of every denominator looked up.  The key is
-    ``-(sum of e)``, then for each variable ``ord(v) - 123, -e`` when
-    ``e > 0`` and ``123 - ord(v), -e`` otherwise, then a closing ``0`` that
-    stands for every variable the monomial lacks.  The variable codes lie in
-    -26..-1 and 1..26, on either side of that 0, so at the first variable
-    where two monomials differ a positive exponent comes before a missing
-    one, and a missing one before a negative one.
+
+class Frame:
+    """Packed int keys for monomials whose exponents are multiples of
+    1/scale and lie, per variable v, in ``spans[v] = (lo, hi)`` (units of
+    1/scale).
+
+    A key has one bit field per variable holding ``e - lo`` for its exponent
+    e, the alphabetically first variable in the highest field, and the
+    signed total degree above them all.  While every field holds its value,
+    adding two keys multiplies their monomials and ascending int order is
+    graded-lex order.  `pack` leaves out the bias ``-lo`` of every field:
+    order needs none, and an unbiased key added to a biased one gives the
+    biased key of the product.  `unpack` and `outside` read biased keys.
+
+    A reduction must therefore size the spans to hold every monomial it
+    compares or decodes.  Writing [n_lo, n_hi] and [d_lo, d_hi] for the
+    exponents of v in a numerator and a divisor, ``exact_div`` spans
+    [min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo)]: a
+    quotient term enters the remainder only after passing the Newton box
+    [n_lo - d_lo, n_hi - d_hi], so remainder terms stay in the numerator's
+    box, and a candidate is a remainder term over the divisor's leading
+    term.  For ``exact_sqrt`` of p with exponents [lo, hi], root terms lie
+    in [lo/2, hi/2], remainder terms in [lo, hi], and candidates, a
+    remainder term over the root's leading term, in
+    [min(lo, lo - hi/2), max(hi, hi - lo/2)].  The degree is a sum of such
+    exponents and needs no bound: its field is the top one.
     """
 
-    __slots__ = ("scale",)
+    __slots__ = ("scale", "fields", "shift", "weight", "bias")
 
-    def __init__(self, scale):
+    def __init__(self, scale, spans):
         self.scale = scale
+        # (var, shift, mask, lo), the highest field last until reversed
+        fields = []
+        shift = 0
+        for v in sorted(spans, reverse=True):
+            lo, hi = spans[v]
+            width = (hi - lo).bit_length()
+            fields.append((v, shift, (1 << width) - 1, lo))
+            shift += width
+        fields.reverse()
+        self.fields = fields
+        self.shift = shift
+        self.weight = {v: (1 << s) + (1 << shift) for v, s, _, _ in fields}
+        self.bias = sum(-lo << s for _, s, _, lo in fields)
 
-    def __missing__(self, m):
+    @classmethod
+    def of(cls, terms):
+        """The least frame that orders the monomials ``terms``."""
+        scale = exp_scale(terms)
+        return cls(scale, exponent_bounds(terms, scale))
+
+    def pack(self, m):
+        """Unbiased key of the monomial ``m``."""
         scale = self.scale
-        key = [0]
-        deg = 0
+        weight = self.weight
+        k = 0
         for v, n, d in m:
-            e = n * scale // d
-            deg += e
-            key += (ord(v) - 123, -e) if e > 0 else (123 - ord(v), -e)
-        key[0] = -deg
-        key.append(0)
-        key = self[m] = tuple(key)
-        return key
+            k += n * scale // d * weight[v]
+        return k
+
+    def unpack(self, key):
+        """Monomial of a biased key."""
+        scale = self.scale
+        out = []
+        for v, s, mask, lo in self.fields:
+            e = (key >> s & mask) + lo
+            if e:
+                g = gcd(e, scale)
+                out.append((v, e // g, scale // g))
+        return tuple(out)
+
+    def outside(self, key, box):
+        """``(var, e, lo, hi)`` for the alphabetically first variable whose
+        exponent e in a biased key lies outside ``box[var] = (lo, hi)``,
+        else None; ``box`` holds every variable of the frame."""
+        for v, s, mask, lo in self.fields:
+            e = (key >> s & mask) + lo
+            b_lo, b_hi = box[v]
+            if e < b_lo or e > b_hi:
+                return v, e, b_lo, b_hi
+        return None
 
 
 def mono_cmp(m1, m2):
     """Graded-lex comparison: total degree first, ties broken at the
     alphabetically first differing variable, larger exponent first.
     Returns -1, 0 or 1."""
-    order = Order(exp_scale((m1, m2)))
-    k1 = order[m1]
-    k2 = order[m2]
-    return (k1 < k2) - (k1 > k2)
+    pack = Frame.of((m1, m2)).pack
+    k1, k2 = pack(m1), pack(m2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def poly_add(t1, t2):

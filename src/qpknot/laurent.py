@@ -7,7 +7,10 @@ shared freely between threads.
 
 Monomial order, used for division, square roots and printing, is graded
 lexicographic: larger total degree first, ties broken at the
-alphabetically first differing variable with the larger exponent winning.
+alphabetically first differing variable with the larger exponent winning,
+a missing variable counting as exponent 0.  It has one implementation,
+the packed int keys of the kernel's `Frame`: printing and `leading_term`
+sort and scan by them, and `exact_div` and `exact_sqrt` reduce on them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from qpknot import _kernel as _K
 from qpknot.errors import (
@@ -179,42 +182,12 @@ def _json_term(entry: Mapping) -> tuple:
 
 
 def _ordered_keys(terms: dict) -> list:
-    return sorted(terms, key=_K.Order(_K.exp_scale(terms)).__getitem__)
-
-
-def _exponent_bounds(terms: dict, scale: int) -> dict:
-    """Least and greatest exponent of each variable over the terms, as
-    ``var -> (lo, hi)`` in units of 1/scale; a term without the variable
-    has exponent 0 in it."""
-    seen: dict = {}
-    for key in terms:
-        for v, n, d in key:
-            seen.setdefault(v, []).append(n * scale // d)
-    for es in seen.values():
-        if len(es) < len(terms):
-            es.append(0)
-    return {v: (min(es), max(es)) for v, es in seen.items()}
-
-
-def _check_in_box(key: tuple, box: list, scale: int, what: str, error: type) -> None:
-    """Raise ``error`` when the monomial ``key`` lies outside ``box``, a list
-    of ``(var, lo, hi)`` exponent bounds in units of 1/scale, sorted by
-    variable, that covers every variable of ``key``."""
-    i = 0
-    nk = len(key)
-    for v, lo, hi in box:
-        if i < nk and key[i][0] == v:
-            _, n, d = key[i]
-            e = n * scale // d
-            i += 1
-        else:
-            e = 0
-        if e < lo or e > hi:
-            raise error(_outside_box(what, v, e, lo, hi, scale))
+    return sorted(terms, key=_K.Frame.of(terms).pack, reverse=True)
 
 
 def _outside_box(what: str, v: str, e: int, lo: int, hi: int, scale: int) -> str:
-    """Why a candidate with v-exponent e/scale fails the box [lo, hi]/scale."""
+    """Why a candidate with v-exponent e/scale fails the box [lo, hi]/scale,
+    worded from what `Frame.outside` returns."""
     return (
         f"{what} term needs {v}-exponent {Fraction(e, scale)}, outside the "
         f"Newton bound [{Fraction(lo, scale)}, {Fraction(hi, scale)}]"
@@ -300,7 +273,7 @@ class LaurentPoly:
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        key = min(self._t, key=_K.Order(_K.exp_scale(self._t)).__getitem__)
+        key = max(self._t, key=_K.Frame.of(self._t).pack)
         return Monomial._from_key(key), self._t[key]
 
     def __bool__(self) -> bool:
@@ -497,39 +470,19 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     Performs leading-term reduction in graded-lex order and raises
     :class:`NotDivisibleError` as soon as the remainder provably cannot
-    vanish: a leading coefficient not divisible by the divisor's, a
-    remainder degree below the numerator's minimum, or a candidate
-    quotient term outside the Newton box.  By Ostrowski's theorem
+    vanish: a candidate quotient term outside the Newton box, a remainder
+    degree below the numerator's minimum, or a leading coefficient not
+    divisible by the divisor's.  By Ostrowski's theorem
     (Newton(num) = Newton(quot) + Newton(den)) every exponent of a variable
     v in the quotient lies in [min_v num - min_v den, max_v num - max_v den].
     Candidates strictly decrease in a monomial order and their exponents
     have bounded denominators, so they are distinct points of a finite box
     and the reduction always stops.
 
-    The reduction runs on packed keys in a frame built for this call.  With
-    ``scale`` the least common denominator of both operands' exponents, a
-    monomial is one int: one bit field per variable holds its exponent
-    times ``scale``, biased to be nonnegative, the alphabetically first
-    variable in the highest of them, and the total degree sits above them
-    all.  While every field holds its value, adding two keys multiplies
-    their monomials and ascending int order is graded-lex order.  Writing
-    [n_lo, n_hi] and [d_lo, d_hi] for the least and greatest exponent of v
-    in num and den, the field of v spans
-    [min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo)], which
-    holds every monomial the loop compares or decodes:
-
-    * numerator and divisor terms lie in [n_lo, n_hi] and [d_lo, d_hi];
-    * every remainder term lies in the numerator's Newton box, since a
-      quotient term enters the remainder only after passing the box check,
-      so its product with a divisor term lies in
-      [n_lo - d_lo + d_lo, n_hi - d_hi + d_hi];
-    * a candidate is a remainder term over the divisor's leading term, so
-      it lies in [n_lo - d_hi, n_hi - d_lo].
-
-    The degree is a sum of such exponents and needs no bound: its field is
-    the top one.  Only the divisor's other terms are added into the
-    remainder, since its leading term cancels exactly, and the quotient is
-    decoded to monomials once, at the end.
+    The reduction runs on the packed keys of a `Frame` sized for this call
+    (its docstring gives the field widths).  Only the divisor's other terms
+    are added into the remainder, since its leading term cancels exactly,
+    and the quotient is decoded to monomials once, at the end.
     """
     if den.is_zero:
         raise DivisionByZeroError("division by the zero polynomial")
@@ -549,42 +502,30 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     num_t = num._t
     scale = _K.exp_scale(num_t, den_t)
-    num_b = _exponent_bounds(num_t, scale)
-    den_b = _exponent_bounds(den_t, scale)
-    # (var, shift, mask, least exponent lo, box lo - lo, box hi - lo)
-    fields = []
-    shift = 0
-    for v in sorted(num_b.keys() | den_b.keys(), reverse=True):
+    num_b = _K.exponent_bounds(num_t, scale)
+    den_b = _K.exponent_bounds(den_t, scale)
+    spans, box = {}, {}
+    for v in num_b.keys() | den_b.keys():
         n_lo, n_hi = num_b.get(v, (0, 0))
         d_lo, d_hi = den_b.get(v, (0, 0))
-        lo = min(n_lo, d_lo, n_lo - d_hi)
-        width = (max(n_hi, d_hi, n_hi - d_lo) - lo).bit_length()
-        fields.append((v, shift, (1 << width) - 1, lo, n_lo - d_lo - lo, n_hi - d_hi - lo))
-        shift += width
-    fields.reverse()
-    weight = {v: (1 << s) + (1 << shift) for v, s, *_ in fields}
-    bias = sum(-lo << s for _, s, _, lo, _, _ in fields)
-
-    def pack(m):
-        return sum(n * scale // d * weight[v] for v, n, d in m)
-
-    rem = {bias + pack(m): c for m, c in num_t.items()}
+        spans[v] = (min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo))
+        box[v] = (n_lo - d_lo, n_hi - d_hi)
+    frame = _K.Frame(scale, spans)
+    pack = frame.pack
+    rem = {frame.bias + pack(m): c for m, c in num_t.items()}
     # unbiased: a remainder key plus a divisor key is the key of their product
     tail = {pack(m): c for m, c in den_t.items()}
     lead = max(tail)
     dc = tail.pop(lead)
     # the least key of the numerator's least degree
-    floor = min(rem) >> shift << shift
+    floor = min(rem) >> frame.shift << frame.shift
     quot: dict = {}
     while rem:
         lt = max(rem)
         qk = lt - lead
-        for v, s, mask, lo, box_lo, box_hi in fields:
-            e = qk >> s & mask
-            if e < box_lo or e > box_hi:
-                raise NotDivisibleError(
-                    _outside_box("quotient", v, e + lo, box_lo + lo, box_hi + lo, scale)
-                )
+        bad = frame.outside(qk, box)
+        if bad:
+            raise NotDivisibleError(_outside_box("quotient", *bad, scale))
         if lt < floor:
             raise NotDivisibleError("remainder degree fell below the numerator's range")
         c = rem.pop(lt)
@@ -593,17 +534,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         q = c // dc
         quot[qk] = q
         _K.packed_accum_term_mul(rem, tail, qk, -q)
-
-    out = {}
-    for qk, q in quot.items():
-        key = []
-        for v, s, mask, lo, _, _ in fields:
-            e = (qk >> s & mask) + lo
-            if e:
-                g = gcd(e, scale)
-                key.append((v, e // g, scale // g))
-        out[tuple(key)] = q
-    return LaurentPoly._raw(out)
+    return LaurentPoly._raw({frame.unpack(qk): q for qk, q in quot.items()})
 
 
 def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
@@ -615,40 +546,46 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     box: Newton(p) = 2 Newton(root), so every exponent of a variable v in
     the root lies in [min_v p / 2, max_v p / 2].  Candidates strictly
     decrease in a monomial order inside that finite box, so the reduction
-    always stops."""
+    always stops.
+
+    The reduction runs on the packed keys of a `Frame`, as in `exact_div`;
+    the root's keys are kept unbiased, so that a root key plus a biased
+    candidate key is the biased key of their product."""
     if p.is_zero:
         return LaurentPoly.zero()
 
     # root exponents have half the denominators of p's, so p's are even here
     scale = 2 * _K.exp_scale(p._t)
-    order = _K.Order(scale)
-    lt = min(p._t, key=order.__getitem__)
-    lc = p._t[lt]
+    bounds = _K.exponent_bounds(p._t, scale)
+    spans = {v: (min(lo, lo - hi // 2), max(hi, hi - lo // 2)) for v, (lo, hi) in bounds.items()}
+    box = {v: (lo // 2, hi // 2) for v, (lo, hi) in bounds.items()}
+    frame = _K.Frame(scale, spans)
+    bias, shift = frame.bias, frame.shift
+    rem = {bias + frame.pack(m): c for m, c in p._t.items()}
+    # root terms have degree >= (least degree of p) / 2
+    low = min(rem) >> shift
+    lt = max(rem)
+    lc = rem.pop(lt)  # lt = rm^2 and lc = rc^2
     if lc < 0:
         raise NotAPerfectSquareError("leading coefficient is negative")
     rc = isqrt(lc)
     if rc * rc != lc:
         raise NotAPerfectSquareError(f"leading coefficient {lc} is not a square")
-    rm = _K.mono_pow(lt, 1, 2)
-    rm_inv = _K.mono_pow(rm, -1, 1)
-
-    box = [(v, lo // 2, hi // 2) for v, (lo, hi) in sorted(_exponent_bounds(p._t, scale).items())]
-    # root terms have degree >= (least degree of p) / 2, i.e. 2 * key[0] <= top
-    top = max(order[m][0] for m in p._t)
+    rm = (lt - bias) // 2
     root = {rm: rc}
-    rem = dict(p._t)
-    del rem[lt]  # lt = rm^2 and lc = rc^2
     while rem:
-        lt = min(rem, key=order.__getitem__)
-        cm = _K.mono_mul(lt, rm_inv)
-        _check_in_box(cm, box, scale, "root", NotAPerfectSquareError)
+        lt = max(rem)
+        cm = lt - rm
+        bad = frame.outside(cm, box)
+        if bad:
+            raise NotAPerfectSquareError(_outside_box("root", *bad, scale))
         c = rem[lt]
         if c % (2 * rc):
             raise NotAPerfectSquareError(f"coefficient {c} not divisible by {2 * rc}")
         cc = c // (2 * rc)
-        if 2 * order[cm][0] > top:
+        if 2 * (cm >> shift) < low:
             raise NotAPerfectSquareError("candidate term degree fell below the root's range")
-        _K.poly_accum_term_mul(rem, root, cm, -2 * cc)
-        _K.poly_accum_term_mul(rem, {cm: cc}, cm, -cc)
-        root[cm] = cc
-    return LaurentPoly._raw(root)
+        _K.packed_accum_term_mul(rem, root, cm, -2 * cc)
+        _K.packed_accum_term_mul(rem, {cm - bias: cc}, cm, -cc)
+        root[cm - bias] = cc
+    return LaurentPoly._raw({frame.unpack(k + bias): c for k, c in root.items()})

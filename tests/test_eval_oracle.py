@@ -20,6 +20,7 @@ from qpknot import (
     InvariantKind,
     LaurentPoly,
     Monomial,
+    NotAPerfectSquareError,
     NotDivisibleError,
     exact_div,
     exact_sqrt,
@@ -251,6 +252,63 @@ class TestDivisionFrame:
             return
         x = at(roots, q, num, got)
         assert residue(got, x) * residue(q, x) % PRIME == residue(num, x)
+
+
+@st.composite
+def root_polys(draw):
+    """(p, the variables of p but the far one): p is nonzero, over one to
+    three variables, with every exponent negative half the time and, now
+    and then, one term whose exponent of a variable is near +-10^6.  No
+    other term has that variable, so the root's exponents of it differ by 0
+    or about 10^6."""
+    names = draw(var_sets)
+    far_var = draw(st.sampled_from((None, *names)))
+    near = [v for v in names if v != far_var]
+    exps = frame_exponents
+    if draw(st.booleans()):
+        exps = exps.map(lambda e: -abs(e))
+    monos = st.dictionaries(st.sampled_from(near), exps) if near else st.just({})
+    terms = draw(st.dictionaries(monos.map(Monomial), coeffs, min_size=1, max_size=4))
+    if far_var is not None:
+        exps = draw(monos)
+        exps[far_var] = draw(far_exponents)
+        terms[Monomial(exps)] = draw(coeffs)
+    return LaurentPoly(terms), near
+
+
+@st.composite
+def perturbed_squares(draw):
+    """(p, r, e == 0) with p*p + r = (p + d)^2 + e for small d and e, e
+    zero half the time, so that both roots and failures are common.  Neither
+    d nor e has p's far variable: a far one would let a failing root walk
+    its remainder across 10^6 small steps."""
+    p, near = draw(root_polys())
+    monos = st.dictionaries(st.sampled_from(near), frame_exponents) if near else st.just({})
+    small = st.dictionaries(monos.map(Monomial), coeffs, max_size=2).map(LaurentPoly)
+    d = draw(small)
+    e = draw(small) if draw(st.booleans()) else LaurentPoly.zero()
+    return p, d * (2 * p + d) + e, e.is_zero
+
+
+class TestSqrtFrame:
+    @EXAMPLES
+    @given(root_polys())
+    def test_square_roots_back(self, p_near):
+        p, _ = p_near
+        assert exact_sqrt(p * p) in (p, -p)
+
+    @EXAMPLES
+    @given(perturbed_squares(), points)
+    def test_root_or_not_square(self, pre, roots):
+        p, r, is_square = pre
+        square = p * p + r
+        try:
+            got = exact_sqrt(square)
+        except NotAPerfectSquareError:
+            assert not is_square
+            return
+        x = at(roots, square, got)
+        assert residue(got, x) ** 2 % PRIME == residue(square, x)
 
 
 class TestAZConversions:

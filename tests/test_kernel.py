@@ -32,6 +32,28 @@ class TestOrder:
         assert _pykernel.mono_cmp(key({"q": 2, "p": 1}), key({"p": 1, "q": 2})) == 0
 
 
+class TestFrame:
+    MONOS = [{"a": 2, "t": (-1, 2)}, {"t": (3, 2)}, {"a": -1}, {}, {"q": (1, 3), "t": -2}]
+
+    def test_unpack_inverts_pack_and_sums_multiply(self):
+        keys = [key(m) for m in self.MONOS]
+        frame = _pykernel.Frame.of(keys)
+        for m in keys:
+            assert frame.unpack(frame.pack(m) + frame.bias) == m
+        # the spans hold the product of the first two
+        m1, m2 = keys[:2]
+        prod = _pykernel.mono_mul(m1, m2)
+        wide = _pykernel.Frame.of([m1, m2, prod])
+        assert wide.unpack(wide.pack(m1) + wide.pack(m2) + wide.bias) == prod
+
+    def test_outside_names_first_variable_out_of_box(self):
+        frame = _pykernel.Frame(2, {"a": (-4, 4), "t": (-4, 4)})
+        k = frame.pack(key({"a": -1, "t": 2})) + frame.bias
+        assert frame.outside(k, {"a": (-2, 2), "t": (-4, 4)}) is None
+        assert frame.outside(k, {"a": (0, 2), "t": (-4, 2)}) == ("a", -2, 0, 2)
+        assert frame.outside(k, {"a": (-2, 2), "t": (-4, 2)}) == ("t", 4, -4, 2)
+
+
 class TestPyKernel:
     def test_mono_mul_merges_and_cancels(self):
         got = _pykernel.mono_mul(key({"q": 1, "t": 2}), key({"t": -2, "a": 1}))

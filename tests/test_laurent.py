@@ -212,6 +212,20 @@ class TestExactSqrt:
         with pytest.raises(NotAPerfectSquareError):
             exact_sqrt(T + 1)
 
+    @pytest.mark.parametrize(
+        "src, text",
+        [
+            ("-x*y^2 + y^2 + 9*y^-1 - 2*y^-2", "leading coefficient is negative"),
+            ("2*x^3 - y^3 + 9*y^-3", "leading coefficient 2 is not a square"),
+            ("4*x^2 - 2 + 4*x^-2 + x^-3*y^-2", "coefficient -2 not divisible by 4"),
+            ("x^3 + 2*x + 9*x^-1*y", "candidate term degree fell below the root's range"),
+        ],
+    )
+    def test_failure_texts(self, src, text):
+        with pytest.raises(NotAPerfectSquareError) as exc:
+            exact_sqrt(parse_poly(src))
+        assert str(exc.value) == text
+
     def test_non_square_fails_on_newton_bound(self):
         with pytest.raises(NotAPerfectSquareError, match=r"x-exponent -1, .* Newton bound \[0, 1\]"):
             exact_sqrt(parse_poly("x^2 + 4*y^2"))
@@ -253,10 +267,17 @@ class TestExactSqrt:
 
 
 # exponents with denominators 1, 2, 3, 4 and 6, negative ones included; small
-# numerators make equal degrees, and so the tie-breaks, common
+# numerators make equal degrees, and so the tie-breaks, common.  About one
+# exponent in five is moved by +-10^6, which sets the widest field of the
+# order key.
 _order_monomials = st.dictionaries(
     st.sampled_from(VARS),
-    st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2, 3, 4, 6])),
+    st.builds(
+        lambda num, den, far: Fraction(num, den) + far,
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([1, 2, 3, 4, 6]),
+        st.sampled_from((0,) * 8 + (10**6, -(10**6))),
+    ),
     max_size=4,
 ).map(Monomial)
 
@@ -270,9 +291,10 @@ def _graded_lex_rank(m: Monomial, names: list) -> tuple:
 class TestReductionSteps:
     """A failing division or square root stops after a fixed number of
     remainder updates; a change to the reduction that costs more steps, or
-    fails elsewhere, shows here.  Division updates its packed remainder
-    through `packed_accum_term_mul`, a square root its remainder through
-    `poly_accum_term_mul`."""
+    fails elsewhere, shows here.  Both update their packed remainders
+    through `packed_accum_term_mul`: division once a step, a square root
+    twice (the cross terms with the root so far, then the candidate's
+    square)."""
 
     @staticmethod
     def _steps(monkeypatch, update, op, *args):
@@ -314,7 +336,7 @@ class TestReductionSteps:
 
     def test_sqrt(self, monkeypatch):
         p = parse_poly("x^2 + 2*x*y + 2*y^2")
-        assert self._steps(monkeypatch, "poly_accum_term_mul", exact_sqrt, p) == (
+        assert self._steps(monkeypatch, "packed_accum_term_mul", exact_sqrt, p) == (
             2,
             "root term needs x-exponent -1, outside the Newton bound [0, 1]",
         )

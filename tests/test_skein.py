@@ -4,6 +4,7 @@ the reverse square-root construction and the (a, z) change of variable."""
 
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,6 +208,74 @@ class TestKnotOracle:
                 (Monomial({"t": e}), c) for e, c in specialized(closed_form_knot(m), a_to_t).items()
             )
             assert s.knot(m)._t == want._t, m
+
+
+def _az_poly(terms: dict) -> LaurentPoly:
+    """The (a, z) polynomial of ``(a exponent, z exponent) -> coefficient``."""
+    return LaurentPoly.from_terms((Monomial({"a": ea, "z": ez}), c) for (ea, ez), c in terms.items())
+
+
+def _add(terms: dict, key: tuple, c: int) -> None:
+    terms[key] = terms.get(key, 0) + c
+
+
+def closed_form_link(n: int) -> dict:
+    """Two-variable link entry n >= 1 as ``(a, z) exponent pair ->
+    coefficient``, from x_n = F_n + l2*F_(n-1)*x_0 with l1 = a*z, l2 = a^2,
+    x_0 = (a^-1 - a)*z^-1 and F_n = sum over k of
+    C(n-1-k, k)*l1^(n-1-2k)*l2^k = sum over k of C(n-1-k, k)*a^(n-1)*z^(n-1-2k)."""
+    terms: dict = {}
+    for k in range((n - 1) // 2 + 1):
+        _add(terms, (n - 1, n - 1 - 2 * k), comb(n - 1 - k, k))
+    # l2*F_(n-1)*x_0 = sum over k of C(n-2-k, k)*(a^(n-1) - a^(n+1))*z^(n-3-2k)
+    for k in range((n - 2) // 2 + 1):
+        _add(terms, (n - 1, n - 3 - 2 * k), comb(n - 2 - k, k))
+        _add(terms, (n + 1, n - 3 - 2 * k), -comb(n - 2 - k, k))
+    return terms
+
+
+def lucas(k: int) -> dict:
+    """w^k + (-1)^k*w^-k for k >= 1 as ``z exponent -> coefficient``, with
+    z = w - w^-1: the sum over i of (k/(k-i))*C(k-i, i)*z^(k-2i)."""
+    return {k - 2 * i: k * comb(k - i, i) // (k - i) for i in range(k // 2 + 1)}
+
+
+def closed_form_knot_az(m: int) -> dict:
+    """Knot entry m over (a, z), z = t^(1/2) - t^(-1/2): the closed form's
+    two sums of t^j over a symmetric range, each paired into
+    t^j + t^-j = w^(2j) + w^(-2j) with w = t^(1/2)."""
+    terms: dict = {}
+    for ea, top, sign in ((2 * m, m, 1), (2 * m + 2, m - 1, -1)):
+        if top % 2 == 0:
+            _add(terms, (ea, 0), sign)
+        for j in range(top, 0, -2):
+            for ez, c in lucas(2 * j).items():
+                _add(terms, (ea, ez), sign * c)
+    return terms
+
+
+class TestLinkOracle:
+    """Every two-variable link entry up to n = 120 against its closed form,
+    built with `math.comb` and integer exponents."""
+
+    N = 120
+
+    def test_homfly(self):
+        s = link_series(H, self.N)
+        for n in range(1, self.N + 1):
+            assert s.entry(n)._t == _az_poly(closed_form_link(n))._t, n
+
+
+class TestConversionOracle:
+    """`to_az_form` of every knot entry up to m = 60 against the Lucas
+    expansion of t^j + t^-j in z."""
+
+    M = 60
+
+    def test_knot_entries(self):
+        s = knot_series(H, self.M)
+        for m in range(self.M + 1):
+            assert to_az_form(s.knot(m)).poly._t == _az_poly(closed_form_knot_az(m))._t, m
 
 
 class TestSpecialize:

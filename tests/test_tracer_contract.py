@@ -61,6 +61,13 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert qpknot.exact_div(num, den) == p
         assert (div.calls - start[0], div.count - start[1]) == (1, p.term_count())
         assert {n: t.stats[n].calls for n in kernel} == kernel
+        # so does the square root: one traced call, no traced kernel call
+        square, roots = p * p, (p, -p)
+        start = t.stats["laurent.exact_sqrt"].calls
+        kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
+        assert qpknot.exact_sqrt(square) in roots
+        assert t.stats["laurent.exact_sqrt"].calls - start == 1
+        assert {n: t.stats[n].calls for n in kernel} == kernel
         assert t.stats["skein.to_az_form"].calls == 1
         assert t.stats["skein.from_az_form"].calls == 1
         assert t.stats["kernel.mono_mul"].calls > 0
