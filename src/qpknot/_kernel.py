@@ -17,7 +17,10 @@ Ordering, division and square roots run on the packed int keys of a
 `Frame.pack`, and `exact_div` and `exact_sqrt` reduce on packed keys and
 update their remainders through `packed_accum_term_mul`.  `Frame`,
 `exp_scale`, `exponent_bounds` and `packed_accum_term_mul` are not traced;
-their time counts towards the calling operation.
+their time counts towards the calling operation.  Nor is `mono_split`,
+which splits one variable out of a monomial for `Monomial.exponent` and
+the (a, z) conversions, so that only the kernel reads the triple layout
+there.
 
 Two of the nine have no caller in the ring and stay only because the
 tracer fetches them by name: `mono_cmp`, which packs its two monomials in
@@ -33,6 +36,7 @@ from qpknot._pykernel import (
     mono_deg,
     mono_mul,
     mono_pow,
+    mono_split,
     packed_accum_term_mul,
     poly_accum_term_mul,
     poly_add,

@@ -75,6 +75,15 @@ def mono_pow(m, num, den):
     return tuple(out)
 
 
+def mono_split(m, var):
+    """``(num, den, rest)``: the exponent num/den of ``var`` in the monomial
+    ``m`` (0/1 when absent) and ``m`` without ``var``."""
+    for i, (v, n, d) in enumerate(m):
+        if v == var:
+            return n, d, m[:i] + m[i + 1 :]
+    return 0, 1, m
+
+
 def mono_deg(m):
     """Total degree as a (num, den) pair with den > 0."""
     num = 0

@@ -131,11 +131,20 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops: str) -> _Token | None:
+        """Take the next token if it is one of the operator characters
+        ``ops``; None otherwise."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "OP" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
+
     def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.offset)
-        return self.take()
+        tok = self.accept(op)
+        if tok is None:
+            raise ExprSyntaxError(f"expected {op!r}", self.peek().offset)
+        return tok
 
     def parse(self) -> Node:
         node = self.expr()
@@ -146,40 +155,24 @@ class _Parser:
 
     def expr(self) -> Node:
         node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.take()
-                rhs = self.term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            else:
-                return node
+        while tok := self.accept("+-"):
+            rhs = self.term()
+            node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
+        return node
 
     def term(self) -> Node:
         node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "*":
-                self.take()
-                node = Mul(node, self.factor())
-            else:
-                break
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "/":
-            self.take()
+        while self.accept("*"):
+            node = Mul(node, self.factor())
+        if self.accept("/"):
             node = Div(node, self.factor())
         return node
 
     def factor(self) -> Node:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "OP" and tok.text == "-":
-            self.take()
-            negate = True
+        negate = self.accept("-")
         node = self.base()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            caret = self.take()
+        caret = self.accept("^")
+        if caret:
             exponent = self.exponent()
             if exponent.denominator != 1 and not _is_monomial_node(node):
                 raise NonMonomialFractionalPowerError(
@@ -190,46 +183,38 @@ class _Parser:
         return Neg(node) if negate else node
 
     def base(self) -> Node:
+        if self.accept("("):
+            node = self.expr()
+            self.expect_op(")")
+            return node
         tok = self.take()
         if tok.kind == "INT":
             return Lit(int(tok.text))
         if tok.kind == "VAR":
             return Var(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
         raise ExprSyntaxError(f"expected a number, variable or '('", tok.offset)
 
     def signed_int(self) -> int:
-        tok = self.peek()
-        sign = 1
-        if tok.kind == "OP" and tok.text == "-":
-            self.take()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         tok = self.take()
         if tok.kind != "INT":
             raise ExprSyntaxError("expected an integer", tok.offset)
         return sign * int(tok.text)
 
     def exponent(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "(":
-            self.take()
-            num = self.signed_int()
-            den = 1
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "/":
-                self.take()
-                den_tok = self.take()
-                if den_tok.kind != "INT":
-                    raise ExprSyntaxError("expected an integer denominator", den_tok.offset)
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ExprSyntaxError("zero denominator in exponent", den_tok.offset)
-            self.expect_op(")")
-            return Fraction(num, den)
-        return Fraction(self.signed_int())
+        if not self.accept("("):
+            return Fraction(self.signed_int())
+        num = self.signed_int()
+        den = 1
+        if self.accept("/"):
+            den_tok = self.take()
+            if den_tok.kind != "INT":
+                raise ExprSyntaxError("expected an integer denominator", den_tok.offset)
+            den = int(den_tok.text)
+            if den == 0:
+                raise ExprSyntaxError("zero denominator in exponent", den_tok.offset)
+        self.expect_op(")")
+        return Fraction(num, den)
 
 
 def parse_expression(src: str) -> Node:

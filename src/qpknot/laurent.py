@@ -37,6 +37,8 @@ def _as_exponent(r: RationalLike) -> Fraction:
     if isinstance(r, int):
         return Fraction(r)
     if isinstance(r, tuple) and len(r) == 2:
+        if r[1] == 0:
+            raise ValueError(f"zero denominator in exponent {r!r}")
         return Fraction(r[0], r[1])
     raise TypeError(f"not a rational exponent: {r!r}")
 
@@ -84,10 +86,8 @@ class Monomial:
         return {v: Fraction(n, d) for v, n, d in self._key}
 
     def exponent(self, name: str) -> Fraction:
-        for v, n, d in self._key:
-            if v == name:
-                return Fraction(n, d)
-        return Fraction(0)
+        n, d, _ = _K.mono_split(self._key, name)
+        return Fraction(n, d)
 
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _, _ in self._key)
@@ -177,7 +177,7 @@ def _json_term(entry: Mapping) -> tuple:
     exps = {}
     for v, frac in entry["monomial"].items():
         num, _, den = frac.partition("/")
-        exps[v] = Fraction(int(num), int(den) if den else 1)
+        exps[v] = (int(num), int(den or 1))
     return Monomial(exps), int(entry["coeff"])
 
 

@@ -32,17 +32,10 @@ class InvariantKind(enum.Enum):
     HOMFLY = "homfly"
 
 
-_KIND_FOR_FAMILY = {
-    Family.ALEXANDER: InvariantKind.ALEXANDER,
-    Family.JONES: InvariantKind.JONES,
-    Family.HOMFLY: InvariantKind.HOMFLY,
-}
-
-
 def kind_for_family(f: Family) -> InvariantKind:
     try:
-        return _KIND_FOR_FAMILY[f]
-    except KeyError:
+        return InvariantKind(f.value)
+    except ValueError:
         raise ValueError(f"family {f.value} has no invariant kind") from None
 
 
@@ -240,14 +233,6 @@ class AZForm(Record):
 # with a running sum.
 
 
-def _take_out(key: tuple, var: str) -> tuple[int, int, tuple]:
-    """Split a monomial key into var's exponent num/den and the rest."""
-    for idx, (v, n, d) in enumerate(key):
-        if v == var:
-            return n, d, key[:idx] + key[idx + 1 :]
-    return 0, 1, key
-
-
 def _t_key(doubled: int) -> tuple:
     """Monomial key of t^(doubled/2)."""
     if doubled == 0:
@@ -278,7 +263,7 @@ def to_az_form(p: LaurentPoly) -> AZForm:
 
     rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {2 * t-exponent: coeff}
     for key, coeff in p._t.items():
-        n, d, rest = _take_out(key, "t")
+        n, d, rest = _K.mono_split(key, "t")
         if d > 2:
             raise NotExpressibleError(f"t exponent {Fraction(n, d)} is not a half-integer")
         e = n if d == 2 else 2 * n
@@ -325,7 +310,7 @@ def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
     p = form.poly if isinstance(form, AZForm) else form
     rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {z-exponent: coeff}
     for key, coeff in p._t.items():
-        n, d, rest = _take_out(key, "z")
+        n, d, rest = _K.mono_split(key, "z")
         if d != 1 or n < 0:
             raise NotExpressibleError(
                 f"z exponent {Fraction(n, d)} has no Laurent image in t"

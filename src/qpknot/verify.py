@@ -1,15 +1,16 @@
 """Named, machine-runnable identity checks; the acceptance source of truth.
 
 Every check is an exhaustive exact comparison over an index range (no
-sampling).  Checks are independent pure computations; the runner executes
-them in registry order.  A check gets its knot series from a table that
+sampling), and its verdict is its first mismatch: it returns there and
+computes nothing more.  Checks are independent pure computations; the
+runner executes them in registry order.  A check gets its knot series from a table that
 lives for one run, so a series that several checks compare is built once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 
 from qpknot._record import Record
@@ -61,10 +62,16 @@ class CheckReport(Record):
         }
 
 
-def _report(name: str, n_range: tuple[int, int], failures: list[str], detail: str = "") -> CheckReport:
-    if failures:
-        return CheckReport(name, False, failures[0], n_range)
-    return CheckReport(name, True, detail, n_range)
+def _per_index(
+    name: str, n_max: int, lhs: Callable[[int], object], rhs: Callable[[int], object]
+) -> CheckReport:
+    """Compare lhs(n) with rhs(n) for n = 1..n_max.  Checks build lhs and
+    rhs when they run, so a rebound callee is the one called."""
+    for n in range(1, n_max + 1):
+        got, want = lhs(n), rhs(n)
+        if got != want:
+            return CheckReport(name, False, f"n={n}: {got} != {want}", (1, n_max))
+    return CheckReport(name, True, "", (1, n_max))
 
 
 def _check_three_route(n_max: int, knots: KnotTable) -> CheckReport:
@@ -73,7 +80,6 @@ def _check_three_route(n_max: int, knots: KnotTable) -> CheckReport:
     The recurrence route walks the number generator once per family, so
     the check stays quadratic in n_max.
     """
-    failures = []
     for fam in Family:
         spec = family_spec(fam)
         # range first: zip stops before asking for an unused number
@@ -81,25 +87,20 @@ def _check_three_route(n_max: int, knots: KnotTable) -> CheckReport:
             s = qp_number(spec, n)
             d = qp_number_division(spec, n)
             if not (s == r == d):
-                failures.append(
-                    f"{fam.value} n={n}: sum {s} / recurrence {r} / division {d}"
-                )
-                break
-    return _report("three-route", (1, n_max), failures)
+                detail = f"{fam.value} n={n}: sum {s} / recurrence {r} / division {d}"
+                return CheckReport("three-route", False, detail, (1, n_max))
+    return CheckReport("three-route", True, "", (1, n_max))
 
 
 def _check_bm_coincidence(n_max: int, knots: KnotTable) -> CheckReport:
     """The one-parameter q-family equals the Alexander family up to the
     renaming q <-> t."""
-    failures = []
     rename = {"q": Monomial.var("t")}
-    for n in range(1, n_max + 1):
-        lhs = qp_number(family_spec(Family.BMQ), n).substitute(rename)
-        rhs = qp_number(family_spec(Family.ALEXANDER), n)
-        if lhs != rhs:
-            failures.append(f"n={n}: {lhs} != {rhs}")
-            break
-    return _report("bm-coincidence", (1, n_max), failures)
+    bmq = partial(qp_number, family_spec(Family.BMQ))
+    alexander = partial(qp_number, family_spec(Family.ALEXANDER))
+    return _per_index(
+        "bm-coincidence", n_max, lambda n: bmq(n).substitute(rename), alexander
+    )
 
 
 _EXPECTED_KNOT_COEFFS = {
@@ -113,19 +114,17 @@ def _check_eq8_coeffs(n_max: int, knots: KnotTable) -> CheckReport:
     """The knot coefficients k1 = u + v, k2 = -u*v of the number families
     match l1^2 + 2*l2, -l2^2 of the link coefficients and the tabulated
     closed forms."""
-    failures = []
     for kind in InvariantKind:
         c = link_coeffs(kind)
         k = knot_coeffs(kind)
-        if k.k1 != c.l1 * c.l1 + 2 * c.l2 or k.k2 != -(c.l2 * c.l2):
-            failures.append(f"{kind.value}: ({k.k1}, {k.k2}) does not match formula")
-            continue
         want1, want2 = _EXPECTED_KNOT_COEFFS[kind]
+        if k.k1 != c.l1 * c.l1 + 2 * c.l2 or k.k2 != -(c.l2 * c.l2):
+            detail = f"{kind.value}: ({k.k1}, {k.k2}) does not match formula"
+            return CheckReport("eq8-coeffs", False, detail, (1, 1))
         if str(k.k1) != want1 or str(k.k2) != want2:
-            failures.append(
-                f"{kind.value}: ({k.k1}, {k.k2}) != tabulated ({want1}, {want2})"
-            )
-    return _report("eq8-coeffs", (1, 1), failures)
+            detail = f"{kind.value}: ({k.k1}, {k.k2}) != tabulated ({want1}, {want2})"
+            return CheckReport("eq8-coeffs", False, detail, (1, 1))
+    return CheckReport("eq8-coeffs", True, "", (1, 1))
 
 
 _EXPECTED_TREFOIL = {
@@ -138,21 +137,21 @@ _EXPECTED_TREFOIL = {
 def _check_trefoil(n_max: int, knots: KnotTable) -> CheckReport:
     """The m = 1 knot entry equals k1 + k2 and the tabulated trefoil
     polynomial for all three kinds."""
-    failures = []
     for kind in InvariantKind:
         got = knots(kind, 1).knot(1)
         k = knot_coeffs(kind)
         if got != k.k1 + k.k2:
-            failures.append(f"{kind.value}: {got} != k1 + k2")
-        elif str(got) != _EXPECTED_TREFOIL[kind]:
-            failures.append(f"{kind.value}: {got} != {_EXPECTED_TREFOIL[kind]}")
-    return _report("trefoil", (1, 1), failures)
+            detail = f"{kind.value}: {got} != k1 + k2"
+            return CheckReport("trefoil", False, detail, (1, 1))
+        if str(got) != _EXPECTED_TREFOIL[kind]:
+            detail = f"{kind.value}: {got} != {_EXPECTED_TREFOIL[kind]}"
+            return CheckReport("trefoil", False, detail, (1, 1))
+    return CheckReport("trefoil", True, "", (1, 1))
 
 
 def _check_knot_vs_link(n_max: int, knots: KnotTable) -> CheckReport:
     """Knot entries, built from the numbers, agree with the odd entries of
     the link ladder, m = 0..n_max.  The ladder is walked, never stored."""
-    failures = []
     for kind in InvariantKind:
         series = knots(kind, n_max)
         odd_links = islice(link_entries(kind), 1, 2 * n_max + 2, 2)
@@ -160,17 +159,14 @@ def _check_knot_vs_link(n_max: int, knots: KnotTable) -> CheckReport:
             if kind is InvariantKind.HOMFLY:
                 link_entry = from_az_form(link_entry)
             if series.knot(m) != link_entry:
-                failures.append(
-                    f"{kind.value} m={m}: knot {series.knot(m)} != link {link_entry}"
-                )
-                break
-    return _report("knot-vs-link", (0, n_max), failures)
+                detail = f"{kind.value} m={m}: knot {series.knot(m)} != link {link_entry}"
+                return CheckReport("knot-vs-link", False, detail, (0, n_max))
+    return CheckReport("knot-vs-link", True, "", (0, n_max))
 
 
 def _check_homfly_specialize(n_max: int, knots: KnotTable) -> CheckReport:
     """a -> 1 and a -> t collapse the two-variable knot series onto the
     Alexander and Jones knot series."""
-    failures = []
     hom = knots(InvariantKind.HOMFLY, n_max)
     alex = knots(InvariantKind.ALEXANDER, n_max)
     jones = knots(InvariantKind.JONES, n_max)
@@ -179,101 +175,83 @@ def _check_homfly_specialize(n_max: int, knots: KnotTable) -> CheckReport:
         sa = specialize_homfly(h, InvariantKind.ALEXANDER)
         sj = specialize_homfly(h, InvariantKind.JONES)
         if sa != alex.knot(m):
-            failures.append(f"m={m}: a->1 gives {sa} != {alex.knot(m)}")
-            break
+            detail = f"m={m}: a->1 gives {sa} != {alex.knot(m)}"
+            return CheckReport("homfly-specialize", False, detail, (0, n_max))
         if sj != jones.knot(m):
-            failures.append(f"m={m}: a->t gives {sj} != {jones.knot(m)}")
-            break
-    return _report("homfly-specialize", (0, n_max), failures)
+            detail = f"m={m}: a->t gives {sj} != {jones.knot(m)}"
+            return CheckReport("homfly-specialize", False, detail, (0, n_max))
+    return CheckReport("homfly-specialize", True, "", (0, n_max))
 
 
 def _check_roundtrip_sect7(n_max: int, knots: KnotTable) -> CheckReport:
     """Reconstructing (l1, l2) from the number families by square roots
     lands exactly on the defining link coefficients."""
-    failures = []
     for fam in (Family.ALEXANDER, Family.JONES, Family.HOMFLY):
         got = skein_from_numbers(fam)
         want = link_coeffs(kind_for_family(fam))
         if got.l1 != want.l1 or got.l2 != want.l2:
-            failures.append(
-                f"{fam.value}: ({got.l1}, {got.l2}) != ({want.l1}, {want.l2})"
-            )
-    return _report("roundtrip-sect7", (1, 1), failures)
+            detail = f"{fam.value}: ({got.l1}, {got.l2}) != ({want.l1}, {want.l2})"
+            return CheckReport("roundtrip-sect7", False, detail, (1, 1))
+    return CheckReport("roundtrip-sect7", True, "", (1, 1))
 
 
 def _check_eq33_multiplier(n_max: int, knots: KnotTable) -> CheckReport:
     """[n]^H / [n]^A is the monomial a^(2(n-1))."""
-    failures = []
-    for n in range(1, n_max + 1):
-        got = homfly_alexander_multiplier(n)
-        want = Monomial.var("a") ** (2 * (n - 1))
-        if got != want:
-            failures.append(f"n={n}: {got} != {want}")
-            break
-    return _report("eq33-multiplier", (1, n_max), failures)
+    return _per_index(
+        "eq33-multiplier",
+        n_max,
+        homfly_alexander_multiplier,
+        lambda n: Monomial.var("a") ** (2 * (n - 1)),
+    )
 
 
 def _check_eq34_multiplier(n_max: int, knots: KnotTable) -> CheckReport:
     """[n]^H / [n]^V is a monomial; it equals (a*t^-1)^(2(n-1)), which
     does NOT match the tabulated closed form (a*t)^(2(n-1)).  The check
     passes on the computed value and records the mismatch."""
-    failures = []
-    matches_tabulated = True
     first_diff = ""
     for n in range(1, n_max + 1):
         got = homfly_jones_multiplier(n)
         computed = Monomial({"a": 2 * (n - 1), "t": -2 * (n - 1)})
         tabulated = Monomial({"a": 2 * (n - 1), "t": 2 * (n - 1)})
         if got != computed:
-            failures.append(f"n={n}: {got} != (a*t^-1)^(2(n-1)) = {computed}")
-            break
-        if got != tabulated and matches_tabulated:
-            matches_tabulated = False
+            detail = f"n={n}: {got} != (a*t^-1)^(2(n-1)) = {computed}"
+            return CheckReport("eq34-multiplier", False, detail, (1, n_max))
+        if got != tabulated and not first_diff:
             first_diff = f"first difference at n={n}: computed {got}, tabulated {tabulated}"
-    detail = (
-        "computed multiplier is (a*t^-1)^(2(n-1)); "
-        + (
-            "matches the tabulated form (a*t)^(2(n-1))"
-            if matches_tabulated
-            else f"tabulated form (a*t)^(2(n-1)) does NOT match ({first_diff})"
-        )
+    detail = "computed multiplier is (a*t^-1)^(2(n-1)); " + (
+        f"tabulated form (a*t)^(2(n-1)) does NOT match ({first_diff})"
+        if first_diff
+        else "matches the tabulated form (a*t)^(2(n-1))"
     )
-    return _report("eq34-multiplier", (1, n_max), failures, detail)
-
-
-def _route_equivalence(name: str, route, fam: Family, n_max: int) -> CheckReport:
-    failures = []
-    for n in range(1, n_max + 1):
-        lhs = route(qp_number(family_spec(fam), n))
-        rhs = qp_number(family_spec(Family.HOMFLY), n)
-        if lhs != rhs:
-            failures.append(f"n={n}: {lhs} != {rhs}")
-            break
-    return _report(name, (1, n_max), failures)
+    return CheckReport("eq34-multiplier", True, detail, (1, n_max))
 
 
 def _check_h1_equivalence(n_max: int, knots: KnotTable) -> CheckReport:
     """Route-1 numbers substitute exactly onto the two-variable numbers."""
-    return _route_equivalence("h1-equivalence", h1_to_h, Family.H1, n_max)
+    h1 = partial(qp_number, family_spec(Family.H1))
+    homfly = partial(qp_number, family_spec(Family.HOMFLY))
+    return _per_index("h1-equivalence", n_max, lambda n: h1_to_h(h1(n)), homfly)
 
 
 def _check_h2_equivalence(n_max: int, knots: KnotTable) -> CheckReport:
     """Route-2 numbers substitute exactly onto the two-variable numbers."""
-    return _route_equivalence("h2-equivalence", h2_to_h, Family.H2, n_max)
+    h2 = partial(qp_number, family_spec(Family.H2))
+    homfly = partial(qp_number, family_spec(Family.HOMFLY))
+    return _per_index("h2-equivalence", n_max, lambda n: h2_to_h(h2(n)), homfly)
 
 
 def _check_az_roundtrip(n_max: int, knots: KnotTable) -> CheckReport:
     """to_az_form followed by z -> t^(1/2) - t^(-1/2) is the identity on
     the two-variable knot entries."""
-    failures = []
     series = knots(InvariantKind.HOMFLY, n_max)
     for m in range(0, n_max + 1):
         p = series.knot(m)
         back = from_az_form(to_az_form(p))
         if back != p:
-            failures.append(f"m={m}: round trip gives {back} != {p}")
-            break
-    return _report("az-roundtrip", (0, n_max), failures)
+            detail = f"m={m}: round trip gives {back} != {p}"
+            return CheckReport("az-roundtrip", False, detail, (0, n_max))
+    return CheckReport("az-roundtrip", True, "", (0, n_max))
 
 
 CHECKS = {

@@ -75,3 +75,10 @@ class TestPyKernel:
         assert out == {key({"q": 1, "t": 1}): 6, key({"q": 1}): 4}
         _pykernel.poly_accum_term_mul(out, {(): 1}, key({"q": 1}), -4)
         assert out == {key({"q": 1, "t": 1}): 6}
+
+    def test_mono_split(self):
+        m = key({"a": 2, "t": (1, 2), "z": 3})
+        assert _pykernel.mono_split(m, "t") == (1, 2, key({"a": 2, "z": 3}))
+        assert _pykernel.mono_split(m, "a") == (2, 1, key({"t": (1, 2), "z": 3}))
+        assert _pykernel.mono_split(m, "q") == (0, 1, m)
+        assert _pykernel.mono_split((), "t") == (0, 1, ())

@@ -55,6 +55,14 @@ class TestMonomial:
             with pytest.raises(ValueError):
                 Monomial({bad: 1})
 
+    def test_rejects_a_zero_exponent_denominator(self):
+        with pytest.raises(ValueError, match=r"zero denominator in exponent \(1, 0\)"):
+            Monomial({"t": (1, 0)})
+
+    def test_exponent_of_a_variable(self):
+        m = Monomial({"t": Fraction(5, 3), "a": -2})
+        assert (m.exponent("a"), m.exponent("t"), m.exponent("q")) == (-2, Fraction(5, 3), 0)
+
 
 class TestArithmetic:
     def test_add_cancellation(self):
@@ -403,6 +411,11 @@ class TestConstruction:
             ' {"coeff": "-3", "monomial": {"t": "1"}}]}'
         )
         assert LaurentPoly.from_json(doc) == 0
+
+    def test_json_rejects_a_zero_exponent_denominator(self):
+        doc = '{"terms":[{"coeff":"1","monomial":{"t":"1/0"}}]}'
+        with pytest.raises(ValueError, match="zero denominator in exponent"):
+            LaurentPoly.from_json(doc)
 
     def test_coefficients_must_be_ints(self):
         with pytest.raises(TypeError):

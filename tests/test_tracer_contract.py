@@ -96,3 +96,55 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+def test_check_work_nests_inside_the_check_span(tracer_module):
+    # `verify.<check>.s` times each check's call, so every traced callee a
+    # check reaches must run inside that call, under that check's span
+    t = tracer_module.Tracer()
+    try:
+        tracer_module.install(t)
+        assert all(r.passed for r in verify.run_all(3))
+    finally:
+        tracer_module.uninstall(t)
+    names = {sid: name for sid, _, _, name, _, _ in t.spans}
+    parents = {sid: parent for sid, parent, _, _, _, _ in t.spans}
+
+    def enclosing_check(sid):
+        while sid:
+            sid = parents[sid]
+            if names.get(sid, "").startswith("verify."):
+                return names[sid]
+        return None
+
+    seen = {}
+    for sid, name in names.items():
+        seen.setdefault(name, set()).add(enclosing_check(sid))
+    assert sorted(n for n in seen if n.startswith("verify.")) == sorted(
+        f"verify.{name}" for name in verify.CHECKS
+    )
+    assert {
+        name: seen[name]
+        for name in (
+            "qpnumbers.multiplier",
+            "substitutions.route",
+            "laurent.substitute",
+            "skein.to_az_form",
+            "skein.from_az_form",
+            "skein.specialize_homfly",
+            "qpnumbers.qp_number_division",
+        )
+    } == {
+        "qpnumbers.multiplier": {"verify.eq33-multiplier", "verify.eq34-multiplier"},
+        "substitutions.route": {"verify.h1-equivalence", "verify.h2-equivalence"},
+        "laurent.substitute": {
+            "verify.bm-coincidence",
+            "verify.homfly-specialize",
+            "verify.h1-equivalence",
+            "verify.h2-equivalence",
+        },
+        "skein.to_az_form": {"verify.knot-vs-link", "verify.az-roundtrip"},
+        "skein.from_az_form": {"verify.knot-vs-link", "verify.az-roundtrip"},
+        "skein.specialize_homfly": {"verify.homfly-specialize"},
+        "qpnumbers.qp_number_division": {"verify.three-route"},
+    }

@@ -8,8 +8,10 @@ from qpknot import (
     BadRangeError,
     Family,
     InvariantKind,
+    Monomial,
     UnknownCheckError,
     check_names,
+    family_spec,
     run_all,
     run_check,
 )
@@ -27,6 +29,63 @@ EXPECTED_NAMES = [
     "h1-equivalence",
     "h2-equivalence",
     "az-roundtrip",
+]
+
+
+def _plus_one(real, when=lambda *args: True):
+    """``real`` with 1 added to its value where ``when`` holds for the
+    arguments."""
+    return lambda *args: real(*args) + (1 if when(*args) else 0)
+
+
+# (check, callee rebound in qpknot.verify, wrong callee from the real one,
+# the failure detail); the texts were captured before a check returned at
+# its first mismatch and must not change
+FAILURE_TEXTS = [
+    (
+        "three-route",
+        "qp_number_division",
+        lambda real: _plus_one(real, lambda spec, n: spec == family_spec(Family.JONES)),
+        "jones n=1: sum 1 / recurrence 1 / division 2",
+    ),
+    (
+        "bm-coincidence",
+        "qp_number",
+        lambda real: _plus_one(
+            real, lambda spec, n: spec == family_spec(Family.ALEXANDER) and n == 3
+        ),
+        "n=3: t^2 + 1 + t^-2 != t^2 + 2 + t^-2",
+    ),
+    (
+        "h1-equivalence",
+        "h1_to_h",
+        _plus_one,
+        "n=1: 2 != 1",
+    ),
+    (
+        "h2-equivalence",
+        "h2_to_h",
+        lambda real: _plus_one(real, lambda p: p.term_count() == 2),
+        "n=2: a^2*t + a^2*t^-1 + 1 != a^2*t + a^2*t^-1",
+    ),
+    (
+        "az-roundtrip",
+        "from_az_form",
+        _plus_one,
+        "m=0: round trip gives 2 != 1",
+    ),
+    (
+        "roundtrip-sect7",
+        "skein_from_numbers",
+        lambda real: lambda f: real(Family.ALEXANDER if f is Family.JONES else f),
+        "jones: (t^(1/2) - t^(-1/2), 1) != (t^(3/2) - t^(1/2), t^2)",
+    ),
+    (
+        "eq34-multiplier",
+        "homfly_jones_multiplier",
+        lambda real: lambda n: Monomial({"a": 2 * (n - 1), "t": 2 * (n - 1)}),
+        "n=2: a^2*t^2 != (a*t^-1)^(2(n-1)) = a^2*t^-2",
+    ),
 ]
 
 
@@ -158,14 +217,47 @@ class TestReports:
             "homfly m=1: knot -a^6 + a^3*t + a^3*t^-1 != link -a^4 + a^2*t + a^2*t^-1"
         )
 
-    def test_failure_rendering(self):
-        from qpknot.verify import _report
+    def test_three_route_stops_at_its_first_mismatch(self, monkeypatch):
+        # a wrong Jones quotient is the verdict; no route is asked for a
+        # number of a later family
+        from qpknot import verify
 
-        report = _report("demo", (1, 5), ["n=3: t != t^2"])
+        later = [family_spec(f) for f in (Family.H1, Family.H2, Family.BMQ)]
+        asked = []
+
+        def recording(real):
+            def fn(spec, *rest):
+                asked.append(spec)
+                return real(spec, *rest)
+
+            return fn
+
+        for name in ("qp_number", "qp_numbers", "qp_number_division"):
+            monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+        assert run_check("three-route", 5).passed
+        assert set(later) <= set(asked)
+
+        asked.clear()
+        jones = family_spec(Family.JONES)
+        wrong = _plus_one(verify.qp_number_division, lambda spec, n: spec == jones)
+        monkeypatch.setattr(verify, "qp_number_division", wrong)
+        report = run_check("three-route", 5)
         assert not report.passed
-        assert report.detail == "n=3: t != t^2"
-        assert report.n_range == (1, 5)
-        assert _report("demo", (1, 5), []).passed
+        assert report.detail == "jones n=1: sum 1 / recurrence 1 / division 2"
+        assert [spec for spec in asked if spec in later] == []
+
+    @pytest.mark.parametrize(
+        "name, callee, wrong, detail", FAILURE_TEXTS, ids=[row[0] for row in FAILURE_TEXTS]
+    )
+    def test_failure_texts(self, monkeypatch, name, callee, wrong, detail):
+        from qpknot import verify
+
+        n_range = run_check(name, 5).n_range
+        monkeypatch.setattr(verify, callee, wrong(getattr(verify, callee)))
+        report = run_check(name, 5)
+        assert not report.passed
+        assert report.detail == detail
+        assert report.n_range == n_range
 
 
 class TestConcurrency:
