@@ -12,12 +12,16 @@ call once, under the name the ring called.  The ring calls
 `poly_accum_term_mul` itself for subtraction (``a - b`` is ``a`` plus
 ``b`` times -1) and for the merge in `from_az_form`.
 
-Ordering, division and square roots run on the packed int keys of a
-`Frame` (one per operation): printing and `leading_term` sort and scan by
-`Frame.pack`, and `exact_div` and `exact_sqrt` reduce on packed keys and
-update their remainders through `packed_accum_term_mul`.  `Frame`,
-`exp_scale`, `exponent_bounds` and `packed_accum_term_mul` are not traced;
-their time counts towards the calling operation.  Nor is `mono_split`,
+Ordering, division, square roots and the two-term ladder run on the
+packed int keys of a `Frame` (one per operation, or per stretch of a
+ladder): printing and `leading_term` sort and scan by `Frame.pack`,
+`exact_div` and `exact_sqrt` reduce on packed keys and update their
+remainders through `packed_accum_term_mul`, and
+`qpnumbers.two_term_ladder` steps on packed keys with one
+`packed_accum_term_mul` per coefficient term, with no ring product.
+`Frame`, `exp_scale`, `exponent_bounds` and `packed_accum_term_mul` are
+not traced; their time counts towards the calling operation (for a ladder,
+whichever caller asks for the next entry).  Nor is `mono_split`,
 which splits one variable out of a monomial for `Monomial.exponent` and
 the (a, z) conversions, so that only the kernel reads the triple layout
 there.

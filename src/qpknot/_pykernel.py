@@ -20,9 +20,11 @@ empty monomial so that a plain sum makes no `mono_mul` call per term.
 
 `Frame` is the one monomial order: it packs a monomial into one int whose
 int order is graded-lex order and in which one int addition multiplies two
-monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys, and
-exact division and square roots reduce on them, updating their remainders
-through `packed_accum_term_mul`, the summing loop over packed keys.
+monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys.
+`packed_accum_term_mul` is the summing loop over packed keys: exact
+division and square roots update their remainders with it, and
+`qpnumbers.two_term_ladder` takes each step of the deformed numbers and of
+the link ladder as one call per coefficient term.
 """
 
 from math import gcd, lcm

@@ -173,12 +173,31 @@ def _merge_terms(pairs: Iterable[tuple]) -> dict:
     return terms
 
 
-def _json_term(entry: Mapping) -> tuple:
+def _json_field(obj, key: str, where: str):
+    """``obj[key]`` of a JSON object; raises when ``obj`` is not one or has
+    no such field."""
+    if not isinstance(obj, Mapping):
+        raise TypeError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
+def _json_term(entry) -> tuple:
+    monomial = _json_field(entry, "monomial", "term")
+    coeff = _json_field(entry, "coeff", "term")
+    if not isinstance(monomial, Mapping):
+        raise TypeError(f"monomial must be a JSON object, got {monomial!r}")
     exps = {}
-    for v, frac in entry["monomial"].items():
+    for v, frac in monomial.items():
+        if not isinstance(frac, str):
+            raise TypeError(f"exponent of {v!r} must be a string 'num/den', got {frac!r}")
         num, _, den = frac.partition("/")
         exps[v] = (int(num), int(den or 1))
-    return Monomial(exps), int(entry["coeff"])
+    # JSON true and 1.5 would pass int() as 1
+    if isinstance(coeff, (bool, float)):
+        raise ValueError(f"coefficient {coeff!r} is not an integer")
+    return Monomial(exps), int(coeff)
 
 
 def _ordered_keys(terms: dict) -> list:
@@ -400,7 +419,10 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "LaurentPoly":
-        return cls._raw(_merge_terms(map(_json_term, obj["terms"])))
+        terms = _json_field(obj, "terms", "polynomial")
+        if not isinstance(terms, list):
+            raise TypeError(f"terms must be a JSON array, got {terms!r}")
+        return cls._raw(_merge_terms(map(_json_term, terms)))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

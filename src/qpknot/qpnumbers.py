@@ -89,16 +89,64 @@ def qp_number(spec: QPSpec, n: int) -> LaurentPoly:
     return LaurentPoly._raw(out)
 
 
-def two_term_ladder(c1, c2, x0, x1) -> Iterator:
+_FIRST_TOP = 16  # the last index the first frame of a ladder holds
+
+
+def _widest(polys, scale: int) -> dict:
+    """The largest |exponent| of each variable over the terms of ``polys``,
+    in units of 1/scale."""
+    bounds = _K.exponent_bounds([m for p in polys for m in p._t], scale)
+    return {v: max(-lo, hi) for v, (lo, hi) in bounds.items()}
+
+
+def two_term_ladder(
+    c1: LaurentPoly, c2: LaurentPoly, x0: LaurentPoly, x1: LaurentPoly
+) -> Iterator[LaurentPoly]:
     """Yield x0, x1, x2, ... with x(k+1) = c1*x(k) + c2*x(k-1).
 
-    Each term is computed only when it is asked for.
+    Each term is computed only when it is asked for.  The walk runs on the
+    packed int keys of one `Frame`: the two live entries are stored under
+    biased keys, the coefficients under unbiased ones, and a step is one
+    `packed_accum_term_mul` per coefficient term into a fresh dict.  An
+    entry is decoded to monomials once, when it is yielded.
+
+    Span bound: with exponents in units of 1/scale (scale the common
+    denominator of the four polynomials), let M_v be the largest |e_v| over
+    the terms of c1 and c2 and B_v the largest over x0 and x1.  Every term
+    of x(k), and every product summed into it, has |e_v| <= B_v + k*M_v, by
+    induction on k.  A frame spanning [-(B_v + K*M_v), B_v + K*M_v] thus
+    holds every key of entries up to K.  The first frame has K = 16; when
+    the walk reaches K, the two live entries and the coefficients are
+    re-packed into a frame for 2K.
     """
-    prev, cur = x0, x1
-    yield prev
+    yield x0
+    yield x1
+    scale = _K.exp_scale(c1._t, c2._t, x0._t, x1._t)
+    reach, base = _widest((c1, c2), scale), _widest((x0, x1), scale)
+    prev_x, cur_x = x0, x1
+    k, top = 1, _FIRST_TOP
     while True:
-        yield cur
-        prev, cur = cur, c1 * cur + c2 * prev
+        spans = {}
+        for v in reach.keys() | base.keys():
+            b = base.get(v, 0) + top * reach.get(v, 0)
+            spans[v] = (-b, b)
+        frame = _K.Frame(scale, spans)
+        pack, bias, unpack = frame.pack, frame.bias, frame.unpack
+        terms1 = [(pack(m), c) for m, c in c1._t.items()]
+        terms2 = [(pack(m), c) for m, c in c2._t.items()]
+        prev = {bias + pack(m): c for m, c in prev_x._t.items()}
+        cur = {bias + pack(m): c for m, c in cur_x._t.items()}
+        while k < top:
+            nxt: dict = {}
+            for key, c in terms1:
+                _K.packed_accum_term_mul(nxt, cur, key, c)
+            for key, c in terms2:
+                _K.packed_accum_term_mul(nxt, prev, key, c)
+            prev, cur = cur, nxt
+            prev_x, cur_x = cur_x, LaurentPoly._raw({unpack(key): c for key, c in nxt.items()})
+            k += 1
+            yield cur_x
+        top *= 2
 
 
 def recurrence_coeffs(spec: QPSpec) -> tuple[LaurentPoly, LaurentPoly]:

@@ -5,7 +5,9 @@ Any refactor that must keep outputs byte-identical (canonical text, JSON,
 CSV, LaTeX, error texts, exit codes) runs against this set.  When an output
 changes on purpose, print the new hashes with
 ``PYTHONPATH=src python tests/test_golden.py`` and say in the change log
-which commands moved and why.
+which commands moved and why.  A command added to the set is hashed on a
+``git archive`` copy of the parent commit, before any source change, so
+that its recorded value is the known-good output.
 """
 
 import contextlib
@@ -30,6 +32,8 @@ COMMANDS = (
     ]
     + [f"table --invariant {i} --az --max 25 --format {fmt}" for i in ("alexander", "homfly") for fmt in _FORMATS]
     + ["verify --n-max 30"]
+    # long ladders, well past the link ladder's first re-frames
+    + [f"series --invariant {i} --links --max 171 --format json" for i in _INVARIANTS]
 )
 EVALS = (
     "(x^3+1)/(x+1)",
@@ -109,6 +113,9 @@ EXPECTED = {
     "table --invariant homfly --az --max 25 --format csv": "8a18dff602aef879",
     "table --invariant homfly --az --max 25 --format latex": "9eb9df5996968cc4",
     "verify --n-max 30": "76f74401f90a1e7b",
+    "series --invariant alexander --links --max 171 --format json": "c42c2d7debf367b6",
+    "series --invariant jones --links --max 171 --format json": "f9664a64026e25a2",
+    "series --invariant homfly --links --max 171 --format json": "f60742d318c13921",
     "eval (x^3+1)/(x+1)": "9d55eabe757b5c14",
     "eval (t^(7/2)+1)/(t^(1/2)+1)": "a8dd15134710290e",
     "eval (x^3+1)/(x-1)": "a2da8ae9cec9914e",
@@ -117,7 +124,7 @@ EXPECTED = {
 
 
 def test_command_set_is_complete():
-    assert len(_argvs()) == len(EXPECTED) == 61
+    assert len(_argvs()) == len(EXPECTED) == 64
 
 
 @pytest.mark.parametrize("argv", _argvs(), ids=" ".join)

@@ -417,6 +417,45 @@ class TestConstruction:
         with pytest.raises(ValueError, match="zero denominator in exponent"):
             LaurentPoly.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "coeff, text", [("1.5", "1.5"), ("1.0", "1.0"), ("true", "True"), ("false", "False")]
+    )
+    def test_json_rejects_float_and_bool_coefficients(self, coeff, text):
+        doc = f'{{"terms":[{{"coeff":{coeff},"monomial":{{}}}}]}}'
+        with pytest.raises(ValueError, match=f"coefficient {text} is not an integer"):
+            LaurentPoly.from_json(doc)
+
+    def test_json_integer_coefficients_load(self):
+        doc = '{"terms":[{"coeff":-7,"monomial":{"t":"1/2"}},{"coeff":"3","monomial":{}}]}'
+        assert LaurentPoly.from_json(doc) == -7 * LaurentPoly.var("t", Fraction(1, 2)) + 3
+
+    @pytest.mark.parametrize(
+        "doc, exc, text",
+        [
+            ('{"terms":[{"coeff":"1","monomial":{"t":1}}]}', TypeError, "exponent of 't'"),
+            ('{"terms":[{"coeff":"1","monomial":["t"]}]}', TypeError, "monomial must be"),
+            ("{}", ValueError, "no 'terms' field"),
+            ('{"terms":[{"coeff":"1"}]}', ValueError, "no 'monomial' field"),
+            ('{"terms":[{"monomial":{}}]}', ValueError, "no 'coeff' field"),
+            ('{"terms":{"coeff":"1"}}', TypeError, "terms must be"),
+            ('{"terms":[1]}', TypeError, "term must be"),
+            ("[]", TypeError, "polynomial must be"),
+        ],
+        ids=[
+            "numeric-exponent",
+            "list-monomial",
+            "no-terms",
+            "no-monomial",
+            "no-coeff",
+            "terms-object",
+            "term-number",
+            "top-level-list",
+        ],
+    )
+    def test_json_malformed_structure(self, doc, exc, text):
+        with pytest.raises(exc, match=text):
+            LaurentPoly.from_json(doc)
+
     def test_coefficients_must_be_ints(self):
         with pytest.raises(TypeError):
             LaurentPoly.from_terms([("t", 1.5)])

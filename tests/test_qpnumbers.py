@@ -1,8 +1,11 @@
 """Deformed-number families: tabulated small values, the three routes,
 and the closed-form multipliers between families."""
 
+from fractions import Fraction
+from itertools import islice
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpknot import (
@@ -20,8 +23,9 @@ from qpknot import (
     qp_number_division,
     qp_number_recurrence,
 )
+from qpknot.qpnumbers import _FIRST_TOP, two_term_ladder
 
-from strategies import monomials
+from strategies import monomials, polys
 
 GENERIC = QPSpec(Monomial.var("q"), Monomial.var("p"))
 
@@ -135,6 +139,56 @@ class TestRoutes:
             u * v
         ).as_poly() * qp_number(spec, n - 1)
         assert lhs == rhs
+
+
+def _ring_ladder(c1, c2, x0, x1, n):
+    """The first n entries of x(k+1) = c1*x(k) + c2*x(k-1) by ring products."""
+    xs = [x0, x1]
+    while len(xs) < n:
+        xs.append(c1 * xs[-1] + c2 * xs[-2])
+    return xs
+
+
+def _v(name, exp=1):
+    return LaurentPoly.var(name, exp)
+
+
+class TestLadder:
+    # entries past _FIRST_TOP come from the second frame
+    N = _FIRST_TOP + 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(polys(2), polys(2), polys(3), polys(3))
+    # a zero seed, a constant coefficient, variables in one operand each
+    @example(
+        c1=_v("t", Fraction(1, 2)) - _v("t", Fraction(-1, 2)),
+        c2=LaurentPoly(-3),
+        x0=LaurentPoly.zero(),
+        x1=_v("a", Fraction(-2, 3)) * _v("q"),
+    )
+    # exponents far beyond any fixed field width
+    @example(
+        c1=_v("p", 2**70) - _v("q", Fraction(-(2**65), 3)),
+        c2=_v("p", -(2**69)),
+        x0=_v("q", 2**80),
+        x1=LaurentPoly(7),
+    )
+    def test_matches_ring_recurrence(self, c1, c2, x0, x1):
+        got = list(islice(two_term_ladder(c1, c2, x0, x1), self.N))
+        assert got == _ring_ladder(c1, c2, x0, x1, self.N)
+
+    def test_constant_ladder_is_fibonacci(self):
+        one = LaurentPoly.one()
+        got = islice(two_term_ladder(one, one, LaurentPoly.zero(), one), 4 * _FIRST_TOP)
+        fib = [0, 1]
+        while len(fib) < 4 * _FIRST_TOP:
+            fib.append(fib[-1] + fib[-2])
+        assert list(got) == fib
+
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    def test_recurrence_at_300_matches_closed_sum(self, fam):
+        spec = family_spec(fam)
+        assert qp_number_recurrence(spec, 300) == qp_number(spec, 300)
 
 
 class TestStructure:

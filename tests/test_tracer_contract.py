@@ -4,12 +4,15 @@ A rename or a removed name crashes the traced run; these tests catch that
 in the ordinary suite, and check that every rebinding is undone."""
 
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import qpknot
 from qpknot import _kernel, _pykernel, cli, laurent, verify
+from qpknot.qpnumbers import _FIRST_TOP, qp_numbers
+from qpknot.skein import link_entries
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -96,6 +99,23 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+def test_ladders_step_without_traced_kernel_calls(tracer_module):
+    # the ladders step on packed keys inside the generator, as exact_div
+    # reduces, so their time counts under the caller's span
+    t = tracer_module.Tracer()
+    try:
+        tracer_module.install(t)
+        ladders = [qp_numbers(qpknot.family_spec(f)) for f in qpknot.Family]
+        ladders += [link_entries(kind) for kind in qpknot.InvariantKind]
+        kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
+        for ladder in ladders:
+            # past the first re-frame
+            assert len(list(islice(ladder, 2 * _FIRST_TOP + 2))) == 2 * _FIRST_TOP + 2
+        assert {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")} == kernel
+    finally:
+        tracer_module.uninstall(t)
 
 
 def test_check_work_nests_inside_the_check_span(tracer_module):
