@@ -21,10 +21,15 @@ remainders through `packed_accum_term_mul`, and
 `packed_accum_term_mul` per coefficient term, with no ring product.
 `Frame`, `exp_scale`, `exponent_bounds` and `packed_accum_term_mul` are
 not traced; their time counts towards the calling operation (for a ladder,
-whichever caller asks for the next entry).  Nor is `mono_split`,
-which splits one variable out of a monomial for `Monomial.exponent` and
-the (a, z) conversions, so that only the kernel reads the triple layout
-there.
+whichever caller asks for the next entry).
+
+Only the kernel reads the layout of a monomial key, a tuple of
+``(var, num, den)`` triples or a packed `Frame` int; the rest of the
+package stores keys, hashes them and hands them back.  The untraced helpers
+below are its way in: `ONE` (the key of 1), `mono_of` (the key of
+``(var, num, den)`` items), `mono_items` (those items of a key),
+`mono_split` (one variable's exponent and the rest of the key) and
+`Frame.degree` (the degree of a packed key).
 
 Two of the nine have no caller in the ring and stay only because the
 tracer fetches them by name: `mono_cmp`, which packs its two monomials in
@@ -33,12 +38,15 @@ sums into an existing dict through `poly_accum_term_mul`.
 """
 
 from qpknot._pykernel import (
+    ONE,
     Frame,
     exp_scale,
     exponent_bounds,
     mono_cmp,
     mono_deg,
+    mono_items,
     mono_mul,
+    mono_of,
     mono_pow,
     mono_split,
     packed_accum_term_mul,

@@ -5,11 +5,19 @@ package; the ring reaches them through `_kernel`.
 
 Data contract:
 
-* monomial: tuple of ``(var, num, den)`` triples sorted by ``var``, where
-  ``var`` is a one-letter string and ``num/den`` is a reduced rational
-  exponent with ``num != 0`` and ``den >= 1``.  The empty tuple is 1.
-* polynomial: dict mapping monomial -> nonzero int coefficient.  The empty
-  dict is 0.
+* monomial key: tuple of ``(var, num, den)`` triples sorted by ``var``,
+  where ``var`` is a one-letter string and ``num/den`` is a reduced
+  rational exponent with ``num != 0`` and ``den >= 1``.  The empty tuple,
+  `ONE`, is 1.
+* polynomial: dict mapping monomial key -> nonzero int coefficient.  The
+  empty dict is 0.
+
+This module is the only one that reads either key layout, the triples or
+the packed ints of a `Frame`.  Everywhere else a key is opaque: it is
+stored, hashed, compared for equality and handed back to the kernel.
+`mono_of` builds a key from ``(var, num, den)`` items, `mono_items` lists
+them, `mono_split` takes one variable out, and `Frame.degree` reads the
+degree of a packed key.
 
 `poly_accum_term_mul` is the one loop that sums one term dict into
 another.  `poly_add` (a copy of the larger operand plus the smaller),
@@ -28,6 +36,27 @@ the link ladder as one call per coefficient term.
 """
 
 from math import gcd, lcm
+
+ONE = ()
+
+
+def mono_of(items):
+    """The key of the monomial with the ``(var, num, den)`` items, one per
+    variable, ``den >= 1``: exponents reduced, zero ones dropped, sorted by
+    variable, so equal monomials get equal keys."""
+    out = []
+    for v, n, d in items:
+        if n:
+            g = gcd(n, d)
+            out.append((v, n // g, d // g))
+    out.sort()
+    return tuple(out)
+
+
+def mono_items(key):
+    """The ``(var, num, den)`` items of a monomial key, in variable order,
+    each exponent reduced and nonzero; `mono_of` inverts it."""
+    return key
 
 
 def mono_mul(m1, m2):
@@ -67,7 +96,7 @@ def mono_mul(m1, m2):
 def mono_pow(m, num, den):
     """Monomial raised to the rational power num/den (den > 0)."""
     if num == 0 or not m:
-        return ()
+        return ONE
     out = []
     for v, a, b in m:
         nn = a * num
@@ -130,7 +159,8 @@ class Frame:
     adding two keys multiplies their monomials and ascending int order is
     graded-lex order.  `pack` leaves out the bias ``-lo`` of every field:
     order needs none, and an unbiased key added to a biased one gives the
-    biased key of the product.  `unpack` and `outside` read biased keys.
+    biased key of the product.  `unpack`, `outside` and `degree` read
+    biased keys.
 
     A reduction must therefore size the spans to hold every monomial it
     compares or decodes.  Writing [n_lo, n_hi] and [d_lo, d_hi] for the
@@ -179,6 +209,10 @@ class Frame:
             k += n * scale // d * weight[v]
         return k
 
+    def degree(self, key):
+        """Total degree of a biased key, in units of 1/scale."""
+        return key >> self.shift
+
     def unpack(self, key):
         """Monomial of a biased key."""
         scale = self.scale
@@ -215,7 +249,7 @@ def poly_add(t1, t2):
     """Coefficientwise sum of two term dicts."""
     if len(t1) < len(t2):
         t1, t2 = t2, t1
-    return poly_accum_term_mul(dict(t1), t2, (), 1)
+    return poly_accum_term_mul(dict(t1), t2, ONE, 1)
 
 
 def poly_neg(t):

@@ -47,10 +47,10 @@ _FAMILY_LATEX = {
 _KNOT_NAMES = {0: "0_1", 1: "3_1", 2: "5_1", 3: "7_1", 4: "9_1"}
 
 
-def _latex_mono(key: tuple) -> str:
+def _latex_mono(items) -> str:
     return " ".join(
         v if n == d == 1 else f"{v}^{{{n}}}" if d == 1 else f"{v}^{{{n}/{d}}}"
-        for v, n, d in key
+        for v, n, d in items
     )
 
 

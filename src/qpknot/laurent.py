@@ -11,11 +11,17 @@ alphabetically first differing variable with the larger exponent winning,
 a missing variable counting as exponent 0.  It has one implementation,
 the packed int keys of the kernel's `Frame`: printing and `leading_term`
 sort and scan by them, and `exact_div` and `exact_sqrt` reduce on them.
+
+A monomial is held as the kernel's key, which this module never builds or
+takes apart itself: keys come from `_kernel.mono_of` and `_kernel.ONE`,
+their ``(var, num, den)`` items from `_kernel.mono_items`, and the
+degree of a packed key from `Frame.degree`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import isqrt
@@ -29,6 +35,9 @@ from qpknot.errors import (
 )
 
 RationalLike = int | Fraction | tuple
+
+# every exponent text the JSON writer emits, and nothing else
+_JSON_EXPONENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _as_exponent(r: RationalLike) -> Fraction:
@@ -59,13 +68,12 @@ class Monomial:
     __slots__ = ("_key",)
 
     def __init__(self, exps: Mapping[str, RationalLike] | None = None):
-        key = []
-        if exps:
-            for name in sorted(exps):
-                e = _as_exponent(exps[name])
-                if e != 0:
-                    key.append((_check_var(name), e.numerator, e.denominator))
-        self._key = tuple(key)
+        items = []
+        for name in sorted(exps or ()):
+            e = _as_exponent(exps[name])
+            if e:  # a name with a zero exponent drops out unchecked
+                items.append((_check_var(name), e.numerator, e.denominator))
+        self._key = _K.mono_of(items)
 
     @classmethod
     def _from_key(cls, key: tuple) -> "Monomial":
@@ -75,7 +83,7 @@ class Monomial:
 
     @classmethod
     def one(cls) -> "Monomial":
-        return cls._from_key(())
+        return cls._from_key(_K.ONE)
 
     @classmethod
     def var(cls, name: str, exp: RationalLike = 1) -> "Monomial":
@@ -83,14 +91,14 @@ class Monomial:
 
     @property
     def exponents(self) -> dict[str, Fraction]:
-        return {v: Fraction(n, d) for v, n, d in self._key}
+        return {v: Fraction(n, d) for v, n, d in _K.mono_items(self._key)}
 
     def exponent(self, name: str) -> Fraction:
         n, d, _ = _K.mono_split(self._key, name)
         return Fraction(n, d)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _, _ in self._key)
+        return tuple(v for v, _, _ in _K.mono_items(self._key))
 
     def degree(self) -> Fraction:
         n, d = _K.mono_deg(self._key)
@@ -98,7 +106,7 @@ class Monomial:
 
     @property
     def is_one(self) -> bool:
-        return not self._key
+        return self._key == _K.ONE
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -124,7 +132,7 @@ class Monomial:
         return hash(self._key)
 
     def __str__(self) -> str:
-        return _mono_text(self._key) if self._key else "1"
+        return "1" if self.is_one else _mono_text(_K.mono_items(self._key))
 
     def __repr__(self) -> str:
         return f"Monomial('{self}')"
@@ -148,9 +156,9 @@ def _exp_text(num: int, den: int) -> str:
     return f"({num}/{den})"
 
 
-def _mono_text(key: tuple) -> str:
+def _mono_text(items) -> str:
     parts = []
-    for v, n, d in key:
+    for v, n, d in items:
         if n == 1 and d == 1:
             parts.append(v)
         else:
@@ -192,6 +200,8 @@ def _json_term(entry) -> tuple:
     for v, frac in monomial.items():
         if not isinstance(frac, str):
             raise TypeError(f"exponent of {v!r} must be a string 'num/den', got {frac!r}")
+        if not _JSON_EXPONENT.fullmatch(frac):
+            raise ValueError(f"exponent of {v!r} must read 'num' or 'num/den', got {frac!r}")
         num, _, den = frac.partition("/")
         exps[v] = (int(num), int(den or 1))
     # JSON true and 1.5 would pass int() as 1
@@ -230,7 +240,7 @@ class LaurentPoly:
         elif isinstance(value, Monomial):
             terms = {value._key: 1}
         elif isinstance(value, int):
-            terms = {(): int(value)} if value else {}
+            terms = {_K.ONE: int(value)} if value else {}
         elif isinstance(value, Mapping):
             terms = _merge_terms(value.items())
         else:
@@ -249,7 +259,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({(): 1})
+        return cls._raw({_K.ONE: 1})
 
     @classmethod
     def var(cls, name: str, exp: RationalLike = 1) -> "LaurentPoly":
@@ -267,11 +277,7 @@ class LaurentPoly:
         return self._t.get(_as_monomial(mono)._key, 0)
 
     def variables(self) -> tuple[str, ...]:
-        seen = set()
-        for key in self._t:
-            for v, _, _ in key:
-                seen.add(v)
-        return tuple(sorted(seen))
+        return tuple(sorted({v for key in self._t for v, _, _ in _K.mono_items(key)}))
 
     def term_count(self) -> int:
         return len(self._t)
@@ -302,15 +308,15 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self._t == other._t
         if isinstance(other, int):
-            return self._t == ({(): other} if other else {})
+            return self._t == ({_K.ONE: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
         # constants hash like the ints they equal
         if not self._t:
             return hash(0)
-        if len(self._t) == 1 and () in self._t:
-            return hash(self._t[()])
+        if len(self._t) == 1 and _K.ONE in self._t:
+            return hash(self._t[_K.ONE])
         return hash(frozenset(self._t.items()))
 
     @staticmethod
@@ -336,13 +342,13 @@ class LaurentPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(self._t), q._t, (), -1))
+        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(self._t), q._t, _K.ONE, -1))
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(q._t), self._t, (), -1))
+        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(q._t), self._t, _K.ONE, -1))
 
     def __mul__(self, other):
         q = self._coerce(other)
@@ -384,8 +390,8 @@ class LaurentPoly:
         keyed = {v: _as_monomial(img)._key for v, img in images.items()}
         out: dict = {}
         for key, coeff in self._t.items():
-            new = ()
-            for v, n, d in key:
+            new = _K.ONE
+            for v, n, d in _K.mono_items(key):
                 img = keyed.get(v)
                 if img is None:
                     raise MissingImageError(v)
@@ -412,7 +418,7 @@ class LaurentPoly:
             entries.append(
                 {
                     "coeff": str(self._t[key]),
-                    "monomial": {v: f"{n}/{d}" for v, n, d in key},
+                    "monomial": {v: f"{n}/{d}" for v, n, d in _K.mono_items(key)},
                 }
             )
         return {"terms": entries}
@@ -447,19 +453,20 @@ def canonical_text(p: LaurentPoly) -> str:
 
 def _render_terms(p: LaurentPoly, mono_text, sep: str) -> str:
     """The terms in canonical order with explicit signs; a coefficient
-    other than 1 is joined to ``mono_text(key)`` by ``sep``."""
+    other than 1 is joined to ``mono_text(items)``, the rendering of the
+    monomial's ``(var, num, den)`` items, by ``sep``."""
     if p.is_zero:
         return "0"
     chunks = []
     for key in _ordered_keys(p._t):
         coeff = p._t[key]
         mag = coeff if coeff > 0 else -coeff
-        if not key:
+        if key == _K.ONE:
             body = str(mag)
         elif mag == 1:
-            body = mono_text(key)
+            body = mono_text(_K.mono_items(key))
         else:
-            body = f"{mag}{sep}{mono_text(key)}"
+            body = f"{mag}{sep}{mono_text(_K.mono_items(key))}"
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
@@ -539,8 +546,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     tail = {pack(m): c for m, c in den_t.items()}
     lead = max(tail)
     dc = tail.pop(lead)
-    # the least key of the numerator's least degree
-    floor = min(rem) >> frame.shift << frame.shift
+    floor = frame.degree(min(rem))  # the numerator's least degree
     quot: dict = {}
     while rem:
         lt = max(rem)
@@ -548,7 +554,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         bad = frame.outside(qk, box)
         if bad:
             raise NotDivisibleError(_outside_box("quotient", *bad, scale))
-        if lt < floor:
+        if frame.degree(lt) < floor:
             raise NotDivisibleError("remainder degree fell below the numerator's range")
         c = rem.pop(lt)
         if c % dc:
@@ -582,10 +588,10 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     spans = {v: (min(lo, lo - hi // 2), max(hi, hi - lo // 2)) for v, (lo, hi) in bounds.items()}
     box = {v: (lo // 2, hi // 2) for v, (lo, hi) in bounds.items()}
     frame = _K.Frame(scale, spans)
-    bias, shift = frame.bias, frame.shift
+    bias, degree = frame.bias, frame.degree
     rem = {bias + frame.pack(m): c for m, c in p._t.items()}
     # root terms have degree >= (least degree of p) / 2
-    low = min(rem) >> shift
+    low = degree(min(rem))
     lt = max(rem)
     lc = rem.pop(lt)  # lt = rm^2 and lc = rc^2
     if lc < 0:
@@ -605,7 +611,7 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
         if c % (2 * rc):
             raise NotAPerfectSquareError(f"coefficient {c} not divisible by {2 * rc}")
         cc = c // (2 * rc)
-        if 2 * (cm >> shift) < low:
+        if 2 * degree(cm) < low:
             raise NotAPerfectSquareError("candidate term degree fell below the root's range")
         _K.packed_accum_term_mul(rem, root, cm, -2 * cc)
         _K.packed_accum_term_mul(rem, {cm - bias: cc}, cm, -cc)

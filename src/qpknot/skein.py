@@ -22,7 +22,7 @@ from itertools import accumulate, islice, pairwise
 from qpknot import _kernel as _K
 from qpknot._record import Record
 from qpknot.errors import BadRangeError, NotExpressibleError
-from qpknot.laurent import LaurentPoly, Monomial, exact_div, exact_sqrt
+from qpknot.laurent import LaurentPoly, Monomial, _json_field, exact_div, exact_sqrt
 from qpknot.qpnumbers import Family, family_spec, qp_number, recurrence_coeffs, two_term_ladder
 
 
@@ -140,10 +140,21 @@ class InvariantSeries(Record):
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "InvariantSeries":
-        entries = {
-            int(e["n"]): LaurentPoly.from_json_dict(e["poly"]) for e in obj["entries"]
-        }
-        return cls(InvariantKind(obj["kind"]), obj["indexing"], entries)
+        rows = _json_field(obj, "entries", "series")
+        if not isinstance(rows, list):
+            raise TypeError(f"entries must be a JSON array, got {rows!r}")
+        entries = {}
+        for row in rows:
+            n = _json_field(row, "n", "entry")
+            # JSON true would pass as the int 1
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise TypeError(f"entry index n must be an integer, got {n!r}")
+            entries[n] = LaurentPoly.from_json_dict(_json_field(row, "poly", "entry"))
+        kind = InvariantKind(_json_field(obj, "kind", "series"))
+        indexing = _json_field(obj, "indexing", "series")
+        if indexing not in ("knot", "link"):
+            raise ValueError(f"indexing must be 'knot' or 'link', got {indexing!r}")
+        return cls(kind, indexing, entries)
 
 
 def link_entries(kind: InvariantKind) -> Iterator[LaurentPoly]:
@@ -233,15 +244,6 @@ class AZForm(Record):
 # with a running sum.
 
 
-def _t_key(doubled: int) -> tuple:
-    """Monomial key of t^(doubled/2)."""
-    if doubled == 0:
-        return ()
-    if doubled % 2:
-        return (("t", doubled, 2),)
-    return (("t", doubled // 2, 1),)
-
-
 def to_az_form(p: LaurentPoly) -> AZForm:
     """Rewrite an (a, t) polynomial as a polynomial in a and z.
 
@@ -275,7 +277,7 @@ def to_az_form(p: LaurentPoly) -> AZForm:
         for k in {abs(e) for e in row if e}:
             r = row.get(-k, 0) - sign * row.get(k, 0)
             if r:
-                residue[_K.mono_mul(rest, _t_key(-k))] = r
+                residue[_K.mono_mul(rest, _K.mono_of([("t", -k, 2)]))] = r
     if residue:
         raise NotExpressibleError(
             f"residue {LaurentPoly._raw(residue)} has no z-polynomial form"
@@ -290,7 +292,7 @@ def to_az_form(p: LaurentPoly) -> AZForm:
                 c0 = half.pop()
                 g = c0 + 2 * sum(half)
                 if g:
-                    out[_K.mono_mul(rest, (("z", j, 1),) if j else ())] = g
+                    out[_K.mono_mul(rest, _K.mono_of([("z", j, 1)]))] = g
             half = list(accumulate(half))
     return AZForm(LaurentPoly._raw(out))
 
@@ -329,6 +331,6 @@ def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
                 half[0] += zrow.get(j, 0)
         sign = -1 if parity else 1
         row = [sign * c for c in reversed(half[1 - parity :])] + half
-        t_row = {_t_key(2 * i - top): c for i, c in enumerate(row) if c}
+        t_row = {_K.mono_of([("t", 2 * i - top, 2)]): c for i, c in enumerate(row) if c}
         _K.poly_accum_term_mul(out, t_row, rest, 1)
     return LaurentPoly._raw(out)

@@ -1,6 +1,8 @@
 """Term-arithmetic kernel and monomial-order unit tests."""
 
-from qpknot import _pykernel
+from fractions import Fraction
+
+from qpknot import _kernel, _pykernel
 from qpknot.laurent import Monomial
 
 
@@ -46,12 +48,39 @@ class TestFrame:
         wide = _pykernel.Frame.of([m1, m2, prod])
         assert wide.unpack(wide.pack(m1) + wide.pack(m2) + wide.bias) == prod
 
+    def test_degree_reads_the_top_field(self):
+        keys = [key(m) for m in self.MONOS]
+        frame = _pykernel.Frame.of(keys)
+        for m in keys:
+            deg = Fraction(*_pykernel.mono_deg(m)) * frame.scale
+            assert frame.degree(frame.pack(m) + frame.bias) == deg
+
     def test_outside_names_first_variable_out_of_box(self):
         frame = _pykernel.Frame(2, {"a": (-4, 4), "t": (-4, 4)})
         k = frame.pack(key({"a": -1, "t": 2})) + frame.bias
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 4)}) is None
         assert frame.outside(k, {"a": (0, 2), "t": (-4, 2)}) == ("a", -2, 0, 2)
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 2)}) == ("t", 4, -4, 2)
+
+
+def items_of(exps):
+    """``(var, num, den)`` items of a `Monomial` exponent mapping."""
+    return [(v, *(e if isinstance(e, tuple) else (e, 1))) for v, e in exps.items()]
+
+
+class TestKeyHelpers:
+    def test_mono_items_inverts_mono_of(self):
+        for m in TestFrame.MONOS:
+            items = items_of(m)
+            k = _kernel.mono_of(reversed(items))
+            assert k == key(m)
+            assert list(_kernel.mono_items(k)) == sorted(items)
+
+    def test_mono_of_reduces_and_drops_zero_exponents(self):
+        assert _kernel.mono_of([("t", 2, 2)]) == key({"t": 1})
+        assert _kernel.mono_of([("t", -6, 4), ("a", 0, 3)]) == key({"t": (-3, 2)})
+        assert _kernel.mono_of([("z", 0, 1)]) == _kernel.ONE == key({})
+        assert Monomial._from_key(_kernel.ONE).is_one
 
 
 class TestPyKernel:

@@ -1,6 +1,8 @@
 """Core ring: operation examples, canonical forms, serialization,
 and the ring/homomorphism property suite."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -454,6 +456,15 @@ class TestConstruction:
     )
     def test_json_malformed_structure(self, doc, exc, text):
         with pytest.raises(exc, match=text):
+            LaurentPoly.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "frac", ["1/", " 1/2", "+1/2", "1/-2", "1_0/3", "1/2/3", "", "1.5", "\u0661/2"]
+    )
+    def test_json_rejects_non_canonical_exponent_text(self, frac):
+        doc = json.dumps({"terms": [{"coeff": "1", "monomial": {"t": frac}}]})
+        text = f"exponent of 't' must read 'num' or 'num/den', got {frac!r}"
+        with pytest.raises(ValueError, match=re.escape(text)):
             LaurentPoly.from_json(doc)
 
     def test_coefficients_must_be_ints(self):

@@ -535,6 +535,41 @@ class TestSeriesObject:
             assert again.indexing == s.indexing
             assert dict(again.entries) == dict(s.entries)
 
+    @pytest.mark.parametrize(
+        "edit, exc, text",
+        [
+            (lambda o: o.pop("entries"), ValueError, "series has no 'entries' field"),
+            (lambda o: o.pop("kind"), ValueError, "series has no 'kind' field"),
+            (lambda o: o.pop("indexing"), ValueError, "series has no 'indexing' field"),
+            (lambda o: o["entries"][0].pop("n"), ValueError, "entry has no 'n' field"),
+            (lambda o: o["entries"][0].pop("poly"), ValueError, "entry has no 'poly' field"),
+            (lambda o: o.update(entries={}), TypeError, "entries must be a JSON array"),
+            (lambda o: o["entries"].append(3), TypeError, "entry must be a JSON object"),
+            (lambda o: o["entries"][0].update(n=1.5), TypeError, "got 1.5"),
+            (lambda o: o["entries"][0].update(n=True), TypeError, "got True"),
+            (lambda o: o["entries"][0].update(n="2"), TypeError, "got '2'"),
+            (lambda o: o.update(indexing="banana"), ValueError, "got 'banana'"),
+        ],
+        ids=[
+            "no-entries",
+            "no-kind",
+            "no-indexing",
+            "no-n",
+            "no-poly",
+            "entries-object",
+            "entry-number",
+            "float-n",
+            "bool-n",
+            "string-n",
+            "bad-indexing",
+        ],
+    )
+    def test_json_rejects_malformed_series(self, edit, exc, text):
+        obj = knot_series(A, 1).to_json_dict()
+        edit(obj)
+        with pytest.raises(exc, match=text):
+            InvariantSeries.from_json_dict(obj)
+
     def test_json_shape(self):
         obj = knot_series(A, 1).to_json_dict()
         assert obj["kind"] == "alexander"
