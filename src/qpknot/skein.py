@@ -149,11 +149,19 @@ class InvariantSeries(Record):
             # JSON true would pass as the int 1
             if not isinstance(n, int) or isinstance(n, bool):
                 raise TypeError(f"entry index n must be an integer, got {n!r}")
+            if n < 0:
+                raise ValueError(f"entry index n must be nonnegative, got {n}")
+            if n in entries:
+                raise ValueError(f"entry index n={n} appears twice")
             entries[n] = LaurentPoly.from_json_dict(_json_field(row, "poly", "entry"))
         kind = InvariantKind(_json_field(obj, "kind", "series"))
         indexing = _json_field(obj, "indexing", "series")
         if indexing not in ("knot", "link"):
             raise ValueError(f"indexing must be 'knot' or 'link', got {indexing!r}")
+        if indexing == "knot":
+            for n in entries:
+                if n % 2 == 0:
+                    raise ValueError(f"a knot series has odd indices n = 2m+1 only, got n={n}")
         return cls(kind, indexing, entries)
 
 

@@ -570,6 +570,24 @@ class TestSeriesObject:
         with pytest.raises(exc, match=text):
             InvariantSeries.from_json_dict(obj)
 
+    @pytest.mark.parametrize(
+        "rows, text",
+        [
+            ([{"n": 1}], "entry index n=1 appears twice"),
+            ([{"n": -3}], "entry index n must be nonnegative, got -3"),
+            ([{"n": 4}], "a knot series has odd indices n = 2m+1 only, got n=4"),
+            # the three faults of one document: the first row in order names it
+            ([{"n": -3}, {"n": 1}, {"n": 4}], "entry index n must be nonnegative, got -3"),
+        ],
+        ids=["duplicate-n", "negative-n", "even-knot-n", "all-three"],
+    )
+    def test_json_rejects_bad_indices(self, rows, text):
+        obj = knot_series(A, 1).to_json_dict()
+        obj["entries"] += [dict(row, poly={"terms": []}) for row in rows]
+        with pytest.raises(ValueError) as err:
+            InvariantSeries.from_json_dict(obj)
+        assert str(err.value) == text
+
     def test_json_shape(self):
         obj = knot_series(A, 1).to_json_dict()
         assert obj["kind"] == "alexander"

@@ -118,13 +118,14 @@ def test_ladders_step_without_traced_kernel_calls(tracer_module):
         tracer_module.uninstall(t)
 
 
-def test_check_work_nests_inside_the_check_span(tracer_module):
-    # `verify.<check>.s` times each check's call, so every traced callee a
-    # check reaches must run inside that call, under that check's span
+def _enclosing_checks(tracer_module, run) -> dict:
+    """Each span name traced while run() returns its reports, all passed,
+    mapped to the verify checks whose spans enclose it (None outside every
+    check)."""
     t = tracer_module.Tracer()
     try:
         tracer_module.install(t)
-        assert all(r.passed for r in verify.run_all(3))
+        assert all(r.passed for r in run())
     finally:
         tracer_module.uninstall(t)
     names = {sid: name for sid, _, _, name, _, _ in t.spans}
@@ -140,9 +141,19 @@ def test_check_work_nests_inside_the_check_span(tracer_module):
     seen = {}
     for sid, name in names.items():
         seen.setdefault(name, set()).add(enclosing_check(sid))
+    return seen
+
+
+def test_check_work_nests_inside_the_check_span(tracer_module):
+    # `verify.<check>.s` times each check's call, so every traced callee a
+    # check reaches must run inside that call, under that check's span
+    seen = _enclosing_checks(tracer_module, lambda: verify.run_all(3))
     assert sorted(n for n in seen if n.startswith("verify.")) == sorted(
         f"verify.{name}" for name in verify.CHECKS
     )
+    # the run table builds the (a, z) images in knot-vs-link, the first
+    # check to ask, and az-roundtrip converts them back; a passing
+    # knot-vs-link never converts a link entry to (a, t)
     assert {
         name: seen[name]
         for name in (
@@ -163,8 +174,12 @@ def test_check_work_nests_inside_the_check_span(tracer_module):
             "verify.h1-equivalence",
             "verify.h2-equivalence",
         },
-        "skein.to_az_form": {"verify.knot-vs-link", "verify.az-roundtrip"},
-        "skein.from_az_form": {"verify.knot-vs-link", "verify.az-roundtrip"},
+        "skein.to_az_form": {"verify.knot-vs-link"},
+        "skein.from_az_form": {"verify.az-roundtrip"},
         "skein.specialize_homfly": {"verify.homfly-specialize"},
         "qpnumbers.qp_number_division": {"verify.three-route"},
     }
+    # run on its own, az-roundtrip builds the images itself
+    alone = _enclosing_checks(tracer_module, lambda: [verify.run_check("az-roundtrip", 3)])
+    assert alone["skein.to_az_form"] == {"verify.az-roundtrip"}
+    assert alone["skein.from_az_form"] == {"verify.az-roundtrip"}

@@ -217,6 +217,69 @@ class TestReports:
             "homfly m=1: knot -a^6 + a^3*t + a^3*t^-1 != link -a^4 + a^2*t + a^2*t^-1"
         )
 
+    @pytest.mark.parametrize(
+        "u, v, detail",
+        [
+            (
+                {"a": 2, "t": 3},
+                {"a": 2, "t": 1},
+                "homfly m=1: knot -a^4*t^4 + a^2*t^3 + a^2*t != link -a^4 + a^2*t + a^2*t^-1",
+            ),
+            (
+                {"a": 2, "b": 1},
+                {"a": 2, "b": -1},
+                "homfly m=1: knot -a^4 + a^2*b + a^2*b^-1 != link -a^4 + a^2*t + a^2*t^-1",
+            ),
+        ],
+        ids=["non-symmetric", "stray-variable"],
+    )
+    def test_knot_vs_link_on_a_knot_entry_with_no_az_form(self, monkeypatch, u, v, detail):
+        # the knot entry has no (a, z) form, so it matches no link entry:
+        # knot-vs-link reports the mismatch in (a, t), as it did when it
+        # converted every link entry to (a, t)
+        from qpknot import qpnumbers
+        from qpknot.laurent import Monomial
+
+        wrong = qpnumbers.QPSpec(Monomial(u), Monomial(v))
+        monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
+        report = run_check("knot-vs-link", 5)
+        assert not report.passed
+        assert report.detail == detail
+
+    def test_az_roundtrip_on_a_knot_entry_with_no_az_form(self, monkeypatch):
+        from qpknot import qpnumbers
+        from qpknot.errors import NotExpressibleError
+        from qpknot.laurent import Monomial
+
+        wrong = qpnumbers.QPSpec(Monomial({"a": 2, "t": 3}), Monomial({"a": 2, "t": 1}))
+        monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
+        with pytest.raises(NotExpressibleError) as err:
+            run_check("az-roundtrip", 5)
+        assert str(err.value) == (
+            "residue -a^2*t^-1 + a^4*t^-4 - a^2*t^-3 has no z-polynomial form"
+        )
+
+    def test_one_conversion_pass_each_way_per_run(self, monkeypatch):
+        # the run table converts each HOMFLY knot entry m = 0..10 to (a, z)
+        # once, and a passing knot-vs-link converts no link entry back
+        from qpknot import verify
+
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(verify, name)
+
+            def fn(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return fn
+
+        for name in ("to_az_form", "from_az_form"):
+            monkeypatch.setattr(verify, name, counting(name))
+        assert all(r.passed for r in run_all(10))
+        assert calls == {"to_az_form": 11, "from_az_form": 11}
+
     def test_three_route_stops_at_its_first_mismatch(self, monkeypatch):
         # a wrong Jones quotient is the verdict; no route is asked for a
         # number of a later family
