@@ -193,7 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--az", action="store_true", help="rewrite entries over (a, z)")
 
     p = sub.add_parser("verify", help="run the identity checks")
-    p.add_argument("--check", default=None, help=f"one of: {', '.join(check_names())}")
+    p.add_argument(
+        "--check",
+        default=None,
+        help=f"one of: {', '.join(check_names())}; "
+        "a knot-vs-link pass relies on az-roundtrip passing too",
+    )
     p.add_argument("--n-max", dest="n_max", default=50, type=int)
 
     p = sub.add_parser("eval", help="evaluate an expression or assert an identity")

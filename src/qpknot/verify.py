@@ -2,10 +2,16 @@
 
 Every check is an exhaustive exact comparison over an index range (no
 sampling), and its verdict is its first mismatch: it returns there and
-computes nothing more.  Checks are independent pure computations; the
-runner executes them in registry order.  A check gets its knot series, and
-the (a, z) images of the HOMFLY knot entries, from a table that lives for one
-run, so a value that several checks compare is built once.
+computes nothing more.  Checks are pure computations; the runner executes
+them in registry order.  A check gets its knot series, and the (a, z) images
+of the HOMFLY knot entries, from a table that lives for one run, so a value
+that several checks compare is built once.
+
+One check leans on another: ``knot-vs-link`` compares the HOMFLY knot
+entries with the link ladder over (a, z), which decides the (a, t) identity
+only when ``az-roundtrip`` passes too (see its docstring).  A
+``knot-vs-link`` pass run on its own says nothing about a fault in
+to_az_form; ``run_all`` runs both.
 """
 
 from __future__ import annotations
@@ -45,23 +51,18 @@ from qpknot.substitutions import h1_to_h, h2_to_h
 class RunTable:
     """What the checks of one run share, each value built on first use and
     dropped with the run: ``knots(kind, m_max)`` is ``knot_series``, and
-    ``az_image(m_max, m)`` is ``to_az_form`` of HOMFLY knot entry m."""
+    ``az_image(m_max, m)`` is ``to_az_form`` of HOMFLY knot entry m.  An
+    entry with no (a, z) form raises to_az_form's error on every request;
+    nothing is stored for it."""
 
-    __slots__ = ("knots", "_images")
+    __slots__ = ("knots", "az_image")
 
     def __init__(self) -> None:
-        self.knots: Callable[[InvariantKind, int], InvariantSeries] = cache(knot_series)
-        self._images: dict[tuple[int, int], LaurentPoly] = {}
-
-    def az_image(self, m_max: int, m: int) -> LaurentPoly:
-        """The (a, z) polynomial of entry m of the HOMFLY knot series to
-        m_max.  An entry with no (a, z) form raises to_az_form's error on
-        every request; nothing is stored for it."""
-        key = (m_max, m)
-        if key not in self._images:
-            entry = self.knots(InvariantKind.HOMFLY, m_max).knot(m)
-            self._images[key] = to_az_form(entry).poly
-        return self._images[key]
+        knots = cache(knot_series)  # the lambda holds this, not self: no cycle
+        self.knots: Callable[[InvariantKind, int], InvariantSeries] = knots
+        self.az_image: Callable[[int, int], LaurentPoly] = cache(
+            lambda m_max, m: to_az_form(knots(InvariantKind.HOMFLY, m_max).knot(m)).poly
+        )
 
 
 class CheckReport(Record):

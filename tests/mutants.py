@@ -1,7 +1,7 @@
 """The mutation gate: each record breaks the package in one place, and the
 tests named in the record must then fail.
 
-    python3 tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python3 tests/mutants.py
 
 A record holds a file under ``src/``, an exact old text, the new text that
 replaces it, and the pytest node ids that must fail.  The old text must occur
@@ -13,9 +13,10 @@ pass.  Then, one mutant at a time, it copies ``src/``, ``tests/`` and
 ``perfbench/`` (with ``README.md`` and ``pyproject.toml``) to a temporary
 directory, applies the record there and runs the record's tests in that copy;
 ``tests/conftest.py`` puts the copy's ``src/`` first on ``sys.path``.  A
-mutant is killed when every named test fails, or when the run exceeds the
-timeout (labelled so).  The script prints each mutant's verdict and seconds,
-then killed/total, and exits 1 unless every mutant is killed.
+mutant is killed when every named test fails, or when the run exceeds
+``TIMEOUT`` seconds (labelled so).  Every run tries every record.  The
+script prints each mutant's verdict and seconds, then killed/total, and
+exits 1 unless every mutant is killed.
 
 pytest does not collect this file (its name does not start with ``test_``),
 and the gate is not part of the ordinary suite: it takes minutes.
@@ -23,7 +24,6 @@ and the gate is not part of the ordinary suite: it takes minutes.
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import subprocess
 import sys
@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 _COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
+TIMEOUT = 300.0  # seconds per pytest run
 
 
 class Mutant(NamedTuple):
@@ -187,8 +188,8 @@ MUTANTS = [
     Mutant(
         "run-table-stores-nothing",  # every request converts again
         "verify.py",
-        "        if key not in self._images:\n",
-        "        if True:\n",
+        "self.az_image: Callable[[int, int], LaurentPoly] = cache(",
+        "self.az_image: Callable[[int, int], LaurentPoly] = (",
         ("tests/test_verify.py::TestReports::test_one_conversion_pass_each_way_per_run",),
     ),
     # -- the series JSON loader (skein.py) --
@@ -230,14 +231,14 @@ def _mutated(mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def _run(tree: Path, tests, timeout: float) -> tuple[set[str] | None, str]:
+def _run(tree: Path, tests) -> tuple[set[str] | None, str]:
     """The named tests that fail in ``tree`` (None on a timeout), and
     pytest's output."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     cmd += ["--tb=no", "-rfE", *tests]
     try:
         proc = subprocess.run(
-            cmd, cwd=tree, capture_output=True, text=True, timeout=timeout
+            cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT
         )
     except subprocess.TimeoutExpired:
         return None, ""
@@ -257,32 +258,23 @@ def _failing(tests, failed: set[str]) -> list[str]:
     return [t for t in tests if any(f == t or f.startswith(t + "::") for f in failed)]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-
-    mutated = [_mutated(m) for m in chosen]  # no stale record runs
+def main() -> int:
+    mutated = [_mutated(m) for m in MUTANTS]  # no stale record runs
     with tempfile.TemporaryDirectory(prefix="qpknot-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy_tree(base)
-        tests = sorted({t for m in chosen for t in m.tests})
-        failed, out = _run(base, tests, args.timeout)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        failed, out = _run(base, tests)
         if failed is None or _failing(tests, failed):
             raise SystemExit(f"the named tests do not all pass unmutated:\n{out}")
 
         killed = 0
-        for i, (m, text) in enumerate(zip(chosen, mutated)):
+        for i, (m, text) in enumerate(zip(MUTANTS, mutated)):
             tree = Path(tmp) / f"m{i}"
             _copy_tree(tree)
             (tree / "src" / "qpknot" / m.file).write_text(text)
             start = time.perf_counter()
-            failed, out = _run(tree, m.tests, args.timeout)
+            failed, out = _run(tree, m.tests)
             seconds = time.perf_counter() - start
             shutil.rmtree(tree)
             if failed is None:
@@ -294,8 +286,8 @@ def main(argv=None) -> int:
                 verdict = "SURVIVED: " + ", ".join(survivors)
             killed += verdict.startswith("killed")
             print(f"{seconds:7.1f} s  {m.name:34} {verdict}", flush=True)
-    print(f"killed {killed}/{len(chosen)}")
-    return 0 if killed == len(chosen) else 1
+    print(f"killed {killed}/{len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
