@@ -13,8 +13,8 @@ call once, under the name the ring called.  The ring calls
 ``b`` times -1) and for the merge in `from_az_form`.
 
 Ordering, division, square roots and the two-term ladder run on the
-packed int keys of a `Frame` (one per operation, or per stretch of a
-ladder): printing and `leading_term` sort and scan by `Frame.pack`,
+packed int keys of a `Frame` (one per operation; a ladder's is sized
+for its last index): printing and `leading_term` sort and scan by `Frame.pack`,
 `exact_div` and `exact_sqrt` reduce on packed keys and update their
 remainders through `packed_accum_term_mul`, and
 `qpnumbers.two_term_ladder` steps on packed keys with one

@@ -32,7 +32,8 @@ monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys.
 `packed_accum_term_mul` is the summing loop over packed keys: exact
 division and square roots update their remainders with it, and
 `qpnumbers.two_term_ladder` takes each step of the deformed numbers and of
-the link ladder as one call per coefficient term.
+the link ladder as one call per coefficient term, in one frame sized for
+the walk's last index.
 """
 
 from math import gcd, lcm

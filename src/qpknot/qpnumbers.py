@@ -89,9 +89,6 @@ def qp_number(spec: QPSpec, n: int) -> LaurentPoly:
     return LaurentPoly._raw(out)
 
 
-_FIRST_TOP = 16  # the last index the first frame of a ladder holds
-
-
 def _widest(polys, scale: int) -> dict:
     """The largest |exponent| of each variable over the terms of ``polys``,
     in units of 1/scale."""
@@ -100,53 +97,44 @@ def _widest(polys, scale: int) -> dict:
 
 
 def two_term_ladder(
-    c1: LaurentPoly, c2: LaurentPoly, x0: LaurentPoly, x1: LaurentPoly
+    c1: LaurentPoly, c2: LaurentPoly, x0: LaurentPoly, x1: LaurentPoly, last: int
 ) -> Iterator[LaurentPoly]:
-    """Yield x0, x1, x2, ... with x(k+1) = c1*x(k) + c2*x(k-1).
+    """Yield x0, x1, ..., x(last) with x(k+1) = c1*x(k) + c2*x(k-1).
 
     Each term is computed only when it is asked for.  The walk runs on the
-    packed int keys of one `Frame`: the two live entries are stored under
-    biased keys, the coefficients under unbiased ones, and a step is one
-    `packed_accum_term_mul` per coefficient term into a fresh dict.  An
-    entry is decoded to monomials once, when it is yielded.
+    packed int keys of one `Frame`, sized for ``last``: the two live entries
+    are stored under biased keys, the coefficients under unbiased ones, and
+    a step is one `packed_accum_term_mul` per coefficient term into a fresh
+    dict.  An entry is decoded to monomials once, when it is yielded.
 
     Span bound: with exponents in units of 1/scale (scale the common
     denominator of the four polynomials), let M_v be the largest |e_v| over
     the terms of c1 and c2 and B_v the largest over x0 and x1.  Every term
     of x(k), and every product summed into it, has |e_v| <= B_v + k*M_v, by
-    induction on k.  A frame spanning [-(B_v + K*M_v), B_v + K*M_v] thus
-    holds every key of entries up to K.  The first frame has K = 16; when
-    the walk reaches K, the two live entries and the coefficients are
-    re-packed into a frame for 2K.
+    induction on k.  The frame spans [-(B_v + last*M_v), B_v + last*M_v],
+    so it holds every key of the walk.
     """
-    yield x0
-    yield x1
+    yield from (x0, x1)[: last + 1]
     scale = _K.exp_scale(c1._t, c2._t, x0._t, x1._t)
     reach, base = _widest((c1, c2), scale), _widest((x0, x1), scale)
-    prev_x, cur_x = x0, x1
-    k, top = 1, _FIRST_TOP
-    while True:
-        spans = {}
-        for v in reach.keys() | base.keys():
-            b = base.get(v, 0) + top * reach.get(v, 0)
-            spans[v] = (-b, b)
-        frame = _K.Frame(scale, spans)
-        pack, bias, unpack = frame.pack, frame.bias, frame.unpack
-        terms1 = [(pack(m), c) for m, c in c1._t.items()]
-        terms2 = [(pack(m), c) for m, c in c2._t.items()]
-        prev = {bias + pack(m): c for m, c in prev_x._t.items()}
-        cur = {bias + pack(m): c for m, c in cur_x._t.items()}
-        while k < top:
-            nxt: dict = {}
-            for key, c in terms1:
-                _K.packed_accum_term_mul(nxt, cur, key, c)
-            for key, c in terms2:
-                _K.packed_accum_term_mul(nxt, prev, key, c)
-            prev, cur = cur, nxt
-            prev_x, cur_x = cur_x, LaurentPoly._raw({unpack(key): c for key, c in nxt.items()})
-            k += 1
-            yield cur_x
-        top *= 2
+    spans = {}
+    for v in reach.keys() | base.keys():
+        b = base.get(v, 0) + last * reach.get(v, 0)
+        spans[v] = (-b, b)
+    frame = _K.Frame(scale, spans)
+    pack, bias, unpack = frame.pack, frame.bias, frame.unpack
+    terms1 = [(pack(m), c) for m, c in c1._t.items()]
+    terms2 = [(pack(m), c) for m, c in c2._t.items()]
+    prev = {bias + pack(m): c for m, c in x0._t.items()}
+    cur = {bias + pack(m): c for m, c in x1._t.items()}
+    for _ in range(last - 1):
+        nxt: dict = {}
+        for key, c in terms1:
+            _K.packed_accum_term_mul(nxt, cur, key, c)
+        for key, c in terms2:
+            _K.packed_accum_term_mul(nxt, prev, key, c)
+        prev, cur = cur, nxt
+        yield LaurentPoly._raw({unpack(key): c for key, c in nxt.items()})
 
 
 def recurrence_coeffs(spec: QPSpec) -> tuple[LaurentPoly, LaurentPoly]:
@@ -155,16 +143,16 @@ def recurrence_coeffs(spec: QPSpec) -> tuple[LaurentPoly, LaurentPoly]:
     return spec.u.as_poly() + spec.v.as_poly(), -(spec.u * spec.v).as_poly()
 
 
-def qp_numbers(spec: QPSpec) -> Iterator[LaurentPoly]:
-    """Yield [0], [1], [2], ... by the recurrence from [0] = 0, [1] = 1."""
+def qp_numbers(spec: QPSpec, last: int) -> Iterator[LaurentPoly]:
+    """Yield [0], [1], ..., [last] by the recurrence from [0] = 0, [1] = 1."""
     k1, k2 = recurrence_coeffs(spec)
-    return two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one())
+    return two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one(), last)
 
 
 def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
     """Recurrence form: [k+1] = (u+v)*[k] - u*v*[k-1] from [0]=0, [1]=1."""
     _check_index(n)
-    return next(islice(qp_numbers(spec), n, None))
+    return next(islice(qp_numbers(spec, n), n, None))
 
 
 def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, pairwise
 
 from qpknot import _kernel as _K
 from qpknot._record import Record
@@ -165,8 +165,8 @@ class InvariantSeries(Record):
         return cls(kind, indexing, entries)
 
 
-def link_entries(kind: InvariantKind) -> Iterator[LaurentPoly]:
-    """Yield the entries of L(n,2), n = 0, 1, 2, ..., by the two-term
+def link_entries(kind: InvariantKind, last: int) -> Iterator[LaurentPoly]:
+    """Yield the entries of L(n,2), n = 0, 1, ..., last, by the two-term
     recurrence in (l1, l2), each only when it is asked for.
 
     Seeds are the n = 0 entry unlink2 and the n = 1 entry 1 (unknot); the
@@ -174,7 +174,7 @@ def link_entries(kind: InvariantKind) -> Iterator[LaurentPoly]:
     the last two entries, so a consumer that compares and drops them never
     holds the whole ladder.
     """
-    return two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one())
+    return two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one(), last)
 
 
 def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
@@ -185,7 +185,7 @@ def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
     """
     if n_max < 2:
         raise BadRangeError(f"n_max must be at least 2, got {n_max}")
-    entries = dict(enumerate(islice(link_entries(kind), n_max + 1)))
+    entries = dict(enumerate(link_entries(kind, n_max)))
     if kind is InvariantKind.HOMFLY:
         del entries[0]
     return InvariantSeries(kind, "link", entries)

@@ -112,22 +112,22 @@ MUTANTS = [
     Mutant(
         "ladder-fixed-span",  # spans of +-2^12 whatever the entries need
         "qpnumbers.py",
-        "b = base.get(v, 0) + top * reach.get(v, 0)",
+        "b = base.get(v, 0) + last * reach.get(v, 0)",
         "b = 1 << 12",
         ("tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",),
     ),
     Mutant(
         "ladder-span-without-seeds",  # the span bound drops B_v
         "qpnumbers.py",
-        "b = base.get(v, 0) + top * reach.get(v, 0)",
-        "b = top * reach.get(v, 0)",
+        "b = base.get(v, 0) + last * reach.get(v, 0)",
+        "b = last * reach.get(v, 0)",
         ("tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",),
     ),
     Mutant(
-        "ladder-frame-never-grows",  # the first frame is stepped past K = 16
+        "ladder-frame-for-half-the-walk",  # the one frame is sized for last // 2
         "qpnumbers.py",
-        "        while k < top:\n",
-        "        while True:\n",
+        "b = base.get(v, 0) + last * reach.get(v, 0)",
+        "b = base.get(v, 0) + last // 2 * reach.get(v, 0)",
         (
             "tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",
             "tests/test_skein.py::TestLinkOracle::test_homfly",
@@ -184,6 +184,17 @@ MUTANTS = [
         "back = from_az_form(table.az_image(n_max, m))",
         "back = p",
         ("tests/test_verify.py::TestReports::test_failure_texts[az-roundtrip]",),
+    ),
+    Mutant(
+        "az-roundtrip-no-az-form-crashes",  # to_az_form's error escapes the check
+        "verify.py",
+        "        except (NotExpressibleError, ValueError) as exc:\n",
+        "        except ZeroDivisionError as exc:\n",
+        (
+            "tests/test_verify.py::TestReports::test_az_roundtrip_on_a_knot_entry_with_no_az_form",
+            "tests/test_verify.py::TestReports::test_failed_exact_operation_is_the_verdict"
+            "[az-roundtrip]",
+        ),
     ),
     Mutant(
         "run-table-stores-nothing",  # every request converts again

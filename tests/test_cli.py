@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qpknot.cli import main
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -176,6 +178,28 @@ class TestVerify:
         code, out = run("verify", "--n-max", "10")
         assert code == 0
         assert "12/12 checks passed" in out
+
+    @pytest.mark.parametrize(
+        "u, v, passed",
+        [
+            ({"a": 2, "t": 3}, {"a": 2, "t": 1}, 2),
+            ({"a": 2, "b": 1}, {"a": 2, "b": -1}, 2),
+            ({"a": 2, "t": 2}, {"a": 2, "t": -1}, 2),
+        ],
+        ids=["non-symmetric", "stray-variable", "not-divisible"],
+    )
+    def test_wrong_number_pair_reports_every_check(self, monkeypatch, u, v, passed):
+        # no check raises out of the run: each wrong HOMFLY pair still
+        # yields twelve verdicts and the summary line
+        from qpknot import Family, Monomial, QPSpec, qpnumbers
+
+        wrong = QPSpec(Monomial(u), Monomial(v))
+        monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
+        code, out = run("verify", "--n-max", "5")
+        assert code == 1
+        verdicts = [line for line in out.splitlines() if line.startswith(("PASS  ", "FAIL  "))]
+        assert len(verdicts) == 12
+        assert out.splitlines()[-1] == f"{passed}/12 checks passed"
 
     def test_unknown_check_is_usage_error(self):
         code, _ = run("verify", "--check", "bogus")

@@ -2,7 +2,6 @@
 and the closed-form multipliers between families."""
 
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +22,7 @@ from qpknot import (
     qp_number_division,
     qp_number_recurrence,
 )
-from qpknot.qpnumbers import _FIRST_TOP, two_term_ladder
+from qpknot.qpnumbers import two_term_ladder
 
 from strategies import monomials, polys
 
@@ -141,12 +140,12 @@ class TestRoutes:
         assert lhs == rhs
 
 
-def _ring_ladder(c1, c2, x0, x1, n):
-    """The first n entries of x(k+1) = c1*x(k) + c2*x(k-1) by ring products."""
+def _ring_ladder(c1, c2, x0, x1, last):
+    """x0, ..., x(last) of x(k+1) = c1*x(k) + c2*x(k-1) by ring products."""
     xs = [x0, x1]
-    while len(xs) < n:
+    while len(xs) <= last:
         xs.append(c1 * xs[-1] + c2 * xs[-2])
-    return xs
+    return xs[: last + 1]
 
 
 def _v(name, exp=1):
@@ -154,17 +153,15 @@ def _v(name, exp=1):
 
 
 class TestLadder:
-    # entries past _FIRST_TOP come from the second frame
-    N = _FIRST_TOP + 3
-
     @settings(max_examples=30, deadline=None)
-    @given(polys(2), polys(2), polys(3), polys(3))
+    @given(polys(2), polys(2), polys(3), polys(3), st.integers(0, 24))
     # a zero seed, a constant coefficient, variables in one operand each
     @example(
         c1=_v("t", Fraction(1, 2)) - _v("t", Fraction(-1, 2)),
         c2=LaurentPoly(-3),
         x0=LaurentPoly.zero(),
         x1=_v("a", Fraction(-2, 3)) * _v("q"),
+        last=24,
     )
     # exponents far beyond any fixed field width
     @example(
@@ -172,16 +169,18 @@ class TestLadder:
         c2=_v("p", -(2**69)),
         x0=_v("q", 2**80),
         x1=LaurentPoly(7),
+        last=24,
     )
-    def test_matches_ring_recurrence(self, c1, c2, x0, x1):
-        got = list(islice(two_term_ladder(c1, c2, x0, x1), self.N))
-        assert got == _ring_ladder(c1, c2, x0, x1, self.N)
+    def test_matches_ring_recurrence(self, c1, c2, x0, x1, last):
+        got = list(two_term_ladder(c1, c2, x0, x1, last))
+        assert len(got) == last + 1
+        assert got == _ring_ladder(c1, c2, x0, x1, last)
 
     def test_constant_ladder_is_fibonacci(self):
         one = LaurentPoly.one()
-        got = islice(two_term_ladder(one, one, LaurentPoly.zero(), one), 4 * _FIRST_TOP)
+        got = two_term_ladder(one, one, LaurentPoly.zero(), one, 64)
         fib = [0, 1]
-        while len(fib) < 4 * _FIRST_TOP:
+        while len(fib) <= 64:
             fib.append(fib[-1] + fib[-2])
         assert list(got) == fib
 

@@ -3,7 +3,6 @@ the reverse square-root construction and the (a, z) change of variable."""
 
 
 from fractions import Fraction
-from itertools import islice
 from math import comb
 
 import pytest
@@ -115,7 +114,7 @@ class TestLinkSeries:
 
     def test_series_is_a_prefix_of_the_entry_generator(self):
         for kind in InvariantKind:
-            walked = list(islice(link_entries(kind), 10))
+            walked = list(link_entries(kind, 9))
             assert walked[0] == unlink2(kind)
             stored = link_series(kind, 9).entries
             assert stored == {n: e for n, e in enumerate(walked) if n in stored}

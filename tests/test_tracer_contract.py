@@ -4,14 +4,13 @@ A rename or a removed name crashes the traced run; these tests catch that
 in the ordinary suite, and check that every rebinding is undone."""
 
 import sys
-from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import qpknot
 from qpknot import _kernel, _pykernel, cli, laurent, verify
-from qpknot.qpnumbers import _FIRST_TOP, qp_numbers
+from qpknot.qpnumbers import qp_numbers
 from qpknot.skein import link_entries
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -107,12 +106,11 @@ def test_ladders_step_without_traced_kernel_calls(tracer_module):
     t = tracer_module.Tracer()
     try:
         tracer_module.install(t)
-        ladders = [qp_numbers(qpknot.family_spec(f)) for f in qpknot.Family]
-        ladders += [link_entries(kind) for kind in qpknot.InvariantKind]
+        ladders = [qp_numbers(qpknot.family_spec(f), 40) for f in qpknot.Family]
+        ladders += [link_entries(kind, 40) for kind in qpknot.InvariantKind]
         kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
         for ladder in ladders:
-            # past the first re-frame
-            assert len(list(islice(ladder, 2 * _FIRST_TOP + 2))) == 2 * _FIRST_TOP + 2
+            assert len(list(ladder)) == 41
         assert {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")} == kernel
     finally:
         tracer_module.uninstall(t)

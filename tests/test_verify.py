@@ -247,17 +247,50 @@ class TestReports:
         assert report.detail == detail
 
     def test_az_roundtrip_on_a_knot_entry_with_no_az_form(self, monkeypatch):
+        # to_az_form's error is the verdict, not an exception out of the run
         from qpknot import qpnumbers
-        from qpknot.errors import NotExpressibleError
         from qpknot.laurent import Monomial
 
         wrong = qpnumbers.QPSpec(Monomial({"a": 2, "t": 3}), Monomial({"a": 2, "t": 1}))
         monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
-        with pytest.raises(NotExpressibleError) as err:
-            run_check("az-roundtrip", 5)
-        assert str(err.value) == (
-            "residue -a^2*t^-1 + a^4*t^-4 - a^2*t^-3 has no z-polynomial form"
+        report = run_check("az-roundtrip", 5)
+        assert not report.passed
+        assert report.detail == (
+            "m=1: residue -a^2*t^-1 + a^4*t^-4 - a^2*t^-3 has no z-polynomial form"
         )
+        assert report.n_range == (0, 5)
+
+    @pytest.mark.parametrize(
+        "name, detail, n_range",
+        [
+            (
+                "eq33-multiplier",
+                "n=2: quotient term needs t-exponent -1, outside the Newton bound [1, -1]",
+                (1, 5),
+            ),
+            (
+                "eq34-multiplier",
+                "n=2: quotient term needs t-exponent -3, outside the Newton bound [-1, -3]",
+                (1, 5),
+            ),
+            ("homfly-specialize", "m=1: no image for variable 'b'", (0, 5)),
+            ("az-roundtrip", "m=1: expected variables a and t only, found ['b']", (0, 5)),
+        ],
+        ids=["eq33-multiplier", "eq34-multiplier", "homfly-specialize", "az-roundtrip"],
+    )
+    def test_failed_exact_operation_is_the_verdict(self, monkeypatch, name, detail, n_range):
+        # a HOMFLY pair in a stray variable: the multipliers do not divide,
+        # a -> 1 has no image for b and the knot entries no (a, z) form, so
+        # each check reports the error
+        from qpknot import qpnumbers
+        from qpknot.laurent import Monomial
+
+        wrong = qpnumbers.QPSpec(Monomial({"a": 2, "b": 1}), Monomial({"a": 2, "b": -1}))
+        monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
+        report = run_check(name, 5)
+        assert not report.passed
+        assert report.detail == detail
+        assert report.n_range == n_range
 
     def test_one_conversion_pass_each_way_per_run(self, monkeypatch):
         # the run table converts each HOMFLY knot entry m = 0..10 to (a, z)
