@@ -48,7 +48,6 @@ from qpknot.qpnumbers import (
     qp_number_recurrence,
 )
 from qpknot.skein import (
-    AZForm,
     InvariantKind,
     InvariantSeries,
     KnotCoeffs,
@@ -110,7 +109,6 @@ __all__ = [
     "SkeinCoeffs",
     "KnotCoeffs",
     "InvariantSeries",
-    "AZForm",
     "kind_for_family",
     "family_for_kind",
     "link_coeffs",

@@ -154,14 +154,13 @@ class Frame:
     1/scale and lie, per variable v, in ``spans[v] = (lo, hi)`` (units of
     1/scale).
 
-    A key has one bit field per variable holding ``e - lo`` for its exponent
-    e, the alphabetically first variable in the highest field, and the
-    signed total degree above them all.  While every field holds its value,
-    adding two keys multiplies their monomials and ascending int order is
-    graded-lex order.  `pack` leaves out the bias ``-lo`` of every field:
-    order needs none, and an unbiased key added to a biased one gives the
-    biased key of the product.  `unpack`, `outside` and `degree` read
-    biased keys.
+    The key of a monomial is the sum, over its variables v, of e_v times
+    ``weight[v]``: one bit field per variable, the alphabetically first in
+    the highest, and the signed total degree above them all.  Adding two
+    keys multiplies their monomials, and ascending int order is graded-lex
+    order.  There is one kind of key: `unpack`, `outside` and `degree` add
+    a private offset, ``-lo`` per field, so that each field holds ``e - lo``
+    and reads back exactly while e lies in its span.
 
     A reduction must therefore size the spans to hold every monomial it
     compares or decodes.  Writing [n_lo, n_hi] and [d_lo, d_hi] for the
@@ -177,7 +176,7 @@ class Frame:
     exponents and needs no bound: its field is the top one.
     """
 
-    __slots__ = ("scale", "fields", "shift", "weight", "bias")
+    __slots__ = ("scale", "fields", "shift", "weight", "_offset")
 
     def __init__(self, scale, spans):
         self.scale = scale
@@ -193,7 +192,7 @@ class Frame:
         self.fields = fields
         self.shift = shift
         self.weight = {v: (1 << s) + (1 << shift) for v, s, _, _ in fields}
-        self.bias = sum(-lo << s for _, s, _, lo in fields)
+        self._offset = sum(-lo << s for _, s, _, lo in fields)
 
     @classmethod
     def of(cls, terms):
@@ -202,7 +201,7 @@ class Frame:
         return cls(scale, exponent_bounds(terms, scale))
 
     def pack(self, m):
-        """Unbiased key of the monomial ``m``."""
+        """Key of the monomial ``m``."""
         scale = self.scale
         weight = self.weight
         k = 0
@@ -211,11 +210,12 @@ class Frame:
         return k
 
     def degree(self, key):
-        """Total degree of a biased key, in units of 1/scale."""
-        return key >> self.shift
+        """Total degree of a key, in units of 1/scale."""
+        return (key + self._offset) >> self.shift
 
     def unpack(self, key):
-        """Monomial of a biased key."""
+        """Monomial of a key."""
+        key += self._offset
         scale = self.scale
         out = []
         for v, s, mask, lo in self.fields:
@@ -227,8 +227,9 @@ class Frame:
 
     def outside(self, key, box):
         """``(var, e, lo, hi)`` for the alphabetically first variable whose
-        exponent e in a biased key lies outside ``box[var] = (lo, hi)``,
-        else None; ``box`` holds every variable of the frame."""
+        exponent e in a key lies outside ``box[var] = (lo, hi)``, else
+        None; ``box`` holds every variable of the frame."""
+        key += self._offset
         for v, s, mask, lo in self.fields:
             e = (key >> s & mask) + lo
             b_lo, b_hi = box[v]

@@ -116,7 +116,7 @@ def _cmd_table(args, out) -> int:
     entries = {}
     for n in series.indices():
         p = series.entry(n)
-        entries[n] = to_az_form(p).poly if args.az else p
+        entries[n] = to_az_form(p) if args.az else p
     series = InvariantSeries(kind, "knot", entries)
     if args.format == "text":
         for n in series.indices():

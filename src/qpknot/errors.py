@@ -10,7 +10,7 @@ class DivisionByZeroError(QPKnotError):
 
 
 class NotDivisibleError(QPKnotError):
-    """Exact polynomial division left a nonzero remainder."""
+    """Exact division left a nonzero remainder or a non-monomial quotient."""
 
 
 class NotAPerfectSquareError(QPKnotError):

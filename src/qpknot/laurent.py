@@ -541,8 +541,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         box[v] = (n_lo - d_lo, n_hi - d_hi)
     frame = _K.Frame(scale, spans)
     pack = frame.pack
-    rem = {frame.bias + pack(m): c for m, c in num_t.items()}
-    # unbiased: a remainder key plus a divisor key is the key of their product
+    rem = {pack(m): c for m, c in num_t.items()}
+    # a quotient key plus a divisor key is the key of their product
     tail = {pack(m): c for m, c in den_t.items()}
     lead = max(tail)
     dc = tail.pop(lead)
@@ -576,9 +576,8 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     decrease in a monomial order inside that finite box, so the reduction
     always stops.
 
-    The reduction runs on the packed keys of a `Frame`, as in `exact_div`;
-    the root's keys are kept unbiased, so that a root key plus a biased
-    candidate key is the biased key of their product."""
+    The reduction runs on the packed keys of a `Frame`, as in `exact_div`:
+    a root key plus a candidate key is the key of their product."""
     if p.is_zero:
         return LaurentPoly.zero()
 
@@ -588,8 +587,8 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     spans = {v: (min(lo, lo - hi // 2), max(hi, hi - lo // 2)) for v, (lo, hi) in bounds.items()}
     box = {v: (lo // 2, hi // 2) for v, (lo, hi) in bounds.items()}
     frame = _K.Frame(scale, spans)
-    bias, degree = frame.bias, frame.degree
-    rem = {bias + frame.pack(m): c for m, c in p._t.items()}
+    degree = frame.degree
+    rem = {frame.pack(m): c for m, c in p._t.items()}
     # root terms have degree >= (least degree of p) / 2
     low = degree(min(rem))
     lt = max(rem)
@@ -599,7 +598,7 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     rc = isqrt(lc)
     if rc * rc != lc:
         raise NotAPerfectSquareError(f"leading coefficient {lc} is not a square")
-    rm = (lt - bias) // 2
+    rm = lt // 2
     root = {rm: rc}
     while rem:
         lt = max(rem)
@@ -614,6 +613,6 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
         if 2 * degree(cm) < low:
             raise NotAPerfectSquareError("candidate term degree fell below the root's range")
         _K.packed_accum_term_mul(rem, root, cm, -2 * cc)
-        _K.packed_accum_term_mul(rem, {cm - bias: cc}, cm, -cc)
-        root[cm - bias] = cc
-    return LaurentPoly._raw({frame.unpack(k + bias): c for k, c in root.items()})
+        _K.packed_accum_term_mul(rem, {cm: cc}, cm, -cc)
+        root[cm] = cc
+    return LaurentPoly._raw({frame.unpack(k): c for k, c in root.items()})

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from qpknot._record import Record
-from qpknot.errors import NegativeIndexError
+from qpknot.errors import NegativeIndexError, NotDivisibleError
 from qpknot.laurent import LaurentPoly, Monomial, exact_div
 from qpknot import _kernel as _K
 
@@ -102,10 +102,9 @@ def two_term_ladder(
     """Yield x0, x1, ..., x(last) with x(k+1) = c1*x(k) + c2*x(k-1).
 
     Each term is computed only when it is asked for.  The walk runs on the
-    packed int keys of one `Frame`, sized for ``last``: the two live entries
-    are stored under biased keys, the coefficients under unbiased ones, and
-    a step is one `packed_accum_term_mul` per coefficient term into a fresh
-    dict.  An entry is decoded to monomials once, when it is yielded.
+    packed int keys of one `Frame`, sized for ``last``: a step is one
+    `packed_accum_term_mul` per coefficient term into a fresh dict.  An
+    entry is decoded to monomials once, when it is yielded.
 
     Span bound: with exponents in units of 1/scale (scale the common
     denominator of the four polynomials), let M_v be the largest |e_v| over
@@ -122,11 +121,11 @@ def two_term_ladder(
         b = base.get(v, 0) + last * reach.get(v, 0)
         spans[v] = (-b, b)
     frame = _K.Frame(scale, spans)
-    pack, bias, unpack = frame.pack, frame.bias, frame.unpack
+    pack, unpack = frame.pack, frame.unpack
     terms1 = [(pack(m), c) for m, c in c1._t.items()]
     terms2 = [(pack(m), c) for m, c in c2._t.items()]
-    prev = {bias + pack(m): c for m, c in x0._t.items()}
-    cur = {bias + pack(m): c for m, c in x1._t.items()}
+    prev = {pack(m): c for m, c in x0._t.items()}
+    cur = {pack(m): c for m, c in x1._t.items()}
     for _ in range(last - 1):
         nxt: dict = {}
         for key, c in terms1:
@@ -171,12 +170,16 @@ def _monomial_quotient(f: Family, n: int) -> Monomial:
         raise NegativeIndexError(f"multiplier undefined for n = {n}")
     q = exact_div(qp_number(family_spec(Family.HOMFLY), n), qp_number(family_spec(f), n))
     if not q.is_monomial():
-        raise RuntimeError(f"quotient is not a monomial: {q}")
+        raise NotDivisibleError(f"quotient is not a monomial: {q}")
     return q.as_monomial()
 
 
 def homfly_alexander_multiplier(n: int) -> Monomial:
-    """The single monomial [n]^H / [n]^A; callers compare it with a^(2(n-1))."""
+    """The single monomial [n]^H / [n]^A; callers compare it with a^(2(n-1)).
+
+    Raises :class:`NotDivisibleError` when [n]^A does not divide [n]^H or
+    the quotient is not a monomial.
+    """
     return _monomial_quotient(Family.ALEXANDER, n)
 
 
@@ -184,6 +187,7 @@ def homfly_jones_multiplier(n: int) -> Monomial:
     """The single monomial [n]^H / [n]^V.
 
     Direct division yields (a*t^-1)^(2(n-1)); callers compare it against
-    tabulated closed forms themselves.
+    tabulated closed forms themselves.  Raises :class:`NotDivisibleError`
+    when [n]^V does not divide [n]^H or the quotient is not a monomial.
     """
     return _monomial_quotient(Family.JONES, n)

@@ -87,7 +87,7 @@ def _link_pair(kind: InvariantKind) -> tuple[LaurentPoly, LaurentPoly]:
     two-variable invariant, where l1 = a*z and l2 = a^2."""
     c = link_coeffs(kind)
     if kind is InvariantKind.HOMFLY:
-        return to_az_form(c.l1).poly, to_az_form(c.l2).poly
+        return to_az_form(c.l1), to_az_form(c.l2)
     return c.l1, c.l2
 
 
@@ -236,14 +236,6 @@ def skein_from_numbers(f: Family) -> SkeinCoeffs:
 
 # -- the z = t^(1/2) - t^(-1/2) change of variable ---------------------------
 
-
-class AZForm(Record):
-    """A polynomial rewritten over (a, z) with z = t^(1/2) - t^(-1/2)."""
-
-    __slots__ = ("poly",)
-    poly: LaurentPoly
-
-
 # Both directions work on the same integer rows, one per a-part (the rest of
 # the monomial once t or z is taken out) and parity, holding the coefficient
 # c(k) of w^k, w = t^(1/2), for k >= 0 only: the image of a z-polynomial has
@@ -252,8 +244,9 @@ class AZForm(Record):
 # with a running sum.
 
 
-def to_az_form(p: LaurentPoly) -> AZForm:
-    """Rewrite an (a, t) polynomial as a polynomial in a and z.
+def to_az_form(p: LaurentPoly) -> LaurentPoly:
+    """Rewrite an (a, t) polynomial as a `LaurentPoly` in a and z, the
+    variables of the two-variable link entries and of `unlink2`.
 
     The inverse of :func:`from_az_form`'s Horner loop.  Each a-part splits
     into one row per parity of the exponent of w = t^(1/2).  Since z is
@@ -302,11 +295,12 @@ def to_az_form(p: LaurentPoly) -> AZForm:
                 if g:
                     out[_K.mono_mul(rest, _K.mono_of([("z", j, 1)]))] = g
             half = list(accumulate(half))
-    return AZForm(LaurentPoly._raw(out))
+    return LaurentPoly._raw(out)
 
 
-def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
-    """Substitute z -> t^(1/2) - t^(-1/2) into an (a, z) polynomial.
+def from_az_form(p: LaurentPoly) -> LaurentPoly:
+    """Substitute z -> t^(1/2) - t^(-1/2) into an (a, z) polynomial, such
+    as a `to_az_form` result or a two-variable link entry.
 
     The mirror of :func:`to_az_form`: Horner's rule in z on each a-part's
     half row per parity of the z-exponent.  A step from odd to even powers
@@ -317,7 +311,6 @@ def from_az_form(form: AZForm | LaurentPoly) -> LaurentPoly:
     z-exponents; link entries carrying z^-1 have no Laurent image in t and
     raise :class:`NotExpressibleError`.
     """
-    p = form.poly if isinstance(form, AZForm) else form
     rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {z-exponent: coeff}
     for key, coeff in p._t.items():
         n, d, rest = _K.mono_split(key, "z")

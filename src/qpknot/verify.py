@@ -67,7 +67,7 @@ class RunTable:
         knots = cache(knot_series)  # the lambda holds this, not self: no cycle
         self.knots: Callable[[InvariantKind, int], InvariantSeries] = knots
         self.az_image: Callable[[int, int], LaurentPoly] = cache(
-            lambda m_max, m: to_az_form(knots(InvariantKind.HOMFLY, m_max).knot(m)).poly
+            lambda m_max, m: to_az_form(knots(InvariantKind.HOMFLY, m_max).knot(m))
         )
 
 

@@ -151,6 +151,56 @@ MUTANTS = [
             "tests/test_verify.py::TestReports::test_all_pass_at_25",
         ),
     ),
+    Mutant(
+        "unpack-without-offset",  # fields read as if each span started at 0
+        "_pykernel.py",
+        "        key += self._offset\n        scale = self.scale\n",
+        "        scale = self.scale\n",
+        (
+            "tests/test_kernel.py::TestFrame::test_unpack_inverts_pack_and_sums_multiply",
+            "tests/test_verify.py::TestReports::test_all_pass_at_25",
+        ),
+    ),
+    Mutant(
+        "degree-without-offset",  # the low fields borrow from the degree
+        "_pykernel.py",
+        "return (key + self._offset) >> self.shift",
+        "return key >> self.shift",
+        ("tests/test_kernel.py::TestFrame::test_degree_reads_the_top_field",),
+    ),
+    Mutant(
+        "outside-without-offset",
+        "_pykernel.py",
+        "        key += self._offset\n        for v, s, mask, lo in self.fields:\n",
+        "        for v, s, mask, lo in self.fields:\n",
+        (
+            "tests/test_kernel.py::TestFrame::test_outside_names_first_variable_out_of_box",
+            "tests/test_kernel.py::TestFrame::test_outside_reads_spans_below_zero",
+        ),
+    ),
+    # -- exact square roots (laurent.py) --
+    Mutant(
+        "sqrt-root-key-with-offset",  # the root's leading key read as offset
+        "laurent.py",
+        "    rm = lt // 2\n",
+        "    rm = (lt + frame._offset) // 2\n",
+        ("tests/test_eval_oracle.py::TestSqrtFrame",),
+    ),
+    # -- the multipliers (qpnumbers.py) --
+    Mutant(
+        "multiplier-raises-runtime-error",  # a non-monomial quotient escapes the run
+        "qpnumbers.py",
+        'raise NotDivisibleError(f"quotient is not a monomial: {q}")',
+        'raise RuntimeError(f"quotient is not a monomial: {q}")',
+        (
+            "tests/test_verify.py::TestReports::test_failed_exact_operation_is_the_verdict"
+            "[non-monomial-eq33-multiplier]",
+            "tests/test_verify.py::TestReports::test_failed_exact_operation_is_the_verdict"
+            "[non-monomial-eq34-multiplier]",
+            "tests/test_cli.py::TestVerify::test_wrong_number_pair_reports_every_check"
+            "[non-monomial-quotient]",
+        ),
+    ),
     # -- knot-vs-link over (a, z) and the run table (verify.py) --
     Mutant(
         "knot-vs-link-next-image",  # knot m+1's image against link 2m+1

@@ -185,8 +185,9 @@ class TestVerify:
             ({"a": 2, "t": 3}, {"a": 2, "t": 1}, 2),
             ({"a": 2, "b": 1}, {"a": 2, "b": -1}, 2),
             ({"a": 2, "t": 2}, {"a": 2, "t": -1}, 2),
+            ({"a": 2, "t": 3}, {"a": 2, "t": -3}, 3),
         ],
-        ids=["non-symmetric", "stray-variable", "not-divisible"],
+        ids=["non-symmetric", "stray-variable", "not-divisible", "non-monomial-quotient"],
     )
     def test_wrong_number_pair_reports_every_check(self, monkeypatch, u, v, passed):
         # no check raises out of the run: each wrong HOMFLY pair still

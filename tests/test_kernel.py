@@ -36,31 +36,46 @@ class TestOrder:
 
 class TestFrame:
     MONOS = [{"a": 2, "t": (-1, 2)}, {"t": (3, 2)}, {"a": -1}, {}, {"q": (1, 3), "t": -2}]
+    # every exponent negative: each span lies wholly below zero, so a field
+    # or degree read without the frame's offset comes out wrong
+    BELOW_ZERO = [{"a": -3, "t": -5}, {"a": -6, "t": (-7, 2)}, {"a": -4, "t": -3}]
+
+    def frames(self):
+        """(frame, keys) for each monomial list, the frame the least one
+        that holds its keys."""
+        for monos in (self.MONOS, self.BELOW_ZERO):
+            keys = [key(m) for m in monos]
+            yield _pykernel.Frame.of(keys), keys
 
     def test_unpack_inverts_pack_and_sums_multiply(self):
-        keys = [key(m) for m in self.MONOS]
-        frame = _pykernel.Frame.of(keys)
-        for m in keys:
-            assert frame.unpack(frame.pack(m) + frame.bias) == m
-        # the spans hold the product of the first two
-        m1, m2 = keys[:2]
-        prod = _pykernel.mono_mul(m1, m2)
-        wide = _pykernel.Frame.of([m1, m2, prod])
-        assert wide.unpack(wide.pack(m1) + wide.pack(m2) + wide.bias) == prod
+        for frame, keys in self.frames():
+            for m in keys:
+                assert frame.unpack(frame.pack(m)) == m
+            # the spans hold the product of the first two
+            m1, m2 = keys[:2]
+            prod = _pykernel.mono_mul(m1, m2)
+            wide = _pykernel.Frame.of([m1, m2, prod])
+            assert wide.unpack(wide.pack(m1) + wide.pack(m2)) == prod
 
     def test_degree_reads_the_top_field(self):
-        keys = [key(m) for m in self.MONOS]
-        frame = _pykernel.Frame.of(keys)
-        for m in keys:
-            deg = Fraction(*_pykernel.mono_deg(m)) * frame.scale
-            assert frame.degree(frame.pack(m) + frame.bias) == deg
+        for frame, keys in self.frames():
+            for m in keys:
+                deg = Fraction(*_pykernel.mono_deg(m)) * frame.scale
+                assert frame.degree(frame.pack(m)) == deg
 
     def test_outside_names_first_variable_out_of_box(self):
         frame = _pykernel.Frame(2, {"a": (-4, 4), "t": (-4, 4)})
-        k = frame.pack(key({"a": -1, "t": 2})) + frame.bias
+        k = frame.pack(key({"a": -1, "t": 2}))
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 4)}) is None
         assert frame.outside(k, {"a": (0, 2), "t": (-4, 2)}) == ("a", -2, 0, 2)
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 2)}) == ("t", 4, -4, 2)
+
+    def test_outside_reads_spans_below_zero(self):
+        frame = _pykernel.Frame(1, {"a": (-6, -3), "t": (-9, -5)})
+        k = frame.pack(key({"a": -4, "t": -7}))
+        assert frame.outside(k, {"a": (-6, -3), "t": (-9, -5)}) is None
+        assert frame.outside(k, {"a": (-3, -3), "t": (-9, -5)}) == ("a", -4, -3, -3)
+        assert frame.outside(k, {"a": (-6, -3), "t": (-6, -5)}) == ("t", -7, -6, -5)
 
 
 def items_of(exps):

@@ -5,7 +5,9 @@ as a dict key and hands it back to the kernel, whose helpers (`ONE`,
 `mono_of`, `mono_items`, `mono_split`, `Frame.degree`) are the only way
 into it.  The pattern below catches the idioms that read or build a key
 directly: unpacking a key's triples, tuple literals of triples, the empty
-key as a literal, and shifts by a frame's field width.
+key as a literal, shifts by a frame's field width, and reads of a frame's
+field offset, which only `Frame.unpack`, `Frame.degree` and `Frame.outside`
+add.
 """
 
 import re
@@ -17,6 +19,7 @@ SRC = Path(qpknot.__file__).parent
 
 LAYOUT = re.compile(
     r'for \w+, \w+, \w+ in [\w.]*key\b|\(\("|\{\(\):|\(\(\)\)|, \(\),|else \(\)|>> ?(frame\.)?shift'
+    r"|\.(_offset|bias)\b"
 )
 
 
@@ -31,6 +34,9 @@ def test_only_the_kernel_reads_key_layouts():
         "x if j else ()",
         "floor = min(rem) >> frame.shift << frame.shift",
         "low = min(rem) >> shift",
+        "rem = {frame.bias + pack(m): c for m, c in num_t.items()}",
+        "pack, bias, unpack = frame.pack, frame.bias, frame.unpack",
+        "return frame.unpack(key + frame._offset)",
     ):
         assert LAYOUT.search(line), line
     for line in (
@@ -38,6 +44,8 @@ def test_only_the_kernel_reads_key_layouts():
         'residue[_K.mono_mul(rest, _K.mono_of([("t", -k, 2)]))] = r',
         "terms = {_K.ONE: 1}",
         "floor = degree(min(rem))",
+        "rm = lt // 2",
+        "return LaurentPoly._raw({frame.unpack(k): c for k, c in root.items()})",
     ):
         assert not LAYOUT.search(line), line
 

@@ -9,17 +9,16 @@ import sys
 import pytest
 
 from qpknot import (
-    AZForm,
     Family,
     InvariantKind,
     LaurentPoly,
     Monomial,
     QPSpec,
+    SkeinCoeffs,
     family_spec,
     link_coeffs,
     parse_expression,
     run_check,
-    to_az_form,
 )
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -51,7 +50,6 @@ def test_reprs():
     assert repr(parse_expression("t^(1/2)+1")) == (
         "Add(left=Pow(base=Var(name='t'), exponent=Fraction(1, 2)), right=Lit(value=1))"
     )
-    assert repr(to_az_form(LaurentPoly(1))) == "AZForm(poly=LaurentPoly('1'))"
 
 
 def test_qpspec_equality_and_hash():
@@ -68,20 +66,27 @@ def test_qpspec_equality_and_hash():
 
 def test_fields_are_read_only():
     spec = family_spec(Family.HOMFLY)
-    form = AZForm(LaurentPoly(1))
+    coeffs = SkeinCoeffs(LaurentPoly(1), LaurentPoly(2))
     with pytest.raises(AttributeError):
         spec.u = Monomial.var("q")
     with pytest.raises(AttributeError):
-        form.poly = LaurentPoly(2)
+        coeffs.l1 = LaurentPoly(2)
     with pytest.raises(AttributeError):
-        del form.poly
+        del coeffs.l1
     with pytest.raises(AttributeError):
-        form.extra = 1
-    assert form == AZForm(LaurentPoly(1))
+        coeffs.extra = 1
+    assert coeffs == SkeinCoeffs(LaurentPoly(1), LaurentPoly(2))
 
 
 def test_records_pickle_through_the_constructor():
-    for value in (family_spec(Family.H2), run_check("trefoil", 1), parse_expression("x-1")):
+    for value in (
+        family_spec(Family.H2),
+        link_coeffs(InvariantKind.HOMFLY),
+        run_check("trefoil", 1),
+        parse_expression("x-1"),
+    ):
         assert pickle.loads(pickle.dumps(value)) == value
     with pytest.raises(TypeError):
-        AZForm()
+        SkeinCoeffs()
+    with pytest.raises(TypeError):
+        SkeinCoeffs(LaurentPoly(1))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import qpknot.skein
 from qpknot import (
-    AZForm,
     BadRangeError,
     Family,
     InvariantKind,
@@ -274,7 +273,7 @@ class TestConversionOracle:
     def test_knot_entries(self):
         s = knot_series(H, self.M)
         for m in range(self.M + 1):
-            assert to_az_form(s.knot(m)).poly._t == _az_poly(closed_form_knot_az(m))._t, m
+            assert to_az_form(s.knot(m))._t == _az_poly(closed_form_knot_az(m))._t, m
 
 
 class TestSpecialize:
@@ -331,17 +330,17 @@ class TestSkeinFromNumbers:
 class TestAZForm:
     def test_trefoil(self):
         got = to_az_form(parse_poly("a^2*t + a^2*t^-1 - a^4"))
-        assert got.poly == parse_poly("a^2*z^2 + 2*a^2 - a^4")
+        assert got == parse_poly("a^2*z^2 + 2*a^2 - a^4")
 
     def test_without_a(self):
-        assert to_az_form(parse_poly("t - 1 + t^-1")).poly == parse_poly("z^2 + 1")
+        assert to_az_form(parse_poly("t - 1 + t^-1")) == parse_poly("z^2 + 1")
 
     def test_constant(self):
-        assert to_az_form(LaurentPoly.one()).poly == LaurentPoly.one()
+        assert to_az_form(LaurentPoly.one()) == LaurentPoly.one()
 
     def test_half_exponents(self):
         got = to_az_form(parse_poly("a*t^(1/2) - a*t^(-1/2)"))
-        assert got.poly == parse_poly("a*z")
+        assert got == parse_poly("a*z")
 
     def test_roundtrip_on_knot_entries(self):
         series = knot_series(H, 15)
@@ -377,11 +376,6 @@ class TestAZForm:
         zt = parse_poly("t^(1/2) - t^(-1/2)")
         c = link_coeffs(H)
         assert cleared == c.l1 * zt + c.l2 * parse_poly("a^-1 - a")
-
-    def test_az_form_wrapper(self):
-        form = to_az_form(parse_poly("t - 2 + t^-1"))
-        assert isinstance(form, AZForm)
-        assert form.poly == parse_poly("z^2")
 
     def test_residue_spans_every_a_part(self):
         with pytest.raises(NotExpressibleError) as exc:
@@ -484,7 +478,7 @@ class TestAZReference:
     @given(az_polys(_T_FREE))
     @example(parse_poly("a^2*z^40 - a^2*z^39 + a^-1*z + 7"))
     def test_to_az_inverts_from_az(self, p):
-        assert to_az_form(from_az_form(p)).poly == p
+        assert to_az_form(from_az_form(p)) == p
 
     # A nonzero z-polynomial has a term at w^d with d >= 0, so once t^(-k/2)
     # terms r are added to a z-polynomial's image, r is the only residue.
@@ -494,7 +488,7 @@ class TestAZReference:
     @example(parse_poly("z"), parse_poly("-t^(-1/2)"))  # cancels z's t^(-1/2)
     @example(parse_poly("z^3 + a^-1"), parse_poly("a^2*t^-20"))
     def test_residue_is_exactly_the_added_negative_part(self, q, r):
-        assert to_az_form(from_az_form(q)).poly == q
+        assert to_az_form(from_az_form(q)) == q
         with pytest.raises(NotExpressibleError) as err:
             to_az_form(from_az_form(q) + r)
         assert str(err.value) == f"residue {r} has no z-polynomial form"

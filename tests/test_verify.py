@@ -32,6 +32,12 @@ EXPECTED_NAMES = [
 ]
 
 
+# wrong HOMFLY number pairs (u, v): one in a stray variable b, and one whose
+# multiplier quotients are exact but not monomials
+_STRAY = ({"a": 2, "b": 1}, {"a": 2, "b": -1})
+_NON_MONOMIAL = ({"a": 2, "t": 3}, {"a": 2, "t": -3})
+
+
 def _plus_one(real, when=lambda *args: True):
     """``real`` with 1 added to its value where ``when`` holds for the
     arguments."""
@@ -261,31 +267,53 @@ class TestReports:
         assert report.n_range == (0, 5)
 
     @pytest.mark.parametrize(
-        "name, detail, n_range",
+        "pair, name, detail, n_range",
         [
             (
+                _STRAY,
                 "eq33-multiplier",
                 "n=2: quotient term needs t-exponent -1, outside the Newton bound [1, -1]",
                 (1, 5),
             ),
             (
+                _STRAY,
                 "eq34-multiplier",
                 "n=2: quotient term needs t-exponent -3, outside the Newton bound [-1, -3]",
                 (1, 5),
             ),
-            ("homfly-specialize", "m=1: no image for variable 'b'", (0, 5)),
-            ("az-roundtrip", "m=1: expected variables a and t only, found ['b']", (0, 5)),
+            (_STRAY, "homfly-specialize", "m=1: no image for variable 'b'", (0, 5)),
+            (_STRAY, "az-roundtrip", "m=1: expected variables a and t only, found ['b']", (0, 5)),
+            (
+                _NON_MONOMIAL,
+                "eq33-multiplier",
+                "n=2: quotient is not a monomial: a^2*t^2 - a^2 + a^2*t^-2",
+                (1, 5),
+            ),
+            (
+                _NON_MONOMIAL,
+                "eq34-multiplier",
+                "n=2: quotient is not a monomial: a^2 - a^2*t^-2 + a^2*t^-4",
+                (1, 5),
+            ),
         ],
-        ids=["eq33-multiplier", "eq34-multiplier", "homfly-specialize", "az-roundtrip"],
+        ids=[
+            "eq33-multiplier",
+            "eq34-multiplier",
+            "homfly-specialize",
+            "az-roundtrip",
+            "non-monomial-eq33-multiplier",
+            "non-monomial-eq34-multiplier",
+        ],
     )
-    def test_failed_exact_operation_is_the_verdict(self, monkeypatch, name, detail, n_range):
+    def test_failed_exact_operation_is_the_verdict(self, monkeypatch, pair, name, detail, n_range):
         # a HOMFLY pair in a stray variable: the multipliers do not divide,
-        # a -> 1 has no image for b and the knot entries no (a, z) form, so
-        # each check reports the error
+        # a -> 1 has no image for b and the knot entries no (a, z) form; with
+        # (a^2*t^3, a^2*t^-3) both divisions are exact but neither quotient
+        # is a monomial.  Each check reports the error; nothing raises.
         from qpknot import qpnumbers
         from qpknot.laurent import Monomial
 
-        wrong = qpnumbers.QPSpec(Monomial({"a": 2, "b": 1}), Monomial({"a": 2, "b": -1}))
+        wrong = qpnumbers.QPSpec(*map(Monomial, pair))
         monkeypatch.setitem(qpnumbers._FAMILY_SPECS, Family.HOMFLY, wrong)
         report = run_check(name, 5)
         assert not report.passed
