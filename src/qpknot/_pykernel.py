@@ -23,8 +23,7 @@ degree of a packed key.
 another.  `poly_add` (a copy of the larger operand plus the smaller),
 `poly_mul` (the larger times each term of the smaller) and `poly_term_mul`
 (into an empty dict) are built on it, and the ring calls it directly for
-subtraction and for the (a, z) -> t merge.  It keeps a branch for the
-empty monomial so that a plain sum makes no `mono_mul` call per term.
+subtraction and for the (a, z) -> t merge.
 
 `Frame` is the one monomial order: it packs a monomial into one int whose
 int order is graded-lex order and in which one int addition multiplies two
@@ -276,23 +275,13 @@ def poly_term_mul(t, mono, coeff):
 
 def poly_accum_term_mul(out, t, mono, coeff):
     """In-place out += t * (coeff * mono); returns out."""
-    if not t or coeff == 0:
-        return out
-    if mono:
-        for m, c in t.items():
-            key = mono_mul(m, mono)
-            s = out.get(key, 0) + c * coeff
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    else:
-        for m, c in t.items():
-            s = out.get(m, 0) + c * coeff
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+    for m, c in t.items():
+        key = mono_mul(m, mono)
+        s = out.get(key, 0) + c * coeff
+        if s:
+            out[key] = s
+        elif key in out:
+            del out[key]
     return out
 
 

@@ -155,7 +155,8 @@ def _cmd_eval(args, out) -> int:
             print("error: --assert needs exactly one '=='", file=sys.stderr)
             return 2
         lhs = eval_expression(parse_expression(pieces[0]))
-        rhs = eval_expression(parse_expression(pieces[1]))
+        # padded to its place in the full text, so error offsets count from there
+        rhs = eval_expression(parse_expression(" " * (len(pieces[0]) + 2) + pieces[1]))
         if lhs == rhs:
             print(f"identity holds: {lhs}", file=out)
             return 0

@@ -506,7 +506,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     v in the quotient lies in [min_v num - min_v den, max_v num - max_v den].
     Candidates strictly decrease in a monomial order and their exponents
     have bounded denominators, so they are distinct points of a finite box
-    and the reduction always stops.
+    and the reduction always stops.  Every divisor, monomials included, goes
+    through this one reduction.
 
     The reduction runs on the packed keys of a `Frame` sized for this call
     (its docstring gives the field widths).  Only the divisor's other terms
@@ -518,18 +519,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if num.is_zero:
         return LaurentPoly.zero()
 
-    den_t = den._t
-    if len(den_t) == 1:
-        ((dm, dc),) = den_t.items()
-        dm_inv = _K.mono_pow(dm, -1, 1)
-        out = {}
-        for key, coeff in num._t.items():
-            if coeff % dc:
-                raise NotDivisibleError(f"coefficient {coeff} not divisible by {dc}")
-            out[_K.mono_mul(key, dm_inv)] = coeff // dc
-        return LaurentPoly._raw(out)
-
-    num_t = num._t
+    num_t, den_t = num._t, den._t
     scale = _K.exp_scale(num_t, den_t)
     num_b = _K.exponent_bounds(num_t, scale)
     den_b = _K.exponent_bounds(den_t, scale)

@@ -74,8 +74,6 @@ def qp_number(spec: QPSpec, n: int) -> LaurentPoly:
     This is the primary definition; it is total and division-free.
     """
     _check_index(n)
-    if n == 0:
-        return LaurentPoly.zero()
     u = spec.u._key
     v = spec.v._key
     term = _K.mono_pow(u, n - 1, 1)
@@ -157,8 +155,6 @@ def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
 def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:
     """Quotient form: exact division (u^n - v^n) / (u - v)."""
     _check_index(n)
-    if n == 0:
-        return LaurentPoly.zero()
     num = (spec.u ** n).as_poly() - (spec.v ** n).as_poly()
     den = spec.u.as_poly() - spec.v.as_poly()
     return exact_div(num, den)

@@ -178,6 +178,38 @@ MUTANTS = [
             "tests/test_kernel.py::TestFrame::test_outside_reads_spans_below_zero",
         ),
     ),
+    Mutant(
+        "accum-without-product",  # the summing loop drops the term's monomial
+        "_pykernel.py",
+        "key = mono_mul(m, mono)",
+        "key = m",
+        (
+            "tests/test_kernel.py::TestPyKernel::test_poly_accum_term_mul_matches_term_mul",
+            "tests/test_eval_oracle.py::TestRingOperations::test_add_sub_mul",
+        ),
+    ),
+    # -- exact division (laurent.py) --
+    Mutant(
+        "division-in-dict-order",  # the remainder reduced at its first key, not its leading one
+        "laurent.py",
+        "        lt = max(rem)\n        qk = lt - lead\n",
+        "        lt = next(iter(rem))\n        qk = lt - lead\n",
+        (
+            "tests/test_cli.py::TestEval::test_monomial_division_names_the_leading_offending_term"
+            "[(5 + 3*t)/2]",
+        ),
+    ),
+    Mutant(
+        "division-without-degree-floor",
+        "laurent.py",
+        "        if frame.degree(lt) < floor:\n"
+        "            raise NotDivisibleError(\"remainder degree fell below the numerator's range\")\n",
+        "",
+        (
+            "tests/test_laurent.py::TestReductionSteps::test_division"
+            "[x^3 + x*y^2 + y^2-x + 1-3-remainder degree fell below the numerator's range]",
+        ),
+    ),
     # -- exact square roots (laurent.py) --
     Mutant(
         "sqrt-root-key-with-offset",  # the root's leading key read as offset
@@ -314,9 +346,12 @@ def _run(tree: Path, tests) -> tuple[set[str] | None, str]:
 
 
 def _failing(tests, failed: set[str]) -> list[str]:
-    """The named tests that failed; a class or file id fails when any test
-    under it does."""
-    return [t for t in tests if any(f == t or f.startswith(t + "::") for f in failed)]
+    """The named tests that failed; a file, class or function id fails when
+    any test under it, or any of its parametrized instances ``id[...]``,
+    does."""
+    return [
+        t for t in tests if any(f == t or f.startswith((t + "::", t + "[")) for f in failed)
+    ]
 
 
 def main() -> int:

@@ -235,6 +235,23 @@ class TestEval:
         code, _ = run("eval", "(t^2 - 1)/(t - 2)")
         assert code == 1
 
+    @pytest.mark.parametrize("expr", ["(5 + 3*t)/2", "(3*t + 5)/2"])
+    def test_monomial_division_names_the_leading_offending_term(self, capsys, expr):
+        assert run("eval", expr) == (1, "")
+        assert capsys.readouterr().err == "error: coefficient 3 not divisible by 2\n"
+
+    @pytest.mark.parametrize(
+        "identity, error",
+        [
+            ("t == (t", "expected ')' (offset 7)"),
+            ("t == t $", "unexpected character '$' (offset 7)"),
+            ("(t == t", "expected ')' (offset 3)"),
+        ],
+    )
+    def test_assert_error_offsets_count_from_the_full_text(self, capsys, identity, error):
+        assert run("eval", "--assert", identity) == (2, "")
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_non_ascii_digit_is_usage_error(self, capsys):
         code, out = run("eval", "t^\u00b2")
         assert (code, out) == (2, "")

@@ -333,16 +333,45 @@ class TestReductionSteps:
     @pytest.mark.parametrize(
         "num, den, steps, error",
         [
-            ("x^3+y^3+1", "x+y+1", 5, "x-exponent -1, outside the Newton bound [0, 2]"),
-            ("t^5+1", "t^2-1", 2, "t-exponent -1, outside the Newton bound [0, 3]"),
-            ("t^(7/2) + 1", "t^(1/2) - 1", 7, "t-exponent -1/2, outside the Newton bound [0, 3]"),
-            ("a*t^2 + q", "a - q", 1, "a-exponent -1, outside the Newton bound [0, 0]"),
+            (
+                "x^3+y^3+1",
+                "x+y+1",
+                5,
+                "quotient term needs x-exponent -1, outside the Newton bound [0, 2]",
+            ),
+            (
+                "t^5+1",
+                "t^2-1",
+                2,
+                "quotient term needs t-exponent -1, outside the Newton bound [0, 3]",
+            ),
+            (
+                "t^(7/2) + 1",
+                "t^(1/2) - 1",
+                7,
+                "quotient term needs t-exponent -1/2, outside the Newton bound [0, 3]",
+            ),
+            (
+                "a*t^2 + q",
+                "a - q",
+                1,
+                "quotient term needs a-exponent -1, outside the Newton bound [0, 0]",
+            ),
+            (
+                "x^3 + x*y^2 + y^2",
+                "x + 1",
+                3,
+                "remainder degree fell below the numerator's range",
+            ),
+            ("4*t^2 + 6*t + 3", "2*t", 2, "coefficient 3 not divisible by 2"),
         ],
+        # ids leave out the common prefix of the messages
+        ids=lambda v: v.removeprefix("quotient term needs ") if isinstance(v, str) else None,
     )
     def test_division(self, monkeypatch, num, den, steps, error):
         n, d = parse_poly(num), parse_poly(den)
         got = self._steps(monkeypatch, "packed_accum_term_mul", exact_div, n, d)
-        assert got == (steps, f"quotient term needs {error}")
+        assert got == (steps, error)
 
     def test_sqrt(self, monkeypatch):
         p = parse_poly("x^2 + 2*x*y + 2*y^2")

@@ -108,8 +108,7 @@ class TestRoutes:
             for n in range(0, 30):
                 s = qp_number(spec, n)
                 assert s == qp_number_recurrence(spec, n)
-                if n >= 1:
-                    assert s == qp_number_division(spec, n)
+                assert s == qp_number_division(spec, n)
 
     def test_negative_index_rejected(self):
         for fn in (qp_number, qp_number_recurrence, qp_number_division):
@@ -124,8 +123,7 @@ class TestRoutes:
         spec = QPSpec(u, v)
         s = qp_number(spec, n)
         assert s == qp_number_recurrence(spec, n)
-        if n >= 1:
-            assert s == qp_number_division(spec, n)
+        assert s == qp_number_division(spec, n)
 
     @settings(max_examples=40)
     @given(monomials, monomials, st.integers(min_value=1, max_value=12))
