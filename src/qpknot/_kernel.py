@@ -18,7 +18,8 @@ for its last index): printing and `leading_term` sort and scan by `Frame.pack`,
 `exact_div` and `exact_sqrt` reduce on packed keys and update their
 remainders through `packed_accum_term_mul`, and
 `qpnumbers.two_term_ladder` steps on packed keys with one
-`packed_accum_term_mul` per coefficient term, with no ring product.
+`packed_accum_term_mul` per coefficient term, with no ring product, and
+decodes only the entries its caller asks for.
 `Frame`, `exp_scale`, `exponent_bounds` and `packed_accum_term_mul` are
 not traced; their time counts towards the calling operation (for a ladder,
 whichever caller asks for the next entry).

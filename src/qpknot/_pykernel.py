@@ -32,7 +32,7 @@ monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys.
 division and square roots update their remainders with it, and
 `qpnumbers.two_term_ladder` takes each step of the deformed numbers and of
 the link ladder as one call per coefficient term, in one frame sized for
-the walk's last index.
+the walk's last index, and decodes only the entries its caller asks for.
 """
 
 from math import gcd, lcm

@@ -155,8 +155,7 @@ def _cmd_eval(args, out) -> int:
             print("error: --assert needs exactly one '=='", file=sys.stderr)
             return 2
         lhs = eval_expression(parse_expression(pieces[0]))
-        # padded to its place in the full text, so error offsets count from there
-        rhs = eval_expression(parse_expression(" " * (len(pieces[0]) + 2) + pieces[1]))
+        rhs = eval_expression(parse_expression(pieces[1], len(pieces[0]) + 2))
         if lhs == rhs:
             print(f"identity holds: {lhs}", file=out)
             return 0
@@ -222,7 +221,15 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse takes an expression such as "-t" or "-(t+1)" for an
+        # unknown option; as eval's only operand it is the expression (no
+        # expression starts with "--", so a mistyped long option stays one)
+        if args.command == "eval" and args.expr is None and len(extra) == 1:
+            if not extra[0].startswith("--"):
+                args.expr, extra = extra[0], []
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "eval" and (args.expr is None) == (args.assert_identity is None):

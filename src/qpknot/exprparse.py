@@ -79,7 +79,8 @@ class _Token(Record):
     offset: int
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str, origin: int) -> list[_Token]:
+    """The tokens of ``src``, each at its offset plus ``origin``."""
     tokens = []
     i = 0
     n = len(src)
@@ -92,17 +93,17 @@ def _tokenize(src: str) -> list[_Token]:
             j = i
             while j < n and "0" <= src[j] <= "9":
                 j += 1
-            tokens.append(_Token("INT", src[i:j], i))
+            tokens.append(_Token("INT", src[i:j], origin + i))
             i = j
         elif "a" <= ch <= "z":
-            tokens.append(_Token("VAR", ch, i))
+            tokens.append(_Token("VAR", ch, origin + i))
             i += 1
         elif ch in "+-*/^()":
-            tokens.append(_Token("OP", ch, i))
+            tokens.append(_Token("OP", ch, origin + i))
             i += 1
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
+            raise ExprSyntaxError(f"unexpected character {ch!r}", origin + i)
+    tokens.append(_Token("END", "", origin + n))
     return tokens
 
 
@@ -117,10 +118,10 @@ def _is_monomial_node(node: Node) -> bool:
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, origin: int):
         if not src.strip():
-            raise ExprSyntaxError("empty expression", 0)
-        self.tokens = _tokenize(src)
+            raise ExprSyntaxError("empty expression", origin)
+        self.tokens = _tokenize(src, origin)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -217,10 +218,13 @@ class _Parser:
         return Fraction(num, den)
 
 
-def parse_expression(src: str) -> Node:
+def parse_expression(src: str, origin: int = 0) -> Node:
     """Parse source text to an AST; raises :class:`ExprSyntaxError` (with
-    byte offset) on malformed input, including nesting too deep to parse."""
-    parser = _Parser(src)
+    byte offset) on malformed input, including nesting too deep to parse.
+
+    ``origin`` is the offset of ``src`` in a longer text the user typed,
+    such as the right side of an identity; error offsets count from there."""
+    parser = _Parser(src, origin)
     try:
         return parser.parse()
     except RecursionError:

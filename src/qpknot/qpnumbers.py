@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from itertools import islice
 
 from qpknot._record import Record
 from qpknot.errors import NegativeIndexError, NotDivisibleError
@@ -95,23 +94,28 @@ def _widest(polys, scale: int) -> dict:
 
 
 def two_term_ladder(
-    c1: LaurentPoly, c2: LaurentPoly, x0: LaurentPoly, x1: LaurentPoly, last: int
+    c1: LaurentPoly, c2: LaurentPoly, x0: LaurentPoly, x1: LaurentPoly, indices: range
 ) -> Iterator[LaurentPoly]:
-    """Yield x0, x1, ..., x(last) with x(k+1) = c1*x(k) + c2*x(k-1).
+    """Yield x(k) for k in ``indices``, where x(k+1) = c1*x(k) + c2*x(k-1).
 
-    Each term is computed only when it is asked for.  The walk runs on the
-    packed int keys of one `Frame`, sized for ``last``: a step is one
-    `packed_accum_term_mul` per coefficient term into a fresh dict.  An
-    entry is decoded to monomials once, when it is yielded.
+    ``indices`` is a non-empty range with start >= 0 and step >= 1.  Each
+    term is computed only when it is asked for.  The walk runs on the
+    packed int keys of one `Frame`, sized for ``indices[-1]``: a step is
+    one `packed_accum_term_mul` per coefficient term into a fresh dict.
+    The ladder decodes only the entries its caller asks for, each once,
+    when it is yielded.
 
     Span bound: with exponents in units of 1/scale (scale the common
     denominator of the four polynomials), let M_v be the largest |e_v| over
     the terms of c1 and c2 and B_v the largest over x0 and x1.  Every term
     of x(k), and every product summed into it, has |e_v| <= B_v + k*M_v, by
-    induction on k.  The frame spans [-(B_v + last*M_v), B_v + last*M_v],
-    so it holds every key of the walk.
+    induction on k.  The frame spans [-(B_v + last*M_v), B_v + last*M_v]
+    for last = indices[-1], so it holds every key of the walk.
     """
-    yield from (x0, x1)[: last + 1]
+    if not indices or indices.start < 0 or indices.step < 1:
+        raise ValueError(f"indices must be a non-empty ascending range from 0 up, got {indices}")
+    last = indices[-1]
+    yield from (x for k, x in enumerate((x0, x1)) if k in indices)
     scale = _K.exp_scale(c1._t, c2._t, x0._t, x1._t)
     reach, base = _widest((c1, c2), scale), _widest((x0, x1), scale)
     spans = {}
@@ -124,14 +128,15 @@ def two_term_ladder(
     terms2 = [(pack(m), c) for m, c in c2._t.items()]
     prev = {pack(m): c for m, c in x0._t.items()}
     cur = {pack(m): c for m, c in x1._t.items()}
-    for _ in range(last - 1):
+    for k in range(2, last + 1):
         nxt: dict = {}
         for key, c in terms1:
             _K.packed_accum_term_mul(nxt, cur, key, c)
         for key, c in terms2:
             _K.packed_accum_term_mul(nxt, prev, key, c)
         prev, cur = cur, nxt
-        yield LaurentPoly._raw({unpack(key): c for key, c in nxt.items()})
+        if k in indices:
+            yield LaurentPoly._raw({unpack(key): c for key, c in nxt.items()})
 
 
 def recurrence_coeffs(spec: QPSpec) -> tuple[LaurentPoly, LaurentPoly]:
@@ -140,16 +145,21 @@ def recurrence_coeffs(spec: QPSpec) -> tuple[LaurentPoly, LaurentPoly]:
     return spec.u.as_poly() + spec.v.as_poly(), -(spec.u * spec.v).as_poly()
 
 
-def qp_numbers(spec: QPSpec, last: int) -> Iterator[LaurentPoly]:
-    """Yield [0], [1], ..., [last] by the recurrence from [0] = 0, [1] = 1."""
+def qp_numbers(spec: QPSpec, indices: range) -> Iterator[LaurentPoly]:
+    """Yield [n] for n in ``indices`` by the recurrence from [0] = 0, [1] = 1.
+
+    The ladder walks up to ``indices[-1]`` and decodes only the entries its
+    caller asks for."""
     k1, k2 = recurrence_coeffs(spec)
-    return two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one(), last)
+    return two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one(), indices)
 
 
 def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
-    """Recurrence form: [k+1] = (u+v)*[k] - u*v*[k-1] from [0]=0, [1]=1."""
+    """Recurrence form: [k+1] = (u+v)*[k] - u*v*[k-1] from [0]=0, [1]=1.
+
+    The ladder walks to [n] and decodes only that entry."""
     _check_index(n)
-    return next(islice(qp_numbers(spec, n), n, None))
+    return next(qp_numbers(spec, range(n, n + 1)))
 
 
 def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:

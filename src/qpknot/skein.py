@@ -165,30 +165,29 @@ class InvariantSeries(Record):
         return cls(kind, indexing, entries)
 
 
-def link_entries(kind: InvariantKind, last: int) -> Iterator[LaurentPoly]:
-    """Yield the entries of L(n,2), n = 0, 1, ..., last, by the two-term
+def link_entries(kind: InvariantKind, indices: range) -> Iterator[LaurentPoly]:
+    """Yield the entries of L(n,2) for n in ``indices`` by the two-term
     recurrence in (l1, l2), each only when it is asked for.
 
     Seeds are the n = 0 entry unlink2 and the n = 1 entry 1 (unknot); the
-    two-variable entries are produced in (a, z).  The generator keeps only
-    the last two entries, so a consumer that compares and drops them never
-    holds the whole ladder.
+    two-variable entries are produced in (a, z).  The ladder decodes only
+    the entries its caller asks for, and the generator keeps only the last
+    two entries, so a consumer that compares and drops them never holds
+    the whole ladder.
     """
-    return two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one(), last)
+    return two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one(), indices)
 
 
 def link_series(kind: InvariantKind, n_max: int) -> InvariantSeries:
-    """The first n_max + 1 entries of :func:`link_entries`.
+    """Entries n = 0..n_max of :func:`link_entries`.
 
-    The n = 0 entry is kept only where it lives in the kind's own
+    The n = 0 entry is asked for only where it lives in the kind's own
     variables (Alexander, Jones).
     """
     if n_max < 2:
         raise BadRangeError(f"n_max must be at least 2, got {n_max}")
-    entries = dict(enumerate(link_entries(kind, n_max)))
-    if kind is InvariantKind.HOMFLY:
-        del entries[0]
-    return InvariantSeries(kind, "link", entries)
+    indices = range(1 if kind is InvariantKind.HOMFLY else 0, n_max + 1)
+    return InvariantSeries(kind, "link", dict(zip(indices, link_entries(kind, indices))))
 
 
 def knot_series(kind: InvariantKind, m_max: int) -> InvariantSeries:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cache, partial
-from itertools import islice
 
 from qpknot._record import Record
 from qpknot.errors import (
@@ -109,9 +108,10 @@ def _check_three_route(n_max: int, table: RunTable) -> CheckReport:
     The recurrence route walks the number generator once per family, so
     the check stays quadratic in n_max.
     """
+    indices = range(1, n_max + 1)
     for fam in Family:
         spec = family_spec(fam)
-        for n, r in enumerate(islice(qp_numbers(spec, n_max), 1, None), 1):
+        for n, r in zip(indices, qp_numbers(spec, indices)):
             s = qp_number(spec, n)
             d = qp_number_division(spec, n)
             if not (s == r == d):
@@ -196,7 +196,7 @@ def _check_knot_vs_link(n_max: int, table: RunTable) -> CheckReport:
     """
     for kind in InvariantKind:
         series = table.knots(kind, n_max)
-        odd_links = islice(link_entries(kind, 2 * n_max + 1), 1, None, 2)
+        odd_links = link_entries(kind, range(1, 2 * n_max + 2, 2))
         for m, link_entry in enumerate(odd_links):
             if kind is not InvariantKind.HOMFLY:
                 same = series.knot(m) == link_entry

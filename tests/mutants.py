@@ -133,6 +133,27 @@ MUTANTS = [
             "tests/test_skein.py::TestLinkOracle::test_homfly",
         ),
     ),
+    Mutant(
+        "ladder-frame-for-the-first-index",  # sized for indices[0], not indices[-1]
+        "qpnumbers.py",
+        "b = base.get(v, 0) + last * reach.get(v, 0)",
+        "b = base.get(v, 0) + indices[0] * reach.get(v, 0)",
+        (
+            "tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",
+            "tests/test_skein.py::TestLinkOracle::test_homfly",
+        ),
+    ),
+    Mutant(
+        "ladder-decodes-the-other-entries",  # the decode filter inverted
+        "qpnumbers.py",
+        "        if k in indices:\n",
+        "        if k not in indices:\n",
+        (
+            "tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",
+            "tests/test_qpnumbers.py::TestLadder::test_recurrence_decodes_only_its_entry",
+            "tests/test_verify.py::TestReports::test_knot_vs_link_decodes_only_odd_link_entries",
+        ),
+    ),
     # -- the packed frame (_pykernel.py) --
     Mutant(
         "frame-16-bit-fields",  # every field 16 bits wide
@@ -187,6 +208,21 @@ MUTANTS = [
             "tests/test_kernel.py::TestPyKernel::test_poly_accum_term_mul_matches_term_mul",
             "tests/test_eval_oracle.py::TestRingOperations::test_add_sub_mul",
         ),
+    ),
+    Mutant(
+        "degree-one-read-as-zero",  # mono_deg returns 0 for a total degree of 1
+        "_pykernel.py",
+        "    if num == 0:\n",
+        "    if num == 1:\n",
+        ("tests/test_laurent.py::TestMonomial::test_degree",),
+    ),
+    # -- substitution (laurent.py) --
+    Mutant(
+        "substitute-keeps-cancelled-terms",  # a zero sum stays in the result
+        "laurent.py",
+        "            elif new in out:\n",
+        "            elif new not in out:\n",
+        ("tests/test_laurent.py::TestSubstitute::test_images_that_meet_cancel",),
     ),
     # -- exact division (laurent.py) --
     Mutant(
@@ -337,20 +373,26 @@ def _run(tree: Path, tests) -> tuple[set[str] | None, str]:
         return None, ""
     if proc.returncode not in (0, 1):  # 1: tests failed; others: usage, collection
         raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    failed = set()
-    for line in proc.stdout.splitlines():
-        word, _, rest = line.partition(" ")
-        if word in ("FAILED", "ERROR"):
-            failed.add(rest.split(" - ")[0])
-    return failed, proc.stdout
+    return _failed(proc.stdout), proc.stdout
+
+
+def _failed(stdout: str) -> set[str]:
+    """What follows ``FAILED`` or ``ERROR`` on pytest's summary lines: a
+    node id, then `` - `` and the message when there is one.  The line is
+    not cut at `` - ``, since a parametrized id such as ``test_f[a - b]``
+    may hold it too; `_failing` matches ids as prefixes instead."""
+    lines = (line.partition(" ") for line in stdout.splitlines())
+    return {rest for word, _, rest in lines if word in ("FAILED", "ERROR")}
 
 
 def _failing(tests, failed: set[str]) -> list[str]:
-    """The named tests that failed; a file, class or function id fails when
-    any test under it, or any of its parametrized instances ``id[...]``,
-    does."""
+    """The named tests among ``failed`` (summary lines from `_failed`); a
+    file, class or function id fails when any test under it, or any of its
+    parametrized instances ``id[...]``, does."""
     return [
-        t for t in tests if any(f == t or f.startswith((t + "::", t + "[")) for f in failed)
+        t
+        for t in tests
+        if any(f == t or f.startswith((t + " - ", t + "::", t + "[")) for f in failed)
     ]
 
 

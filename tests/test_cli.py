@@ -246,11 +246,50 @@ class TestEval:
             ("t == (t", "expected ')' (offset 7)"),
             ("t == t $", "unexpected character '$' (offset 7)"),
             ("(t == t", "expected ')' (offset 3)"),
+            ("t == ", "empty expression (offset 4)"),
+            ("== t", "empty expression (offset 0)"),
         ],
     )
     def test_assert_error_offsets_count_from_the_full_text(self, capsys, identity, error):
         assert run("eval", "--assert", identity) == (2, "")
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "argv, printed",
+        [
+            (["-t"], "-t\n"),
+            (["-(t+1)"], "-t - 1\n"),
+            (["-2"], "-2\n"),
+            (["-t + x"], "-t + x\n"),
+            (["--", "-t"], "-t\n"),
+        ],
+    )
+    def test_expression_with_leading_minus(self, monkeypatch, argv, printed):
+        from qpknot import cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        assert run("eval", *argv) == (0, printed)
+        assert built == [1]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["-t", "q"], "qpknot: error: unrecognized arguments: -t\n"),
+            (["--t"], "qpknot: error: unrecognized arguments: --t\n"),
+            (["-t", "--assert", "t == t"], "error: eval needs an expression or --assert, not both\n"),
+        ],
+    )
+    def test_leading_minus_beside_another_operand_is_usage_error(self, capsys, argv, error):
+        assert run("eval", *argv) == (2, "")
+        assert capsys.readouterr().err.endswith(error)
+
+    def test_help_is_still_an_option(self, capsys):
+        assert run("eval", "-h") == (0, "")
+        assert capsys.readouterr().out.startswith(
+            "usage: qpknot eval [-h] [--assert 'LHS == RHS'] [expr]\n"
+        )
 
     def test_non_ascii_digit_is_usage_error(self, capsys):
         code, out = run("eval", "t^\u00b2")

@@ -65,6 +65,11 @@ class TestMonomial:
         m = Monomial({"t": Fraction(5, 3), "a": -2})
         assert (m.exponent("a"), m.exponent("t"), m.exponent("q")) == (-2, Fraction(5, 3), 0)
 
+    def test_degree(self):
+        assert Monomial.var("t").degree() == 1
+        assert Monomial({"a": 2, "t": Fraction(-1, 2)}).degree() == Fraction(3, 2)
+        assert Monomial({"a": 1, "t": -1}).degree() == 0
+
 
 class TestArithmetic:
     def test_add_cancellation(self):
@@ -112,6 +117,12 @@ class TestSubstitute:
         p = Q + P ** -1
         got = p.substitute({"q": Monomial({"a": 2, "t": 1}), "p": Monomial({"a": -2, "t": 1})})
         assert got == A ** 2 * T + A ** 2 * T ** -1
+
+    def test_images_that_meet_cancel(self):
+        x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+        got = (x - y).substitute({"x": Monomial.var("t"), "y": Monomial.var("t")})
+        assert got == LaurentPoly.zero()
+        assert got.term_count() == 0
 
     def test_missing_image(self):
         with pytest.raises(MissingImageError) as exc:

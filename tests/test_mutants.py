@@ -1,6 +1,6 @@
 """The mutation gate's matching of named test ids against pytest's failures."""
 
-from mutants import _failing
+from mutants import _failed, _failing
 
 
 def test_bare_function_id_matches_its_parametrized_instances():
@@ -10,3 +10,17 @@ def test_bare_function_id_matches_its_parametrized_instances():
 def test_id_does_not_match_a_longer_name():
     failed = {"t.py::test_foo", "t.py::test_foo[x]", "t.py::TestF::test_g"}
     assert _failing(["t.py::test_f", "t.py::TestF::test_g"], failed) == ["t.py::TestF::test_g"]
+
+
+def test_id_holding_a_dash_is_read_whole():
+    failed = _failed("FAILED tests/test_d.py::test_f[a - b] - AssertionError\n")
+    named = ["tests/test_d.py::test_f[a - b]", "tests/test_d.py::test_f[a]"]
+    assert _failing(named, failed) == ["tests/test_d.py::test_f[a - b]"]
+
+
+def test_summary_lines_without_a_message():
+    failed = _failed("..F\nFAILED t.py::test_f\nERROR t.py::test_g[x]\n1 failed\n")
+    assert _failing(["t.py::test_f", "t.py::test_g", "t.py::test_h"], failed) == [
+        "t.py::test_f",
+        "t.py::test_g",
+    ]

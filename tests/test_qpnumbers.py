@@ -150,37 +150,55 @@ def _v(name, exp=1):
     return LaurentPoly.var(name, exp)
 
 
+# non-empty ranges inside 0..24, with steps up to 6
+_INDICES = st.integers(0, 24).flatmap(
+    lambda start: st.builds(range, st.just(start), st.integers(start + 1, 25), st.integers(1, 6))
+)
+
+
 class TestLadder:
     @settings(max_examples=30, deadline=None)
-    @given(polys(2), polys(2), polys(3), polys(3), st.integers(0, 24))
+    @given(polys(2), polys(2), polys(3), polys(3), _INDICES)
     # a zero seed, a constant coefficient, variables in one operand each
     @example(
         c1=_v("t", Fraction(1, 2)) - _v("t", Fraction(-1, 2)),
         c2=LaurentPoly(-3),
         x0=LaurentPoly.zero(),
         x1=_v("a", Fraction(-2, 3)) * _v("q"),
-        last=24,
+        indices=range(25),
     )
-    # exponents far beyond any fixed field width
+    # exponents far beyond any fixed field width, and entries far past the
+    # first one asked for: the frame must be sized for the last
     @example(
         c1=_v("p", 2**70) - _v("q", Fraction(-(2**65), 3)),
         c2=_v("p", -(2**69)),
         x0=_v("q", 2**80),
         x1=LaurentPoly(7),
-        last=24,
+        indices=range(1, 25, 2),
     )
-    def test_matches_ring_recurrence(self, c1, c2, x0, x1, last):
-        got = list(two_term_ladder(c1, c2, x0, x1, last))
-        assert len(got) == last + 1
-        assert got == _ring_ladder(c1, c2, x0, x1, last)
+    def test_matches_ring_recurrence(self, c1, c2, x0, x1, indices):
+        got = list(two_term_ladder(c1, c2, x0, x1, indices))
+        ring = _ring_ladder(c1, c2, x0, x1, indices[-1])
+        assert got == [ring[k] for k in indices]
+
+    @pytest.mark.parametrize("indices", [range(0), range(-1, 3), range(3, 0, -1)], ids=str)
+    def test_rejects_ranges_it_cannot_walk(self, indices):
+        one = LaurentPoly.one()
+        with pytest.raises(ValueError, match="non-empty ascending range"):
+            next(two_term_ladder(one, one, LaurentPoly.zero(), one, indices))
 
     def test_constant_ladder_is_fibonacci(self):
         one = LaurentPoly.one()
-        got = two_term_ladder(one, one, LaurentPoly.zero(), one, 64)
+        got = two_term_ladder(one, one, LaurentPoly.zero(), one, range(65))
         fib = [0, 1]
         while len(fib) <= 64:
             fib.append(fib[-1] + fib[-2])
         assert list(got) == fib
+
+    def test_recurrence_decodes_only_its_entry(self, decoded_keys):
+        # [300] of h2 has 300 terms; the 299 entries below it stay packed
+        got = qp_number_recurrence(family_spec(Family.H2), 300)
+        assert got.term_count() == decoded_keys[0] == 300
 
     @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
     def test_recurrence_at_300_matches_closed_sum(self, fam):

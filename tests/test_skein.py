@@ -113,7 +113,7 @@ class TestLinkSeries:
 
     def test_series_is_a_prefix_of_the_entry_generator(self):
         for kind in InvariantKind:
-            walked = list(link_entries(kind, 9))
+            walked = list(link_entries(kind, range(10)))
             assert walked[0] == unlink2(kind)
             stored = link_series(kind, 9).entries
             assert stored == {n: e for n, e in enumerate(walked) if n in stored}

@@ -106,8 +106,8 @@ def test_ladders_step_without_traced_kernel_calls(tracer_module):
     t = tracer_module.Tracer()
     try:
         tracer_module.install(t)
-        ladders = [qp_numbers(qpknot.family_spec(f), 40) for f in qpknot.Family]
-        ladders += [link_entries(kind, 40) for kind in qpknot.InvariantKind]
+        ladders = [qp_numbers(qpknot.family_spec(f), range(41)) for f in qpknot.Family]
+        ladders += [link_entries(kind, range(41)) for kind in qpknot.InvariantKind]
         kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
         for ladder in ladders:
             assert len(list(ladder)) == 41

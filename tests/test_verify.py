@@ -12,6 +12,8 @@ from qpknot import (
     UnknownCheckError,
     check_names,
     family_spec,
+    link_series,
+    unlink2,
     run_all,
     run_check,
 )
@@ -222,6 +224,18 @@ class TestReports:
         assert report.detail == (
             "homfly m=1: knot -a^6 + a^3*t + a^3*t^-1 != link -a^4 + a^2*t + a^2*t^-1"
         )
+
+    def test_knot_vs_link_decodes_only_odd_link_entries(self, decoded_keys):
+        # entry 1 is a seed and needs no decoding, and the even entries stay
+        # packed; the one other decode is each seed unlink2's exact quotient
+        odd = range(3, 122, 2)
+        want = sum(
+            link_series(kind, 121).entry(n).term_count() for kind in InvariantKind for n in odd
+        )
+        want += sum(unlink2(kind).term_count() for kind in InvariantKind)
+        decoded_keys[0] = 0
+        assert run_check("knot-vs-link", 60).passed
+        assert decoded_keys[0] == want
 
     @pytest.mark.parametrize(
         "u, v, detail",
