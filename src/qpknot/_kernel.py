@@ -15,8 +15,9 @@ call once, under the name the ring called.  The ring calls
 Ordering, division, square roots and the two-term ladder run on the
 packed int keys of a `Frame` (one per operation; a ladder's is sized
 for its last index): printing and `leading_term` sort and scan by `Frame.pack`,
-`exact_div` and `exact_sqrt` reduce on packed keys and update their
-remainders through `packed_accum_term_mul`, and
+`exact_div` and `exact_sqrt` share one leading-term reduction on packed
+keys (a square root divides by 2 * root) that updates its remainder
+through `packed_accum_term_mul`, and
 `qpnumbers.two_term_ladder` steps on packed keys with one
 `packed_accum_term_mul` per coefficient term, with no ring product, and
 decodes only the entries its caller asks for.

@@ -28,8 +28,9 @@ subtraction and for the (a, z) -> t merge.
 `Frame` is the one monomial order: it packs a monomial into one int whose
 int order is graded-lex order and in which one int addition multiplies two
 monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys.
-`packed_accum_term_mul` is the summing loop over packed keys: exact
-division and square roots update their remainders with it, and
+`packed_accum_term_mul` is the summing loop over packed keys: the one
+leading-term reduction of exact division and square roots updates its
+remainder with it, and
 `qpnumbers.two_term_ladder` takes each step of the deformed numbers and of
 the link ladder as one call per coefficient term, in one frame sized for
 the walk's last index, and decodes only the entries its caller asks for.
@@ -78,7 +79,7 @@ def mono_mul(m1, m2):
             num = e1[1] * e2[2] + e2[1] * e1[2]
             if num:
                 den = e1[2] * e2[2]
-                g = gcd(num if num > 0 else -num, den)
+                g = gcd(num, den)
                 out.append((v1, num // g, den // g))
             i += 1
             j += 1
@@ -95,13 +96,13 @@ def mono_mul(m1, m2):
 
 def mono_pow(m, num, den):
     """Monomial raised to the rational power num/den (den > 0)."""
-    if num == 0 or not m:
+    if num == 0:
         return ONE
     out = []
     for v, a, b in m:
         nn = a * num
         dd = b * den
-        g = gcd(nn if nn > 0 else -nn, dd)
+        g = gcd(nn, dd)
         out.append((v, nn // g, dd // g))
     return tuple(out)
 
@@ -116,16 +117,14 @@ def mono_split(m, var):
 
 
 def mono_deg(m):
-    """Total degree as a (num, den) pair with den > 0."""
+    """Total degree as a (num, den) pair with den > 0, unreduced:
+    `Monomial.degree` makes a `Fraction` of it."""
     num = 0
     den = 1
     for _, a, b in m:
         num = num * b + a * den
         den *= b
-    if num == 0:
-        return (0, 1)
-    g = gcd(num if num > 0 else -num, den)
-    return (num // g, den // g)
+    return num, den
 
 
 def exp_scale(*polys):
@@ -161,9 +160,12 @@ class Frame:
     a private offset, ``-lo`` per field, so that each field holds ``e - lo``
     and reads back exactly while e lies in its span.
 
-    A reduction must therefore size the spans to hold every monomial it
-    compares or decodes.  Writing [n_lo, n_hi] and [d_lo, d_hi] for the
-    exponents of v in a numerator and a divisor, ``exact_div`` spans
+    The one leading-term reduction, `laurent._reduce`, therefore runs in
+    a frame whose spans hold every monomial it compares or decodes, and
+    it reads the `degree` of a candidate only once the candidate has
+    passed its Newton box, which lies inside the spans.  Writing
+    [n_lo, n_hi] and [d_lo, d_hi] for the exponents of v in a numerator
+    and a divisor, ``exact_div`` spans
     [min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo)]: a
     quotient term enters the remainder only after passing the Newton box
     [n_lo - d_lo, n_hi - d_hi], so remainder terms stay in the numerator's

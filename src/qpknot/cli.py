@@ -217,19 +217,36 @@ _DISPATCH = {
 }
 
 
+def _eval_argv(argv: list[str]) -> list[str]:
+    """eval's arguments with their expressions out of argparse's way.
+
+    argparse takes a word that starts with "-", such as "-t", "-h^2" or an
+    --assert value "-t==-t", for an option.  Before any "--", the --assert
+    value is joined to its option as "--assert=VALUE", and a lone operand
+    that starts with "-" goes after a "--".  No expression starts with
+    "--", so a mistyped long option stays one, and "-h" stays help.
+    """
+    cut = argv.index("--") if "--" in argv else len(argv)
+    head, tail = argv[:cut], argv[cut:]
+    if "--assert" in head[:-1]:
+        i = head.index("--assert")
+        head[i : i + 2] = [f"--assert={head[i + 1]}"]
+    operands = [a for a in head if not a.startswith("--")]
+    lone = operands[0] if len(operands) == 1 and len(tail) < 2 else ""
+    if lone.startswith("-") and lone != "-h":
+        head.remove(lone)
+        tail = ["--", lone]
+    return head + tail
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["eval"]:
+        argv = ["eval", *_eval_argv(argv[1:])]
     try:
-        args, extra = parser.parse_known_args(argv)
-        # argparse takes an expression such as "-t" or "-(t+1)" for an
-        # unknown option; as eval's only operand it is the expression (no
-        # expression starts with "--", so a mistyped long option stays one)
-        if args.command == "eval" and args.expr is None and len(extra) == 1:
-            if not extra[0].startswith("--"):
-                args.expr, extra = extra[0], []
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "eval" and (args.expr is None) == (args.assert_identity is None):

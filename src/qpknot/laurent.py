@@ -10,7 +10,9 @@ lexicographic: larger total degree first, ties broken at the
 alphabetically first differing variable with the larger exponent winning,
 a missing variable counting as exponent 0.  It has one implementation,
 the packed int keys of the kernel's `Frame`: printing and `leading_term`
-sort and scan by them, and `exact_div` and `exact_sqrt` reduce on them.
+sort and scan by them, and `exact_div` and `exact_sqrt` run one
+leading-term reduction, `_reduce`, on them: a square root is a division
+by 2 * root.
 
 A monomial is held as the kernel's key, which this module never builds or
 takes apart itself: keys come from `_kernel.mono_of` and `_kernel.ONE`,
@@ -494,25 +496,56 @@ def substitute(p: LaurentPoly, images: Mapping[str, object]) -> LaurentPoly:
     return p.substitute(images)
 
 
+def _reduce(frame, rem, lead, lc, tail, box, floor, error, what, floor_text):
+    """The leading-term reduction of `exact_div` and `exact_sqrt`, on packed
+    keys of ``frame``: yields each term ``(key, coeff)`` of the answer.
+
+    At each step the candidate is the remainder's leading term over the
+    divisor's, ``lc`` times the key ``lead``.  The reduction fails with
+    ``error`` as soon as the remainder provably cannot vanish: a candidate
+    outside the Newton ``box`` (named as a ``what`` term), a candidate degree
+    below ``floor`` (``floor_text``), or a leading coefficient not divisible
+    by ``lc``.  Otherwise the remainder ``rem`` loses its leading term and
+    the candidate times ``tail``, the divisor's other terms (a key plus a
+    key is the key of their product).  The caller may change ``rem`` and
+    ``tail`` before it asks for the next term."""
+    while rem:
+        lt = max(rem)
+        k = lt - lead
+        bad = frame.outside(k, box)
+        if bad:
+            raise error(_outside_box(what, *bad, frame.scale))
+        # exact: the box lies inside the frame's spans
+        if frame.degree(k) < floor:
+            raise error(floor_text)
+        c = rem.pop(lt)
+        if c % lc:
+            raise error(f"coefficient {c} not divisible by {lc}")
+        c //= lc
+        _K.packed_accum_term_mul(rem, tail, k, -c)
+        yield k, c
+
+
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact quotient num/den in the Laurent ring.
 
     Performs leading-term reduction in graded-lex order and raises
     :class:`NotDivisibleError` as soon as the remainder provably cannot
-    vanish: a candidate quotient term outside the Newton box, a remainder
-    degree below the numerator's minimum, or a leading coefficient not
-    divisible by the divisor's.  By Ostrowski's theorem
+    vanish: a candidate quotient term outside the Newton box, a candidate
+    degree below the numerator's least degree minus the divisor's leading
+    one (the remainder then fell below the numerator's range), or a leading
+    coefficient not divisible by the divisor's.  By Ostrowski's theorem
     (Newton(num) = Newton(quot) + Newton(den)) every exponent of a variable
     v in the quotient lies in [min_v num - min_v den, max_v num - max_v den].
     Candidates strictly decrease in a monomial order and their exponents
     have bounded denominators, so they are distinct points of a finite box
     and the reduction always stops.  Every divisor, monomials included, goes
-    through this one reduction.
+    through this one reduction, `_reduce`, which square roots share.
 
     The reduction runs on the packed keys of a `Frame` sized for this call
     (its docstring gives the field widths).  Only the divisor's other terms
     are added into the remainder, since its leading term cancels exactly,
-    and the quotient is decoded to monomials once, at the end.
+    and each quotient term is decoded to a monomial as it comes.
     """
     if den.is_zero:
         raise DivisionByZeroError("division by the zero polynomial")
@@ -530,57 +563,45 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         spans[v] = (min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo))
         box[v] = (n_lo - d_lo, n_hi - d_hi)
     frame = _K.Frame(scale, spans)
-    pack = frame.pack
-    rem = {pack(m): c for m, c in num_t.items()}
-    # a quotient key plus a divisor key is the key of their product
-    tail = {pack(m): c for m, c in den_t.items()}
+    rem = {frame.pack(m): c for m, c in num_t.items()}
+    tail = {frame.pack(m): c for m, c in den_t.items()}
     lead = max(tail)
     dc = tail.pop(lead)
-    floor = frame.degree(min(rem))  # the numerator's least degree
-    quot: dict = {}
-    while rem:
-        lt = max(rem)
-        qk = lt - lead
-        bad = frame.outside(qk, box)
-        if bad:
-            raise NotDivisibleError(_outside_box("quotient", *bad, scale))
-        if frame.degree(lt) < floor:
-            raise NotDivisibleError("remainder degree fell below the numerator's range")
-        c = rem.pop(lt)
-        if c % dc:
-            raise NotDivisibleError(f"coefficient {c} not divisible by {dc}")
-        q = c // dc
-        quot[qk] = q
-        _K.packed_accum_term_mul(rem, tail, qk, -q)
-    return LaurentPoly._raw({frame.unpack(qk): q for qk, q in quot.items()})
+    floor = frame.degree(min(rem)) - frame.degree(lead)
+    quot = _reduce(
+        frame, rem, lead, dc, tail, box, floor, NotDivisibleError,
+        "quotient", "remainder degree fell below the numerator's range",
+    )
+    return LaurentPoly._raw({frame.unpack(k): q for k, q in quot})
 
 
 def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     """Square root in the Laurent ring, normalized to a positive leading
     coefficient; the zero polynomial returns zero.  Raises
-    :class:`NotAPerfectSquareError` when no root exists.  Rational
-    exponents make every monomial a square, so failure shows up in the
-    integer coefficients or as a candidate root term outside the Newton
-    box: Newton(p) = 2 Newton(root), so every exponent of a variable v in
-    the root lies in [min_v p / 2, max_v p / 2].  Candidates strictly
-    decrease in a monomial order inside that finite box, so the reduction
-    always stops.
+    :class:`NotAPerfectSquareError` when no root exists.
 
-    The reduction runs on the packed keys of a `Frame`, as in `exact_div`:
-    a root key plus a candidate key is the key of their product."""
+    Past its leading term the root comes from the one reduction of
+    `exact_div`: p minus the square of the root so far is divided by
+    2 * root, a divisor that gains one term per step, and each new term
+    also takes its own square off the remainder.  Rational exponents make
+    every monomial a square, so failure shows up in the integer
+    coefficients or as a candidate root term outside the Newton box:
+    Newton(p) = 2 Newton(root), so every exponent of a variable v in the
+    root lies in [min_v p / 2, max_v p / 2], and every root term has at
+    least half p's least degree.  Candidates strictly decrease in a
+    monomial order inside that finite box, so the reduction always stops."""
     if p.is_zero:
         return LaurentPoly.zero()
 
-    # root exponents have half the denominators of p's, so p's are even here
+    # root exponents have half the denominators of p's, so every exponent
+    # and degree of p is even here
     scale = 2 * _K.exp_scale(p._t)
     bounds = _K.exponent_bounds(p._t, scale)
     spans = {v: (min(lo, lo - hi // 2), max(hi, hi - lo // 2)) for v, (lo, hi) in bounds.items()}
     box = {v: (lo // 2, hi // 2) for v, (lo, hi) in bounds.items()}
     frame = _K.Frame(scale, spans)
-    degree = frame.degree
     rem = {frame.pack(m): c for m, c in p._t.items()}
-    # root terms have degree >= (least degree of p) / 2
-    low = degree(min(rem))
+    floor = frame.degree(min(rem)) // 2
     lt = max(rem)
     lc = rem.pop(lt)  # lt = rm^2 and lc = rc^2
     if lc < 0:
@@ -589,20 +610,12 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     if rc * rc != lc:
         raise NotAPerfectSquareError(f"leading coefficient {lc} is not a square")
     rm = lt // 2
-    root = {rm: rc}
-    while rem:
-        lt = max(rem)
-        cm = lt - rm
-        bad = frame.outside(cm, box)
-        if bad:
-            raise NotAPerfectSquareError(_outside_box("root", *bad, scale))
-        c = rem[lt]
-        if c % (2 * rc):
-            raise NotAPerfectSquareError(f"coefficient {c} not divisible by {2 * rc}")
-        cc = c // (2 * rc)
-        if 2 * degree(cm) < low:
-            raise NotAPerfectSquareError("candidate term degree fell below the root's range")
-        _K.packed_accum_term_mul(rem, root, cm, -2 * cc)
-        _K.packed_accum_term_mul(rem, {cm: cc}, cm, -cc)
-        root[cm] = cc
+    root, tail = {rm: rc}, {}  # tail: 2 * root but its leading term
+    terms = _reduce(
+        frame, rem, rm, 2 * rc, tail, box, floor, NotAPerfectSquareError,
+        "root", "candidate term degree fell below the root's range",
+    )
+    for k, c in terms:
+        root[k], tail[k] = c, 2 * c
+        _K.packed_accum_term_mul(rem, {k: c}, k, -c)
     return LaurentPoly._raw({frame.unpack(k): c for k, c in root.items()})

@@ -6,7 +6,8 @@ tests named in the record must then fail.
 A record holds a file under ``src/``, an exact old text, the new text that
 replaces it, and the pytest node ids that must fail.  The old text must occur
 exactly once in the file, so a refactor that moves or rewrites the code shows
-as a stale record, not as a silent pass.
+as a stale record, not as a silent pass; ``tests/test_mutants.py`` checks
+every record this way in the ordinary suite.
 
 The script first runs every named test on an unchanged copy, where each must
 pass.  Then, one mutant at a time, it copies ``src/``, ``tests/`` and
@@ -210,10 +211,10 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "degree-one-read-as-zero",  # mono_deg returns 0 for a total degree of 1
+        "degree-without-common-denominator",  # mono_deg keeps the first denominator
         "_pykernel.py",
-        "    if num == 0:\n",
-        "    if num == 1:\n",
+        "        den *= b\n",
+        "",
         ("tests/test_laurent.py::TestMonomial::test_degree",),
     ),
     # -- substitution (laurent.py) --
@@ -224,26 +225,27 @@ MUTANTS = [
         "            elif new not in out:\n",
         ("tests/test_laurent.py::TestSubstitute::test_images_that_meet_cancel",),
     ),
-    # -- exact division (laurent.py) --
+    # -- the one reduction of exact division and square roots (laurent.py) --
     Mutant(
         "division-in-dict-order",  # the remainder reduced at its first key, not its leading one
         "laurent.py",
-        "        lt = max(rem)\n        qk = lt - lead\n",
-        "        lt = next(iter(rem))\n        qk = lt - lead\n",
+        "        lt = max(rem)\n        k = lt - lead\n",
+        "        lt = next(iter(rem))\n        k = lt - lead\n",
         (
             "tests/test_cli.py::TestEval::test_monomial_division_names_the_leading_offending_term"
             "[(5 + 3*t)/2]",
         ),
     ),
     Mutant(
-        "division-without-degree-floor",
+        "division-without-degree-floor",  # both callers lose the floor on the candidate
         "laurent.py",
-        "        if frame.degree(lt) < floor:\n"
-        "            raise NotDivisibleError(\"remainder degree fell below the numerator's range\")\n",
+        "        if frame.degree(k) < floor:\n            raise error(floor_text)\n",
         "",
         (
             "tests/test_laurent.py::TestReductionSteps::test_division"
             "[x^3 + x*y^2 + y^2-x + 1-3-remainder degree fell below the numerator's range]",
+            "tests/test_laurent.py::TestExactSqrt::test_failure_texts"
+            "[x^3 + 3*x + 9*x^-1*y-candidate term degree fell below the root's range]",
         ),
     ),
     # -- exact square roots (laurent.py) --
@@ -253,6 +255,16 @@ MUTANTS = [
         "    rm = lt // 2\n",
         "    rm = (lt + frame._offset) // 2\n",
         ("tests/test_eval_oracle.py::TestSqrtFrame",),
+    ),
+    Mutant(
+        "sqrt-without-own-square",  # a new root term leaves its square in the remainder
+        "laurent.py",
+        "        _K.packed_accum_term_mul(rem, {k: c}, k, -c)\n",
+        "",
+        (
+            "tests/test_laurent.py::TestExactSqrt::test_half_power_root",
+            "tests/test_laurent.py::TestReductionSteps::test_sqrt",
+        ),
     ),
     # -- the multipliers (qpnumbers.py) --
     Mutant(

@@ -262,6 +262,8 @@ class TestEval:
             (["-2"], "-2\n"),
             (["-t + x"], "-t + x\n"),
             (["--", "-t"], "-t\n"),
+            (["-h^2"], "-h^2\n"),
+            (["--assert", "-t==-t"], "identity holds: -t\n"),
         ],
     )
     def test_expression_with_leading_minus(self, monkeypatch, argv, printed):

@@ -240,6 +240,8 @@ class TestExactSqrt:
             ("2*x^3 - y^3 + 9*y^-3", "leading coefficient 2 is not a square"),
             ("4*x^2 - 2 + 4*x^-2 + x^-3*y^-2", "coefficient -2 not divisible by 4"),
             ("x^3 + 2*x + 9*x^-1*y", "candidate term degree fell below the root's range"),
+            # the degree floor is tested before the coefficient, as in division
+            ("x^3 + 3*x + 9*x^-1*y", "candidate term degree fell below the root's range"),
         ],
     )
     def test_failure_texts(self, src, text):
@@ -311,11 +313,12 @@ def _graded_lex_rank(m: Monomial, names: list) -> tuple:
 
 class TestReductionSteps:
     """A failing division or square root stops after a fixed number of
-    remainder updates; a change to the reduction that costs more steps, or
-    fails elsewhere, shows here.  Both update their packed remainders
-    through `packed_accum_term_mul`: division once a step, a square root
-    twice (the cross terms with the root so far, then the candidate's
-    square)."""
+    remainder updates; a change to the one reduction they share that costs
+    more steps, or fails elsewhere, shows here.  The reduction updates its
+    packed remainder through `packed_accum_term_mul` once a step (the
+    candidate times the divisor's other terms, for a square root the cross
+    terms with 2 * root so far), and a square root adds one more update
+    (the candidate's own square)."""
 
     @staticmethod
     def _steps(monkeypatch, update, op, *args):

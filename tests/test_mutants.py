@@ -1,6 +1,13 @@
-"""The mutation gate's matching of named test ids against pytest's failures."""
+"""The mutation gate's records against the current source, and its matching
+of named test ids against pytest's failures."""
 
-from mutants import _failed, _failing
+import pytest
+from mutants import MUTANTS, _failed, _failing, _mutated
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_record_old_text_occurs_once(mutant):
+    _mutated(mutant)  # a stale record raises SystemExit, naming it
 
 
 def test_bare_function_id_matches_its_parametrized_instances():
