@@ -36,15 +36,17 @@ from qpknot.verify import CheckReport, check_names, run_all, run_check
 _FORMATS = ("text", "json", "csv", "latex")
 
 _FAMILY_LATEX = {
-    Family.ALEXANDER: "[{n}]^{{A}}",
-    Family.JONES: "[{n}]^{{V}}",
-    Family.HOMFLY: "[{n}]^{{H}}",
-    Family.H1: "[{n}]^{{H_1}}",
-    Family.H2: "[{n}]^{{H_2}}",
-    Family.BMQ: "[{n}]_{{q}}",
+    Family.ALEXANDER: "[{}]^{{A}}",
+    Family.JONES: "[{}]^{{V}}",
+    Family.HOMFLY: "[{}]^{{H}}",
+    Family.H1: "[{}]^{{H_1}}",
+    Family.H2: "[{}]^{{H_2}}",
+    Family.BMQ: "[{}]_{{q}}",
 }
 
-_KNOT_NAMES = {0: "0_1", 1: "3_1", 2: "5_1", 3: "7_1", 4: "9_1"}
+_SERIES_LATEX = "P_{{{},2}}"
+
+_KNOT_NAMES = {1: "0_1", 3: "3_1", 5: "5_1", 7: "7_1", 9: "9_1"}  # T(n,2) by n
 
 
 def _latex_mono(items) -> str:
@@ -68,63 +70,47 @@ def _csv_rows(rows: list[tuple[int, LaurentPoly]]) -> str:
     return buf.getvalue()
 
 
-def _emit_series(series: InvariantSeries, fmt: str, out) -> None:
-    rows = [(n, series.entry(n)) for n in series.indices()]
+def _emit_series(rows: list[tuple[int, LaurentPoly]], fmt: str, out, line, lhs, doc) -> None:
+    """Print ``rows`` of (n, polynomial) in ``fmt``: text prints line(n, p)
+    per row, LaTeX ``$lhs(n) = p$`` per row, CSV the rows, and JSON the
+    object ``doc()``, which no other format builds."""
     if fmt == "text":
         for n, p in rows:
-            print(f"P({n},2) = {p}", file=out)
+            print(line(n, p), file=out)
     elif fmt == "csv":
         out.write(_csv_rows(rows))
     elif fmt == "latex":
         for n, p in rows:
-            print(f"$P_{{{n},2}} = {latex_poly(p)}$", file=out)
+            print(f"${lhs(n)} = {latex_poly(p)}$", file=out)
     else:
-        print(json.dumps(series.to_json_dict()), file=out)
+        print(json.dumps(doc()), file=out)
 
 
 def _cmd_qp_num(args, out) -> int:
     family = Family(args.family)
     poly = qp_number(family_spec(family), args.n)
-    if args.format == "text":
-        print(poly, file=out)
-    elif args.format == "json":
-        print(
-            json.dumps({"family": family.value, "n": args.n, "poly": poly.to_json_dict()}),
-            file=out,
-        )
-    elif args.format == "csv":
-        out.write(_csv_rows([(args.n, poly)]))
-    else:
-        label = _FAMILY_LATEX[family].format(n=args.n)
-        print(f"${label} = {latex_poly(poly)}$", file=out)
+    label = _FAMILY_LATEX[family].format
+    doc = lambda: {"family": family.value, "n": args.n, "poly": poly.to_json_dict()}
+    _emit_series([(args.n, poly)], args.format, out, lambda n, p: p, label, doc)
     return 0
 
 
 def _cmd_series(args, out) -> int:
-    kind = InvariantKind(args.invariant)
-    if args.knots:
-        series = knot_series(kind, args.max)
-    else:
-        series = link_series(kind, args.max)
-    _emit_series(series, args.format, out)
+    series = (knot_series if args.knots else link_series)(InvariantKind(args.invariant), args.max)
+    rows = [(n, series.entry(n)) for n in series.indices()]
+    line = lambda n, p: f"P({n},2) = {p}"
+    _emit_series(rows, args.format, out, line, _SERIES_LATEX.format, series.to_json_dict)
     return 0
 
 
 def _cmd_table(args, out) -> int:
     kind = InvariantKind(args.invariant)
     series = knot_series(kind, args.max)
-    entries = {}
-    for n in series.indices():
-        p = series.entry(n)
-        entries[n] = to_az_form(p) if args.az else p
-    series = InvariantSeries(kind, "knot", entries)
-    if args.format == "text":
-        for n in series.indices():
-            m = (n - 1) // 2
-            name = _KNOT_NAMES.get(m, "-")
-            print(f"m={m}\tT({n},2)\t{name}\t{series.entry(n)}", file=out)
-        return 0
-    _emit_series(series, args.format, out)
+    convert = to_az_form if args.az else lambda p: p
+    rows = [(n, convert(series.entry(n))) for n in series.indices()]
+    line = lambda n, p: f"m={n // 2}\tT({n},2)\t{_KNOT_NAMES.get(n, '-')}\t{p}"
+    doc = lambda: InvariantSeries(kind, "knot", dict(rows)).to_json_dict()
+    _emit_series(rows, args.format, out, line, _SERIES_LATEX.format, doc)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Named, machine-runnable identity checks; the acceptance source of truth.
 
 Every check is an exhaustive exact comparison over an index range (no
-sampling), and its verdict is its first mismatch: it returns there and
-computes nothing more.  Checks are pure computations; the runner executes
-them in registry order.  A check gets its knot series, and the (a, z) images
+sampling).  A check yields the text of each mismatch it finds, and the runner
+takes the first as the check's verdict and stops the check there, so it
+computes nothing more.  Checks are pure computations; ``run_all`` runs them in
+registry order.  A check gets its knot series, and the (a, z) images
 of the HOMFLY knot entries, from a table that lives for one run, so a value
 that several checks compare is built once.
 
@@ -16,7 +17,7 @@ to_az_form; ``run_all`` runs both.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import cache, partial
 
 from qpknot._record import Record
@@ -87,8 +88,8 @@ class CheckReport(Record):
 
 
 def _per_index(
-    name: str, n_max: int, lhs: Callable[[int], object], rhs: Callable[[int], object]
-) -> CheckReport:
+    n_max: int, lhs: Callable[[int], object], rhs: Callable[[int], object]
+) -> Iterator[str]:
     """Compare lhs(n) with rhs(n) for n = 1..n_max.  Checks build lhs and
     rhs when they run, so a rebound callee is the one called.  A side whose
     exact division fails has no value to compare: that is a mismatch."""
@@ -96,13 +97,13 @@ def _per_index(
         try:
             got, want = lhs(n), rhs(n)
         except NotDivisibleError as exc:
-            return CheckReport(name, False, f"n={n}: {exc}", (1, n_max))
+            yield f"n={n}: {exc}"
+            return
         if got != want:
-            return CheckReport(name, False, f"n={n}: {got} != {want}", (1, n_max))
-    return CheckReport(name, True, "", (1, n_max))
+            yield f"n={n}: {got} != {want}"
 
 
-def _check_three_route(n_max: int, table: RunTable) -> CheckReport:
+def _check_three_route(n_max: int, table: RunTable) -> Iterator[str]:
     """Closed sum, recurrence and exact division agree for every family.
 
     The recurrence route walks the number generator once per family, so
@@ -115,20 +116,16 @@ def _check_three_route(n_max: int, table: RunTable) -> CheckReport:
             s = qp_number(spec, n)
             d = qp_number_division(spec, n)
             if not (s == r == d):
-                detail = f"{fam.value} n={n}: sum {s} / recurrence {r} / division {d}"
-                return CheckReport("three-route", False, detail, (1, n_max))
-    return CheckReport("three-route", True, "", (1, n_max))
+                yield f"{fam.value} n={n}: sum {s} / recurrence {r} / division {d}"
 
 
-def _check_bm_coincidence(n_max: int, table: RunTable) -> CheckReport:
+def _check_bm_coincidence(n_max: int, table: RunTable) -> Iterator[str]:
     """The one-parameter q-family equals the Alexander family up to the
     renaming q <-> t."""
     rename = {"q": Monomial.var("t")}
     bmq = partial(qp_number, family_spec(Family.BMQ))
     alexander = partial(qp_number, family_spec(Family.ALEXANDER))
-    return _per_index(
-        "bm-coincidence", n_max, lambda n: bmq(n).substitute(rename), alexander
-    )
+    return _per_index(n_max, lambda n: bmq(n).substitute(rename), alexander)
 
 
 _EXPECTED_KNOT_COEFFS = {
@@ -138,7 +135,7 @@ _EXPECTED_KNOT_COEFFS = {
 }
 
 
-def _check_eq8_coeffs(n_max: int, table: RunTable) -> CheckReport:
+def _check_eq8_coeffs(n_max: int, table: RunTable) -> Iterator[str]:
     """The knot coefficients k1 = u + v, k2 = -u*v of the number families
     match l1^2 + 2*l2, -l2^2 of the link coefficients and the tabulated
     closed forms."""
@@ -147,12 +144,9 @@ def _check_eq8_coeffs(n_max: int, table: RunTable) -> CheckReport:
         k = knot_coeffs(kind)
         want1, want2 = _EXPECTED_KNOT_COEFFS[kind]
         if k.k1 != c.l1 * c.l1 + 2 * c.l2 or k.k2 != -(c.l2 * c.l2):
-            detail = f"{kind.value}: ({k.k1}, {k.k2}) does not match formula"
-            return CheckReport("eq8-coeffs", False, detail, (1, 1))
+            yield f"{kind.value}: ({k.k1}, {k.k2}) does not match formula"
         if str(k.k1) != want1 or str(k.k2) != want2:
-            detail = f"{kind.value}: ({k.k1}, {k.k2}) != tabulated ({want1}, {want2})"
-            return CheckReport("eq8-coeffs", False, detail, (1, 1))
-    return CheckReport("eq8-coeffs", True, "", (1, 1))
+            yield f"{kind.value}: ({k.k1}, {k.k2}) != tabulated ({want1}, {want2})"
 
 
 _EXPECTED_TREFOIL = {
@@ -162,22 +156,19 @@ _EXPECTED_TREFOIL = {
 }
 
 
-def _check_trefoil(n_max: int, table: RunTable) -> CheckReport:
+def _check_trefoil(n_max: int, table: RunTable) -> Iterator[str]:
     """The m = 1 knot entry equals k1 + k2 and the tabulated trefoil
     polynomial for all three kinds."""
     for kind in InvariantKind:
         got = table.knots(kind, 1).knot(1)
         k = knot_coeffs(kind)
         if got != k.k1 + k.k2:
-            detail = f"{kind.value}: {got} != k1 + k2"
-            return CheckReport("trefoil", False, detail, (1, 1))
+            yield f"{kind.value}: {got} != k1 + k2"
         if str(got) != _EXPECTED_TREFOIL[kind]:
-            detail = f"{kind.value}: {got} != {_EXPECTED_TREFOIL[kind]}"
-            return CheckReport("trefoil", False, detail, (1, 1))
-    return CheckReport("trefoil", True, "", (1, 1))
+            yield f"{kind.value}: {got} != {_EXPECTED_TREFOIL[kind]}"
 
 
-def _check_knot_vs_link(n_max: int, table: RunTable) -> CheckReport:
+def _check_knot_vs_link(n_max: int, table: RunTable) -> Iterator[str]:
     """Knot entries, built from the numbers, agree with the odd entries of
     the link ladder, m = 0..n_max.  The ladder is walked, never stored.
 
@@ -208,12 +199,10 @@ def _check_knot_vs_link(n_max: int, table: RunTable) -> CheckReport:
                 if not same:
                     link_entry = from_az_form(link_entry)
             if not same:
-                detail = f"{kind.value} m={m}: knot {series.knot(m)} != link {link_entry}"
-                return CheckReport("knot-vs-link", False, detail, (0, n_max))
-    return CheckReport("knot-vs-link", True, "", (0, n_max))
+                yield f"{kind.value} m={m}: knot {series.knot(m)} != link {link_entry}"
 
 
-def _check_homfly_specialize(n_max: int, table: RunTable) -> CheckReport:
+def _check_homfly_specialize(n_max: int, table: RunTable) -> Iterator[str]:
     """a -> 1 and a -> t collapse the two-variable knot series onto the
     Alexander and Jones knot series.  A knot entry in a variable other than
     a and t has no image under either map, so it is a mismatch."""
@@ -226,79 +215,75 @@ def _check_homfly_specialize(n_max: int, table: RunTable) -> CheckReport:
             sa = specialize_homfly(h, InvariantKind.ALEXANDER)
             sj = specialize_homfly(h, InvariantKind.JONES)
         except MissingImageError as exc:
-            return CheckReport("homfly-specialize", False, f"m={m}: {exc}", (0, n_max))
+            yield f"m={m}: {exc}"
+            return
         if sa != alex.knot(m):
-            detail = f"m={m}: a->1 gives {sa} != {alex.knot(m)}"
-            return CheckReport("homfly-specialize", False, detail, (0, n_max))
+            yield f"m={m}: a->1 gives {sa} != {alex.knot(m)}"
         if sj != jones.knot(m):
-            detail = f"m={m}: a->t gives {sj} != {jones.knot(m)}"
-            return CheckReport("homfly-specialize", False, detail, (0, n_max))
-    return CheckReport("homfly-specialize", True, "", (0, n_max))
+            yield f"m={m}: a->t gives {sj} != {jones.knot(m)}"
 
 
-def _check_roundtrip_sect7(n_max: int, table: RunTable) -> CheckReport:
+def _check_roundtrip_sect7(n_max: int, table: RunTable) -> Iterator[str]:
     """Reconstructing (l1, l2) from the number families by square roots
     lands exactly on the defining link coefficients."""
     for fam in (Family.ALEXANDER, Family.JONES, Family.HOMFLY):
         got = skein_from_numbers(fam)
         want = link_coeffs(kind_for_family(fam))
         if got.l1 != want.l1 or got.l2 != want.l2:
-            detail = f"{fam.value}: ({got.l1}, {got.l2}) != ({want.l1}, {want.l2})"
-            return CheckReport("roundtrip-sect7", False, detail, (1, 1))
-    return CheckReport("roundtrip-sect7", True, "", (1, 1))
+            yield f"{fam.value}: ({got.l1}, {got.l2}) != ({want.l1}, {want.l2})"
 
 
-def _check_eq33_multiplier(n_max: int, table: RunTable) -> CheckReport:
+def _check_eq33_multiplier(n_max: int, table: RunTable) -> Iterator[str]:
     """[n]^H / [n]^A is the monomial a^(2(n-1))."""
     return _per_index(
-        "eq33-multiplier",
-        n_max,
-        homfly_alexander_multiplier,
-        lambda n: Monomial.var("a") ** (2 * (n - 1)),
+        n_max, homfly_alexander_multiplier, lambda n: Monomial.var("a") ** (2 * (n - 1))
     )
 
 
-def _check_eq34_multiplier(n_max: int, table: RunTable) -> CheckReport:
+def _check_eq34_multiplier(n_max: int, table: RunTable) -> Iterator[str]:
     """[n]^H / [n]^V is a monomial; it equals (a*t^-1)^(2(n-1)), which
     does NOT match the tabulated closed form (a*t)^(2(n-1)).  The check
-    passes on the computed value and records the mismatch.  A quotient
-    that is not exact fails the check."""
-    first_diff = ""
+    passes on the computed value and records the mismatch (`_eq34_note`).
+    A quotient that is not exact fails the check."""
     for n in range(1, n_max + 1):
         try:
             got = homfly_jones_multiplier(n)
         except NotDivisibleError as exc:
-            return CheckReport("eq34-multiplier", False, f"n={n}: {exc}", (1, n_max))
+            yield f"n={n}: {exc}"
+            return
         computed = Monomial({"a": 2 * (n - 1), "t": -2 * (n - 1)})
-        tabulated = Monomial({"a": 2 * (n - 1), "t": 2 * (n - 1)})
         if got != computed:
-            detail = f"n={n}: {got} != (a*t^-1)^(2(n-1)) = {computed}"
-            return CheckReport("eq34-multiplier", False, detail, (1, n_max))
-        if got != tabulated and not first_diff:
-            first_diff = f"first difference at n={n}: computed {got}, tabulated {tabulated}"
-    detail = "computed multiplier is (a*t^-1)^(2(n-1)); " + (
-        f"tabulated form (a*t)^(2(n-1)) does NOT match ({first_diff})"
-        if first_diff
+            yield f"n={n}: {got} != (a*t^-1)^(2(n-1)) = {computed}"
+
+
+def _eq34_note(n_max: int) -> str:
+    """The pass note of ``eq34-multiplier``.  On a pass every quotient is
+    (a*t^-1)^(2(n-1)), which differs from the tabulated (a*t)^(2(n-1))
+    exactly when n >= 2, so the first difference is at n = 2 when the
+    range reaches it."""
+    return "computed multiplier is (a*t^-1)^(2(n-1)); " + (
+        "tabulated form (a*t)^(2(n-1)) does NOT match"
+        " (first difference at n=2: computed a^2*t^-2, tabulated a^2*t^2)"
+        if n_max >= 2
         else "matches the tabulated form (a*t)^(2(n-1))"
     )
-    return CheckReport("eq34-multiplier", True, detail, (1, n_max))
 
 
-def _check_h1_equivalence(n_max: int, table: RunTable) -> CheckReport:
+def _check_h1_equivalence(n_max: int, table: RunTable) -> Iterator[str]:
     """Route-1 numbers substitute exactly onto the two-variable numbers."""
     h1 = partial(qp_number, family_spec(Family.H1))
     homfly = partial(qp_number, family_spec(Family.HOMFLY))
-    return _per_index("h1-equivalence", n_max, lambda n: h1_to_h(h1(n)), homfly)
+    return _per_index(n_max, lambda n: h1_to_h(h1(n)), homfly)
 
 
-def _check_h2_equivalence(n_max: int, table: RunTable) -> CheckReport:
+def _check_h2_equivalence(n_max: int, table: RunTable) -> Iterator[str]:
     """Route-2 numbers substitute exactly onto the two-variable numbers."""
     h2 = partial(qp_number, family_spec(Family.H2))
     homfly = partial(qp_number, family_spec(Family.HOMFLY))
-    return _per_index("h2-equivalence", n_max, lambda n: h2_to_h(h2(n)), homfly)
+    return _per_index(n_max, lambda n: h2_to_h(h2(n)), homfly)
 
 
-def _check_az_roundtrip(n_max: int, table: RunTable) -> CheckReport:
+def _check_az_roundtrip(n_max: int, table: RunTable) -> Iterator[str]:
     """to_az_form followed by z -> t^(1/2) - t^(-1/2) is the identity on
     the two-variable knot entries.  The (a, z) images are the table's, the
     ones ``knot-vs-link`` compares with the link ladder.  A knot entry with
@@ -309,27 +294,47 @@ def _check_az_roundtrip(n_max: int, table: RunTable) -> CheckReport:
         try:
             back = from_az_form(table.az_image(n_max, m))
         except (NotExpressibleError, ValueError) as exc:
-            return CheckReport("az-roundtrip", False, f"m={m}: {exc}", (0, n_max))
+            yield f"m={m}: {exc}"
+            return
         if back != p:
-            detail = f"m={m}: round trip gives {back} != {p}"
-            return CheckReport("az-roundtrip", False, detail, (0, n_max))
-    return CheckReport("az-roundtrip", True, "", (0, n_max))
+            yield f"m={m}: round trip gives {back} != {p}"
 
 
-CHECKS = {
-    "three-route": _check_three_route,
-    "bm-coincidence": _check_bm_coincidence,
-    "eq8-coeffs": _check_eq8_coeffs,
-    "trefoil": _check_trefoil,
-    "knot-vs-link": _check_knot_vs_link,
-    "homfly-specialize": _check_homfly_specialize,
-    "roundtrip-sect7": _check_roundtrip_sect7,
-    "eq33-multiplier": _check_eq33_multiplier,
-    "eq34-multiplier": _check_eq34_multiplier,
-    "h1-equivalence": _check_h1_equivalence,
-    "h2-equivalence": _check_h2_equivalence,
-    "az-roundtrip": _check_az_roundtrip,
-}
+CHECKS: dict[str, Callable[[int, RunTable], CheckReport]] = {}
+
+
+def _check(
+    name: str,
+    mismatches: Callable[[int, RunTable], Iterator[str]],
+    first: int,
+    last: int | None = None,
+    note: Callable[[int], str] = lambda n_max: "",
+) -> None:
+    """Register check ``name`` over first..last, where ``last`` is n_max
+    unless the check's range is fixed.  Its verdict is the first text
+    ``mismatches`` yields, taken inside the registered call, which stops
+    the check there; a pass reports ``note(n_max)``."""
+
+    def run(n_max: int, table: RunTable) -> CheckReport:
+        mismatch = next(mismatches(n_max, table), None)
+        detail = note(n_max) if mismatch is None else mismatch
+        return CheckReport(name, mismatch is None, detail, (first, last or n_max))
+
+    CHECKS[name] = run
+
+
+_check("three-route", _check_three_route, 1)
+_check("bm-coincidence", _check_bm_coincidence, 1)
+_check("eq8-coeffs", _check_eq8_coeffs, 1, 1)
+_check("trefoil", _check_trefoil, 1, 1)
+_check("knot-vs-link", _check_knot_vs_link, 0)
+_check("homfly-specialize", _check_homfly_specialize, 0)
+_check("roundtrip-sect7", _check_roundtrip_sect7, 1, 1)
+_check("eq33-multiplier", _check_eq33_multiplier, 1)
+_check("eq34-multiplier", _check_eq34_multiplier, 1, note=_eq34_note)
+_check("h1-equivalence", _check_h1_equivalence, 1)
+_check("h2-equivalence", _check_h2_equivalence, 1)
+_check("az-roundtrip", _check_az_roundtrip, 0)
 
 
 def check_names() -> list[str]:

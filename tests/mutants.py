@@ -333,6 +333,55 @@ MUTANTS = [
         "self.az_image: Callable[[int, int], LaurentPoly] = (",
         ("tests/test_verify.py::TestReports::test_one_conversion_pass_each_way_per_run",),
     ),
+    # -- the check runner and registry (verify.py) --
+    Mutant(
+        "runner-takes-last-mismatch",  # the verdict is the check's last mismatch
+        "verify.py",
+        "mismatch = next(mismatches(n_max, table), None)",
+        "mismatch = ([None] + list(mismatches(n_max, table)))[-1]",
+        (
+            "tests/test_verify.py::TestReports::test_failure_texts[h1-equivalence]",
+            "tests/test_verify.py::TestReports::test_three_route_stops_at_its_first_mismatch",
+        ),
+    ),
+    Mutant(
+        "runner-ignores-fixed-range",  # eq8-coeffs, trefoil, roundtrip-sect7 over 1..n_max
+        "verify.py",
+        "(first, last or n_max)",
+        "(first, n_max)",
+        (
+            "tests/test_verify.py::TestReports::test_pass_reports[eq8-coeffs@2]",
+            "tests/test_verify.py::TestReports::test_pass_reports[trefoil@2]",
+            "tests/test_verify.py::TestReports::test_pass_reports[roundtrip-sect7@2]",
+        ),
+    ),
+    Mutant(
+        "eq34-note-threshold",  # the pass note finds no difference at n_max = 2
+        "verify.py",
+        "        if n_max >= 2\n",
+        "        if n_max >= 3\n",
+        ("tests/test_verify.py::TestReports::test_pass_reports[eq34-multiplier@2]",),
+    ),
+    # -- the one emitter of qp-num, series and table (cli.py) --
+    Mutant(
+        "emitter-csv-branch-takes-json",  # CSV prints the JSON object, JSON the CSV rows
+        "cli.py",
+        '    elif fmt == "csv":\n',
+        '    elif fmt == "json":\n',
+        (
+            "tests/test_cli.py::TestQpNum::test_csv",
+            "tests/test_cli.py::TestQpNum::test_json",
+            "tests/test_cli.py::TestSeries::test_csv",
+            "tests/test_cli.py::TestTable::test_csv_columns",
+        ),
+    ),
+    Mutant(
+        "emitter-builds-json-always",  # every format builds the JSON object
+        "cli.py",
+        '    if fmt == "text":\n',
+        '    doc()\n    if fmt == "text":\n',
+        ("tests/test_cli.py::TestEmitter::test_only_json_builds_the_json_object",),
+    ),
     # -- the series JSON loader (skein.py) --
     Mutant(
         "json-keeps-duplicate-n",

@@ -161,6 +161,28 @@ class TestTable:
         assert mono_vars <= {"a", "z"}
 
 
+class TestEmitter:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "latex"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qp-num", "--family", "homfly", "--n", "3"],
+            ["series", "--invariant", "homfly", "--links", "--max", "3"],
+            ["table", "--invariant", "homfly", "--max", "2", "--az"],
+        ],
+        ids=["qp-num", "series", "table"],
+    )
+    def test_only_json_builds_the_json_object(self, monkeypatch, argv, fmt):
+        from qpknot import LaurentPoly
+
+        def no_json(self):
+            raise AssertionError("a JSON object was built")
+
+        monkeypatch.setattr(LaurentPoly, "to_json_dict", no_json)
+        code, out = run(*argv, "--format", fmt)
+        assert code == 0 and out
+
+
 class TestVerify:
     def test_single_check(self):
         code, out = run("verify", "--check", "trefoil", "--n-max", "1")

@@ -1,0 +1,176 @@
+"""The CLI contract under generated input: ``cli.main`` exits 0, 1 or 2 and
+raises nothing; a failure that is not a verdict prints nothing to stdout
+and one ``error:`` line to stderr (argparse's usage errors excepted); and
+what ``eval`` prints parses back to the value of the expression.
+
+Inputs follow the grammar in the ``exprparse`` docstring, with one-character
+insert, delete and truncate corruptions, and argv for the other subcommands
+with numbers out of range.  Exponents stay at most 12 and indices at most
+30, since no request has a work limit yet.  Runs are derandomized, with
+fixed example counts."""
+
+import contextlib
+import io
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpknot import Family, InvariantKind, check_names
+from qpknot.cli import main
+from qpknot.exprparse import parse_poly
+
+_SETTINGS = dict(derandomize=True, deadline=None, database=None)
+
+# -- expressions from the exprparse grammar ----------------------------------
+#
+# A seeded walk over the grammar: Hypothesis draws the seed, so examples are
+# fixed under derandomize and cost one draw each.
+
+
+def _expr(rnd: Random, depth: int) -> str:
+    text = _term(rnd, depth)
+    for _ in range(rnd.randrange(3)):
+        text += rnd.choice([" + ", " - ", "+", "-"]) + _term(rnd, depth)
+    return text
+
+
+def _term(rnd: Random, depth: int) -> str:
+    text = "*".join(_factor(rnd, depth) for _ in range(rnd.randint(1, 2)))
+    return text + ("/" + _factor(rnd, depth) if rnd.random() < 0.3 else "")
+
+
+def _factor(rnd: Random, depth: int) -> str:
+    """A variable takes any exponent and a number an integer one; a
+    parenthesized sum takes a small integer power, so that one expression
+    stays cheap to evaluate."""
+    sign = rnd.choice(["", "-"])
+    kind = rnd.randrange(3 if depth else 2)
+    if kind == 0:
+        return sign + rnd.choice("ahpqt") + rnd.choice(["", "^" + _exponent(rnd)])
+    if kind == 1:
+        return sign + str(rnd.randint(0, 12)) + rnd.choice(["", "^" + _int_exponent(rnd)])
+    return f"{sign}({_expr(rnd, depth - 1)})" + rnd.choice(["", "^2", "^-1", "^0"])
+
+
+def _int_exponent(rnd: Random) -> str:
+    return rnd.choice(["", "-"]) + str(rnd.randint(0, 12))
+
+
+def _exponent(rnd: Random) -> str:
+    if rnd.random() < 0.5:
+        return _int_exponent(rnd)
+    return f"({_int_exponent(rnd)}{rnd.choice(['', '/1', '/2', '/3', '/12'])})"
+
+
+def _corrupted(rnd: Random) -> str:
+    """An expression with one character inserted, deleted, or the text cut."""
+    text = _expr(rnd, 1)
+    i = rnd.randint(0, len(text))
+    how = rnd.choice(["insert", "delete", "truncate"])
+    if how == "insert":
+        return text[:i] + rnd.choice("+-*/^()0123456789az $.=\u00b2") + text[i:]
+    if how == "delete":
+        return text[:i] + text[i + 1 :]
+    return text[:i]
+
+
+_seeds = st.integers(0, 2**32).map(Random)
+expressions = _seeds.map(lambda rnd: _expr(rnd, 1))
+corrupted = _seeds.map(_corrupted)
+
+
+# -- argv for the other subcommands ------------------------------------------
+
+_formats = st.sampled_from(["text", "json", "csv", "latex"])
+_numbers = st.one_of(st.integers(-5, 30).map(str), st.sampled_from(["x", "1.5", "", "-0"]))
+
+argvs = st.one_of(
+    st.builds(
+        lambda f, n, fmt: ["qp-num", "--family", f, "--n", n, "--format", fmt],
+        st.sampled_from([f.value for f in Family] + ["kauffman"]),
+        _numbers,
+        _formats,
+    ),
+    st.builds(
+        lambda k, which, n, fmt: ["series", "--invariant", k, which, "--max", n, "--format", fmt],
+        st.sampled_from([k.value for k in InvariantKind]),
+        st.sampled_from(["--knots", "--links"]),
+        _numbers,
+        _formats,
+    ),
+    st.builds(
+        lambda k, n, fmt, az: ["table", "--invariant", k, "--max", n, "--format", fmt] + az,
+        st.sampled_from([k.value for k in InvariantKind]),
+        _numbers,
+        _formats,
+        st.sampled_from([[], ["--az"]]),
+    ),
+    st.builds(
+        lambda check, n: ["verify", *check, "--n-max", n],
+        st.sampled_from([[]] + [["--check", c] for c in check_names()] + [["--check", "x"]]),
+        st.one_of(st.integers(-3, 6).map(str), st.sampled_from(["x", ""])),
+    ),
+)
+
+
+# -- the contract ------------------------------------------------------------
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``, in process."""
+    out, sys_out, err = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(sys_out), contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    return code, out.getvalue() + sys_out.getvalue(), err.getvalue()
+
+
+def _is_verdict(argv, code, out):
+    """A failed check or assertion, which prints its verdict to stdout."""
+    return code == 1 and (
+        (argv[0] == "verify" and out.endswith(" checks passed\n"))
+        or out.startswith("identity FAILS: ")
+    )
+
+
+def _check_contract(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif not _is_verdict(argv, code, out):
+        assert out == ""
+        if err.startswith("usage: "):  # argparse: usage, then "prog: error: ..."
+            assert code == 2 and ": error: " in err.splitlines()[-1]
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    return code, out
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(expressions)
+def test_eval_output_parses_back(expr):
+    code, out = _check_contract(["eval", expr])
+    if code == 0:
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert parse_poly(out) == parse_poly(expr)
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(corrupted)
+def test_eval_on_corrupted_text(expr):
+    code, out = _check_contract(["eval", expr])
+    if code == 0 and expr != "-h":  # "-h" alone asks for eval's help
+        assert parse_poly(out) == parse_poly(expr)
+
+
+@settings(max_examples=80, **_SETTINGS)
+@given(expressions, corrupted)
+def test_eval_assert(lhs, rhs):
+    _check_contract(["eval", "--assert", f"{lhs} == {rhs}"])
+
+
+@settings(max_examples=120, **_SETTINGS)
+@given(argvs)
+def test_other_subcommands(argv):
+    _check_contract(argv)

@@ -6,6 +6,7 @@ import pytest
 
 from qpknot import (
     BadRangeError,
+    CheckReport,
     Family,
     InvariantKind,
     Monomial,
@@ -94,6 +95,45 @@ FAILURE_TEXTS = [
         lambda real: lambda n: Monomial({"a": 2 * (n - 1), "t": 2 * (n - 1)}),
         "n=2: a^2*t^2 != (a*t^-1)^(2(n-1)) = a^2*t^-2",
     ),
+]
+
+
+_EQ34_NOTE = "computed multiplier is (a*t^-1)^(2(n-1)); "
+
+# every check's PASS report at n_max 1 and 2, as (name, n_max, detail,
+# n_range); captured before the checks yielded their mismatches to one
+# runner, and must not change
+PASS_REPORTS = [
+    ("three-route", 1, "", (1, 1)),
+    ("three-route", 2, "", (1, 2)),
+    ("bm-coincidence", 1, "", (1, 1)),
+    ("bm-coincidence", 2, "", (1, 2)),
+    ("eq8-coeffs", 1, "", (1, 1)),
+    ("eq8-coeffs", 2, "", (1, 1)),
+    ("trefoil", 1, "", (1, 1)),
+    ("trefoil", 2, "", (1, 1)),
+    ("knot-vs-link", 1, "", (0, 1)),
+    ("knot-vs-link", 2, "", (0, 2)),
+    ("homfly-specialize", 1, "", (0, 1)),
+    ("homfly-specialize", 2, "", (0, 2)),
+    ("roundtrip-sect7", 1, "", (1, 1)),
+    ("roundtrip-sect7", 2, "", (1, 1)),
+    ("eq33-multiplier", 1, "", (1, 1)),
+    ("eq33-multiplier", 2, "", (1, 2)),
+    ("eq34-multiplier", 1, _EQ34_NOTE + "matches the tabulated form (a*t)^(2(n-1))", (1, 1)),
+    (
+        "eq34-multiplier",
+        2,
+        _EQ34_NOTE + "tabulated form (a*t)^(2(n-1)) does NOT match"
+        " (first difference at n=2: computed a^2*t^-2, tabulated a^2*t^2)",
+        (1, 2),
+    ),
+    ("h1-equivalence", 1, "", (1, 1)),
+    ("h1-equivalence", 2, "", (1, 2)),
+    ("h2-equivalence", 1, "", (1, 1)),
+    ("h2-equivalence", 2, "", (1, 2)),
+    ("az-roundtrip", 1, "", (0, 1)),
+    ("az-roundtrip", 2, "", (0, 2)),
 ]
 
 
@@ -383,6 +423,14 @@ class TestReports:
         assert not report.passed
         assert report.detail == "jones n=1: sum 1 / recurrence 1 / division 2"
         assert [spec for spec in asked if spec in later] == []
+
+    @pytest.mark.parametrize(
+        "name, n_max, detail, n_range",
+        PASS_REPORTS,
+        ids=[f"{name}@{n_max}" for name, n_max, _, _ in PASS_REPORTS],
+    )
+    def test_pass_reports(self, name, n_max, detail, n_range):
+        assert run_check(name, n_max) == CheckReport(name, True, detail, n_range)
 
     @pytest.mark.parametrize(
         "name, callee, wrong, detail", FAILURE_TEXTS, ids=[row[0] for row in FAILURE_TEXTS]
