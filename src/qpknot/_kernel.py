@@ -6,15 +6,18 @@ module on purpose: `perfbench/tracer.py` fetches nine of them from
 merging the two modules would count kernel-internal calls in the traced
 run and dropping one of the nine would crash it.
 
-`poly_add`, `poly_mul` and `poly_term_mul` are built on
-`poly_accum_term_mul` inside `_pykernel`, so a traced run counts each ring
+`poly_add` and `poly_term_mul` are built on `poly_accum_term_mul` inside
+`_pykernel`, and `poly_mul` on `poly_term_mul` (a one-term operand) or
+`packed_accum_term_mul` (any other), so a traced run counts each ring
 call once, under the name the ring called.  The ring calls
 `poly_accum_term_mul` itself for subtraction (``a - b`` is ``a`` plus
 ``b`` times -1) and for the merge in `from_az_form`.
 
-Ordering, division, square roots and the two-term ladder run on the
-packed int keys of a `Frame` (one per operation; a ladder's is sized
-for its last index): printing and `leading_term` sort and scan by `Frame.pack`,
+Products, ordering, division, square roots and the two-term ladder run on
+the packed int keys of a `Frame` (one per operation; a ladder's is sized
+for its last index): `poly_mul` sums a product of two multi-term operands
+on packed keys and decodes each product term once,
+printing and `leading_term` sort and scan by `Frame.pack`,
 `exact_div` and `exact_sqrt` share one leading-term reduction on packed
 keys (a square root divides by 2 * root) that updates its remainder
 through `packed_accum_term_mul`, and
@@ -33,10 +36,9 @@ below are its way in: `ONE` (the key of 1), `mono_of` (the key of
 `mono_split` (one variable's exponent and the rest of the key) and
 `Frame.degree` (the degree of a packed key).
 
-Two of the nine have no caller in the ring and stay only because the
-tracer fetches them by name: `mono_cmp`, which packs its two monomials in
-a frame of their own, and `poly_term_mul`, since every product by one term
-sums into an existing dict through `poly_accum_term_mul`.
+One of the nine has no caller in the ring and stays only because the
+tracer fetches it by name: `mono_cmp`, which packs its two monomials in a
+frame of their own.  `poly_term_mul` is reached through `poly_mul`.
 """
 
 from qpknot._pykernel import (

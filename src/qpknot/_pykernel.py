@@ -20,17 +20,18 @@ them, `mono_split` takes one variable out, and `Frame.degree` reads the
 degree of a packed key.
 
 `poly_accum_term_mul` is the one loop that sums one term dict into
-another.  `poly_add` (a copy of the larger operand plus the smaller),
-`poly_mul` (the larger times each term of the smaller) and `poly_term_mul`
-(into an empty dict) are built on it, and the ring calls it directly for
-subtraction and for the (a, z) -> t merge.
+another over tuple keys.  `poly_add` (a copy of the larger operand plus the
+smaller) and `poly_term_mul` (into an empty dict) are built on it, and the
+ring calls it directly for subtraction and for the (a, z) -> t merge.
 
 `Frame` is the one monomial order: it packs a monomial into one int whose
 int order is graded-lex order and in which one int addition multiplies two
 monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys.
-`packed_accum_term_mul` is the summing loop over packed keys: the one
-leading-term reduction of exact division and square roots updates its
-remainder with it, and
+`packed_accum_term_mul` is the summing loop over packed keys: `poly_mul`
+sums a product whose smaller operand has more than one term with it, in
+one frame per product (a one-term operand goes through `poly_term_mul`),
+the one leading-term reduction of exact division and square roots updates
+its remainder with it, and
 `qpnumbers.two_term_ladder` takes each step of the deformed numbers and of
 the link ladder as one call per coefficient term, in one frame sized for
 the walk's last index, and decodes only the entries its caller asks for.
@@ -160,7 +161,12 @@ class Frame:
     a private offset, ``-lo`` per field, so that each field holds ``e - lo``
     and reads back exactly while e lies in its span.
 
-    The one leading-term reduction, `laurent._reduce`, therefore runs in
+    A product, `poly_mul`, spans [lo1 + lo2, hi1 + hi2] for exponents of v
+    in [lo1, hi1] and [lo2, hi2] in its operands, since it decodes only
+    product terms; an operand's key may lie outside, as only sums of keys
+    are read.
+
+    The one leading-term reduction, `laurent._reduce`, runs in
     a frame whose spans hold every monomial it compares or decodes, and
     it reads the `degree` of a candidate only once the candidate has
     passed its Newton box, which lies inside the spans.  Writing
@@ -261,13 +267,39 @@ def poly_neg(t):
 
 def poly_mul(t1, t2):
     """Distributive product of two term dicts: the larger times each term
-    of the smaller, summed into one dict."""
+    of the smaller, summed into one dict.
+
+    A one-term smaller operand multiplies through `poly_term_mul`.  Any
+    other product runs in one `Frame`: the larger operand is packed once,
+    each term of the smaller is added through `packed_accum_term_mul`, and
+    each product key is unpacked once.  The frame's span of a variable v is
+    [lo1 + lo2, hi1 + hi2], where [lo, hi] are v's exponent bounds in each
+    operand, (0, 0) in one without v.  This is exact: packing is linear, so
+    ``pack(m1) + pack(m2)`` is the key of m1*m2 even when an operand's key
+    lies outside the spans, and every product exponent e1 + e2 lies in its
+    span, so distinct products get distinct keys and each decodes exactly.
+    Cancelled sums are dropped by the summing loop."""
     if len(t1) < len(t2):
         t1, t2 = t2, t1
+    if len(t2) == 1:
+        [(m2, c2)] = t2.items()
+        return poly_term_mul(t1, m2, c2)
+    scale = exp_scale(t1, t2)
+    b1 = exponent_bounds(t1, scale)
+    b2 = exponent_bounds(t2, scale)
+    spans = {}
+    for v in b1.keys() | b2.keys():
+        lo1, hi1 = b1.get(v, (0, 0))
+        lo2, hi2 = b2.get(v, (0, 0))
+        spans[v] = (lo1 + lo2, hi1 + hi2)
+    frame = Frame(scale, spans)
+    pack = frame.pack
+    big = {pack(m): c for m, c in t1.items()}
     out = {}
     for m2, c2 in t2.items():
-        poly_accum_term_mul(out, t1, m2, c2)
-    return out
+        packed_accum_term_mul(out, big, pack(m2), c2)
+    unpack = frame.unpack
+    return {unpack(k): c for k, c in out.items()}
 
 
 def poly_term_mul(t, mono, coeff):

@@ -210,6 +210,37 @@ MUTANTS = [
             "tests/test_eval_oracle.py::TestRingOperations::test_add_sub_mul",
         ),
     ),
+    # -- products (_pykernel.py) --
+    Mutant(
+        "product-span-from-one-low",  # the span starts at the larger operand's low end
+        "_pykernel.py",
+        "spans[v] = (lo1 + lo2, hi1 + hi2)",
+        "spans[v] = (lo1, hi1 + hi2)",
+        (
+            "tests/test_eval_oracle.py::TestProductFrame::test_multi_term_products",
+            "tests/test_eval_oracle.py::TestProductFrame::test_operand_keys_outside_the_spans",
+        ),
+    ),
+    Mutant(
+        "product-scale-of-one-operand",  # the smaller operand's denominators left out
+        "_pykernel.py",
+        "scale = exp_scale(t1, t2)",
+        "scale = exp_scale(t1)",
+        (
+            "tests/test_eval_oracle.py::TestProductFrame::test_multi_term_products",
+            "tests/test_eval_oracle.py::TestProductFrame::test_variable_in_one_operand_only",
+        ),
+    ),
+    Mutant(
+        "one-term-product-without-coefficient",  # a product by c*m taken as one by m
+        "_pykernel.py",
+        "return poly_term_mul(t1, m2, c2)",
+        "return poly_term_mul(t1, m2, 1)",
+        (
+            "tests/test_kernel.py::TestPyKernel::test_poly_mul_by_one_term",
+            "tests/test_eval_oracle.py::TestRingOperations::test_add_sub_mul",
+        ),
+    ),
     Mutant(
         "degree-without-common-denominator",  # mono_deg keeps the first denominator
         "_pykernel.py",

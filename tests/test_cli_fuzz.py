@@ -1,7 +1,9 @@
 """The CLI contract under generated input: ``cli.main`` exits 0, 1 or 2 and
 raises nothing; a failure that is not a verdict prints nothing to stdout
 and one ``error:`` line to stderr (argparse's usage errors excepted); and
-what ``eval`` prints parses back to the value of the expression.
+what ``eval`` prints parses back to the value of the expression and, at the
+rational point of the benchmark's stdlib oracle (``perfbench/oracle.py``),
+evaluates to the oracle's exact value of the expression.
 
 Inputs follow the grammar in the ``exprparse`` docstring, with one-character
 insert, delete and truncate corruptions, and argv for the other subcommands
@@ -10,7 +12,9 @@ with numbers out of range.  Exponents stay at most 12 and indices at most
 fixed example counts."""
 
 import contextlib
+import importlib.util
 import io
+from pathlib import Path
 from random import Random
 
 from hypothesis import given, settings
@@ -21,6 +25,14 @@ from qpknot.cli import main
 from qpknot.exprparse import parse_poly
 
 _SETTINGS = dict(derandomize=True, deadline=None, database=None)
+
+# The oracle never imports qpknot; it is loaded from its file, without
+# putting perfbench/ on sys.path.
+_spec = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 # -- expressions from the exprparse grammar ----------------------------------
 #
@@ -147,6 +159,23 @@ def _check_contract(argv):
     return code, out
 
 
+def _check_oracle_value(expr, out):
+    """What ``eval`` printed has the oracle's value of ``expr`` at its point.
+    The oracle's point gives values to a, p, q and t only, so h is renamed,
+    in the input and the output alike, to one of them that the input lacks.
+    Inputs the oracle still cannot evaluate there are skipped: h beside all
+    four, an exponent that is not a multiple of 1/6, or a division by a
+    factor that vanishes at the point."""
+    free = [v for v in "apqt" if v not in expr]
+    if "h" in expr and free:
+        expr, out = expr.replace("h", free[0]), out.replace("h", free[0])
+    try:
+        want = oracle.expression_value(expr)
+    except (oracle.OracleError, ZeroDivisionError):
+        return
+    assert oracle.value(oracle.parse_text_poly(out)) == want
+
+
 @settings(max_examples=150, **_SETTINGS)
 @given(expressions)
 def test_eval_output_parses_back(expr):
@@ -154,6 +183,7 @@ def test_eval_output_parses_back(expr):
     if code == 0:
         assert out.endswith("\n") and out.count("\n") == 1
         assert parse_poly(out) == parse_poly(expr)
+        _check_oracle_value(expr, out)
 
 
 @settings(max_examples=150, **_SETTINGS)
@@ -162,6 +192,7 @@ def test_eval_on_corrupted_text(expr):
     code, out = _check_contract(["eval", expr])
     if code == 0 and expr != "-h":  # "-h" alone asks for eval's help
         assert parse_poly(out) == parse_poly(expr)
+        _check_oracle_value(expr, out)
 
 
 @settings(max_examples=80, **_SETTINGS)

@@ -311,6 +311,74 @@ class TestSqrtFrame:
         assert residue(got, x) ** 2 % PRIME == residue(square, x)
 
 
+# -- the packed frame of poly_mul ---------------------------------------------
+
+
+@st.composite
+def shifted_polys(draw, names):
+    """A polynomial with two to four terms over ``names``.  Its exponents
+    are multiples of its own 1/den, and those of each variable lie within 2
+    of their own shift in -3..3: they take both signs, and one operand's may
+    lie wholly above or below 0, so that its keys fall outside the product's
+    spans."""
+    den = draw(st.integers(min_value=1, max_value=6))
+    shifts = {v: draw(st.integers(min_value=-3, max_value=3)) for v in names}
+    steps = st.integers(min_value=-2 * den, max_value=2 * den)
+    monos = st.fixed_dictionaries(
+        {v: steps.map(lambda k, s=shifts[v]: s + Fraction(k, den)) for v in names}
+    )
+    return LaurentPoly(draw(st.dictionaries(monos.map(Monomial), coeffs, min_size=2, max_size=4)))
+
+
+def poly(*terms):
+    """The polynomial with the ``(exponents, coeff)`` terms, built without
+    ring arithmetic."""
+    return LaurentPoly({Monomial(exps): c for exps, c in terms})
+
+
+def product_holds(p, q, roots):
+    """The product of ``p`` and ``q`` evaluates to the product of their values."""
+    prod = p * q
+    x = at(roots, p, q, prod)
+    assert value(prod, x) == value(p, x) * value(q, x)
+    return prod
+
+
+class TestProductFrame:
+    @EXAMPLES
+    @given(var_sets.flatmap(shifted_polys), var_sets.flatmap(shifted_polys), points)
+    def test_multi_term_products(self, p, q, roots):
+        product_holds(p, q, roots)
+
+    def test_operand_keys_outside_the_spans(self):
+        # x lies in [2, 3] in p and in [-2, -1] in q, so the product's span
+        # [0, 2] holds neither operand's extreme exponent
+        p = poly(({"x": 2}, 1), ({"x": 3}, 3))
+        q = poly(({"x": -1}, 1), ({"x": -2}, -2))
+        prod = product_holds(p, q, {"x": Fraction(2, 3)})
+        assert prod == poly(({"x": 2}, 3), ({"x": 1}, -5), ({}, -2))
+
+    def test_variable_in_one_operand_only(self):
+        # the smaller operand p brings a denominator the larger one lacks
+        p = poly(({"a": Fraction(-2, 3)}, 1), ({"a": 3}, 5))
+        q = poly(({"t": Fraction(-1, 2)}, 1), ({"t": Fraction(3, 2)}, -1), ({}, 4))
+        prod = product_holds(p, q, {"a": Fraction(-2, 3), "t": Fraction(5, 2)})
+        assert prod.term_count() == 6
+
+    def test_cross_terms_cancel(self):
+        # (x + y)(x - y), with fractional and negative exponents
+        p = poly(({"x": Fraction(1, 2)}, 1), ({"y": -1}, 1))
+        q = poly(({"x": Fraction(1, 2)}, 1), ({"y": -1}, -1))
+        prod = product_holds(p, q, {"x": Fraction(3, 2), "y": Fraction(-4, 3)})
+        assert prod == poly(({"x": 1}, 1), ({"y": -2}, -1))
+
+    def test_large_index_product(self):
+        # K90 * K75 of large-index: wide fields, 181 x 151 terms
+        series = knot_series(InvariantKind.HOMFLY, 90)
+        roots = {"a": Fraction(3, 2), "t": Fraction(-2, 5)}
+        product_holds(series.knot(90), series.knot(75), roots)
+
+
 class TestAZConversions:
     @EXAMPLES
     @given(az_polys, rationals, rationals)

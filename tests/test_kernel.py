@@ -120,6 +120,18 @@ class TestPyKernel:
         _pykernel.poly_accum_term_mul(out, {(): 1}, key({"q": 1}), -4)
         assert out == {key({"q": 1, "t": 1}): 6}
 
+    def test_poly_mul_by_empty_operand(self):
+        t = {key({"t": 1}): 2, key({"a": (-1, 2)}): -1}
+        assert _pykernel.poly_mul(t, {}) == {}
+        assert _pykernel.poly_mul({}, t) == {}
+        assert _pykernel.poly_mul({}, {}) == {}
+
+    def test_poly_mul_by_one_term(self):
+        t = {key({"t": 1}): 2, key({"a": (-1, 2)}): -1, (): 5}
+        want = {key({"a": (1, 2), "t": 1}): -6, (): 3, key({"a": (1, 2)}): -15}
+        assert _pykernel.poly_mul(t, {key({"a": (1, 2)}): -3}) == want
+        assert _pykernel.poly_mul({key({"a": (1, 2)}): -3}, t) == want
+
     def test_mono_split(self):
         m = key({"a": 2, "t": (1, 2), "z": 3})
         assert _pykernel.mono_split(m, "t") == (1, 2, key({"a": 2, "z": 3}))

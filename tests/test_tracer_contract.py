@@ -79,12 +79,14 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert verify.run_check("h1-equivalence", 3).passed
         assert verify.run_check("h2-equivalence", 3).passed
         assert t.stats["substitutions.route"].calls == 6
-        # the kernel builds its sums on poly_accum_term_mul internally, so
-        # each ring operation counts once under its own kernel name
+        # the kernel's sums and both product routes (a one-term operand, or
+        # one frame) run on untraced kernel internals, so each ring operation
+        # counts once under its own kernel name
         names = ("poly_mul", "poly_add", "poly_accum_term_mul", "mono_mul")
-        a, b = p + 1, s.knot(2)
+        a, b, m = p + 1, s.knot(2), qpknot.LaurentPoly.var("a", 2)
         for op, counted in [
             (lambda: a * b, "poly_mul"),
+            (lambda: a * m, "poly_mul"),
             (lambda: a + b, "poly_add"),
             (lambda: a - b, "poly_accum_term_mul"),
         ]:
