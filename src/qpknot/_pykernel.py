@@ -5,41 +5,40 @@ package; the ring reaches them through `_kernel`.
 
 Data contract:
 
-* monomial key: tuple of ``(var, num, den)`` triples sorted by ``var``,
-  where ``var`` is a one-letter string and ``num/den`` is a reduced
-  rational exponent with ``num != 0`` and ``den >= 1``.  The empty tuple,
-  `ONE`, is 1.
-* polynomial: dict mapping monomial key -> nonzero int coefficient.  The
-  empty dict is 0.
+* polynomial: a `Frame` and a dict mapping the frame's packed int keys to
+  nonzero int coefficients.  The empty dict is 0, and the key 0 is the
+  monomial 1 in every frame.  Adding two keys of one frame multiplies
+  their monomials, and ascending int order is graded-lex order.
+* monomial at the edge: a tuple of ``(var, num, den)`` triples sorted by
+  ``var``, where ``var`` is a one-letter string and ``num/den`` a reduced
+  rational exponent with ``num != 0`` and ``den >= 1``; `ONE`, the empty
+  tuple, is 1.  `Monomial` holds one, and text, JSON, CSV and LaTeX read
+  them: `Frame.pack` and `Frame.unpack` convert at that edge only.
 
-This module is the only one that reads either key layout, the triples or
-the packed ints of a `Frame`.  Everywhere else a key is opaque: it is
-stored, hashed, compared for equality and handed back to the kernel.
-`mono_of` builds a key from ``(var, num, den)`` items, `mono_items` lists
-them, `mono_split` takes one variable out, and `Frame.degree` reads the
-degree of a packed key.
+This module is the only one that reads either layout.  Everywhere else a
+key is opaque: it is stored, hashed, compared, added to another key of its
+frame or handed back to the kernel.  `mono_of` builds a tuple from
+``(var, num, den)`` items, `mono_items` lists them and `mono_split` takes
+one variable out; a frame's ``weight[v]``, the key of v^(1/scale), and its
+methods are the way into packed keys.
 
-`poly_accum_term_mul` is the one loop that sums one term dict into
-another over tuple keys.  `poly_add` (a copy of the larger operand plus the
-smaller) and `poly_term_mul` (into an empty dict) are built on it, and the
-ring calls it directly for subtraction and for the (a, z) -> t merge.
-
-`Frame` is the one monomial order: it packs a monomial into one int whose
-int order is graded-lex order and in which one int addition multiplies two
-monomials.  Printing, `leading_term` and `mono_cmp` sort by its keys.
-`packed_accum_term_mul` is the summing loop over packed keys: `poly_mul`
-sums a product whose smaller operand has more than one term with it, in
-one frame per product (a one-term operand goes through `poly_term_mul`),
-the one leading-term reduction of exact division and square roots updates
-its remainder with it, and
-`qpnumbers.two_term_ladder` takes each step of the deformed numbers and of
-the link ladder as one call per coefficient term, in one frame sized for
-the walk's last index, and decodes only the entries its caller asks for.
+`poly_accum_term_mul` is the one summing loop: out += t * (coeff * key).
+`poly_add`, `poly_term_mul` and `poly_mul` are built on it, and the ring
+calls it itself for subtraction, for each step of the leading-term
+reduction of exact division and square roots, for each step of the
+two-term ladder and for the (a, z) -> t merge.  Tuple monomials multiply
+and raise to powers through `mono_mul` and `mono_pow` only in `Monomial`'s
+own arithmetic.
 """
 
+from functools import lru_cache
 from math import gcd, lcm
 
 ONE = ()
+
+# Bits per exponent field of a frame whose exponents need no more: every
+# |exponent| below 2^15 units of 1/scale.  `Frame.fit` widens past it.
+WIDTH = 16
 
 
 def mono_of(items):
@@ -128,87 +127,97 @@ def mono_deg(m):
     return num, den
 
 
-def exp_scale(*polys):
-    """Least common denominator of the exponents of every monomial in the
-    given collections of monomials (1 when there are none)."""
-    return lcm(*{d for t in polys for m in t for _, _, d in m})
-
-
-def exponent_bounds(terms, scale):
-    """Least and greatest exponent of each variable over the monomials
-    ``terms``, as ``var -> (lo, hi)`` in units of 1/scale; a monomial without
-    the variable has exponent 0 in it."""
-    seen = {}
-    for m in terms:
-        for v, n, d in m:
-            seen.setdefault(v, []).append(n * scale // d)
-    for es in seen.values():
-        if len(es) < len(terms):
-            es.append(0)
-    return {v: (min(es), max(es)) for v, es in seen.items()}
-
-
 class Frame:
-    """Packed int keys for monomials whose exponents are multiples of
-    1/scale and lie, per variable v, in ``spans[v] = (lo, hi)`` (units of
-    1/scale).
+    """Packed int keys for monomials in the variables ``names`` whose
+    exponents are multiples of 1/scale, each below 2^(width - 1) units in
+    magnitude.
 
     The key of a monomial is the sum, over its variables v, of e_v times
-    ``weight[v]``: one bit field per variable, the alphabetically first in
-    the highest, and the signed total degree above them all.  Adding two
-    keys multiplies their monomials, and ascending int order is graded-lex
-    order.  There is one kind of key: `unpack`, `outside` and `degree` add
-    a private offset, ``-lo`` per field, so that each field holds ``e - lo``
-    and reads back exactly while e lies in its span.
+    ``weight[v]``, e_v its exponent in units of 1/scale: one signed bit
+    field of ``width`` bits per variable, the alphabetically first in the
+    highest, and the total degree above them all.  So adding two keys
+    multiplies their monomials, multiplying a key by k raises its monomial
+    to the k-th power, and ``weight[v]`` is the key of v^(1/scale).  While
+    every |e_v| < 2^(width - 1) the fields are signed digits of the key,
+    so ascending int order is graded-lex order (the degree dominates, then
+    the first differing field) and each field reads back exactly: every
+    method that reads a field adds a private bias, 2^(width - 1) per
+    field, so that each field holds e + 2^(width - 1) in [1, 2^width - 1]
+    and borrows nothing from the fields above.  The degree needs no bound:
+    its field is the top one.
 
-    A product, `poly_mul`, spans [lo1 + lo2, hi1 + hi2] for exponents of v
-    in [lo1, hi1] and [lo2, hi2] in its operands, since it decodes only
-    product terms; an operand's key may lie outside, as only sums of keys
-    are read.
-
-    The one leading-term reduction, `laurent._reduce`, runs in
-    a frame whose spans hold every monomial it compares or decodes, and
-    it reads the `degree` of a candidate only once the candidate has
-    passed its Newton box, which lies inside the spans.  Writing
-    [n_lo, n_hi] and [d_lo, d_hi] for the exponents of v in a numerator
-    and a divisor, ``exact_div`` spans
-    [min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo)]: a
-    quotient term enters the remainder only after passing the Newton box
-    [n_lo - d_lo, n_hi - d_hi], so remainder terms stay in the numerator's
-    box, and a candidate is a remainder term over the divisor's leading
-    term.  For ``exact_sqrt`` of p with exponents [lo, hi], root terms lie
-    in [lo/2, hi/2], remainder terms in [lo, hi], and candidates, a
-    remainder term over the root's leading term, in
-    [min(lo, lo - hi/2), max(hi, hi - lo/2)].  The degree is a sum of such
-    exponents and needs no bound: its field is the top one.
+    A frame is a value: frames with equal names, scale and width are equal
+    and key alike.  Every polynomial of the ring keeps its terms in one
+    frame and carries its reach, a bound on |exponent| in whole units, so
+    the ring can `fit` a frame that holds a result before it computes it:
+    a sum reaches no further than its operands, a product as far as their
+    reaches added.  Operands in different frames meet in their `join`.
     """
 
-    __slots__ = ("scale", "fields", "shift", "weight", "_offset")
+    __slots__ = ("names", "scale", "width", "weight", "_at", "_bias", "_mask", "_half", "_shift")
 
-    def __init__(self, scale, spans):
-        self.scale = scale
-        # (var, shift, mask, lo), the highest field last until reversed
-        fields = []
-        shift = 0
-        for v in sorted(spans, reverse=True):
-            lo, hi = spans[v]
-            width = (hi - lo).bit_length()
-            fields.append((v, shift, (1 << width) - 1, lo))
-            shift += width
-        fields.reverse()
-        self.fields = fields
-        self.shift = shift
-        self.weight = {v: (1 << s) + (1 << shift) for v, s, _, _ in fields}
-        self._offset = sum(-lo << s for _, s, _, lo in fields)
+    def __new__(cls, names=(), scale=1, width=WIDTH):
+        return _frame(cls, names, scale, width)
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Frame)
+            and self.names == other.names
+            and self.scale == other.scale
+            and self.width == other.width
+        )
+
+    def __hash__(self):
+        return hash((self.names, self.scale, self.width))
+
+    def __repr__(self):
+        return f"Frame({self.names!r}, {self.scale}, {self.width})"
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which shares equal frames
+        return Frame, (self.names, self.scale, self.width)
 
     @classmethod
-    def of(cls, terms):
-        """The least frame that orders the monomials ``terms``."""
-        scale = exp_scale(terms)
-        return cls(scale, exponent_bounds(terms, scale))
+    def of(cls, monos):
+        """``(frame, reach)`` for the tuple monomials ``monos``: the least
+        frame that holds them, and the largest |exponent| among them
+        rounded up to a whole number."""
+        names = set()
+        scale = 1
+        reach = 0
+        for m in monos:
+            for v, n, d in m:
+                names.add(v)
+                scale = lcm(scale, d)
+                reach = max(reach, -(-abs(n) // d))
+        return cls(tuple(sorted(names)), scale).fit(reach), reach
+
+    def fit(self, reach):
+        """This frame, or the least wider one, whose fields hold every
+        exponent of magnitude up to ``reach``."""
+        need = (reach * self.scale).bit_length() + 1
+        if need <= self.width:
+            return self
+        return Frame(self.names, self.scale, need)
+
+    def join(self, other):
+        """The least frame whose keys hold the monomials of both frames: the
+        union of their variables, the least common multiple of their
+        scales and the wider width.  Either frame itself when it is that
+        frame.  Its fields hold what both frames' fields hold only while
+        the scale does not grow; the ring fits it to the reach it needs."""
+        if self == other:
+            return self
+        names = tuple(sorted(set(self.names).union(other.names)))
+        scale = lcm(self.scale, other.scale)
+        width = max(self.width, other.width)
+        for f in (self, other):
+            if f.names == names and f.scale == scale and f.width == width:
+                return f
+        return Frame(names, scale, width)
 
     def pack(self, m):
-        """Key of the monomial ``m``."""
+        """Key of the tuple monomial ``m``, which must lie in this frame."""
         scale = self.scale
         weight = self.weight
         k = 0
@@ -216,112 +225,199 @@ class Frame:
             k += n * scale // d * weight[v]
         return k
 
-    def degree(self, key):
-        """Total degree of a key, in units of 1/scale."""
-        return (key + self._offset) >> self.shift
-
     def unpack(self, key):
-        """Monomial of a key."""
-        key += self._offset
-        scale = self.scale
+        """Tuple monomial of a key."""
+        key += self._bias
+        scale, mask, half = self.scale, self._mask, self._half
         out = []
-        for v, s, mask, lo in self.fields:
-            e = (key >> s & mask) + lo
+        for v, s in self._at.items():
+            e = (key >> s & mask) - half
             if e:
                 g = gcd(e, scale)
                 out.append((v, e // g, scale // g))
         return tuple(out)
 
+    def split(self, terms, var):
+        """``(e, rest, coeff)`` for each term: e the exponent of ``var`` in
+        units of 1/scale (0 when the frame has no such variable), rest the
+        key without it."""
+        s = self._at.get(var)
+        if s is None:
+            return [(0, k, c) for k, c in terms.items()]
+        unit, bias, mask, half = self.weight[var], self._bias, self._mask, self._half
+        out = []
+        for k, c in terms.items():
+            e = ((k + bias) >> s & mask) - half
+            out.append((e, k - e * unit, c))
+        return out
+
+    def degree(self, key):
+        """Total degree of a key, in units of 1/scale."""
+        return (key + self._bias) >> self._shift
+
+    def floor_key(self, degree):
+        """The least key of total degree ``degree`` (units of 1/scale): a
+        key has a smaller degree exactly when it is smaller."""
+        return (degree << self._shift) - self._bias
+
+    def within(self, box):
+        """A test of keys: true when the exponent of every variable v lies in
+        ``box[v] = (lo, hi)`` (units of 1/scale; ``box`` holds every variable
+        of the frame).  Each field of key - key(lo corner) and of
+        key(hi corner) - key must be nonnegative, which its top bit shows
+        once biased, so the frame's fields must hold those differences."""
+        low = sum(lo * self.weight[v] for v, (lo, _) in box.items())
+        high = sum(hi * self.weight[v] for v, (_, hi) in box.items())
+        top = self._bias  # the top bit of every field
+
+        def inside(key):
+            return (key - low + top) & top == top and (high - key + top) & top == top
+
+        return inside
+
     def outside(self, key, box):
         """``(var, e, lo, hi)`` for the alphabetically first variable whose
         exponent e in a key lies outside ``box[var] = (lo, hi)``, else
         None; ``box`` holds every variable of the frame."""
-        key += self._offset
-        for v, s, mask, lo in self.fields:
-            e = (key >> s & mask) + lo
+        key += self._bias
+        mask, half = self._mask, self._half
+        for v, s in self._at.items():
+            e = (key >> s & mask) - half
             b_lo, b_hi = box[v]
             if e < b_lo or e > b_hi:
                 return v, e, b_lo, b_hi
         return None
 
+    def bounds(self, keys):
+        """Least and greatest exponent of each variable of the frame over
+        the keys (some), as ``var -> (lo, hi)`` in units of 1/scale."""
+        biased = [k + self._bias for k in keys]
+        mask, half = self._mask, self._half
+        out = {}
+        for v, s in self._at.items():
+            es = [k >> s & mask for k in biased]
+            out[v] = (min(es) - half, max(es) - half)
+        return out
+
+    def image(self, key, units):
+        """The sum, over the variables v of the frame, of the exponent of v
+        in ``key`` (units of 1/scale) times ``units[v]``, a key of another
+        frame; a variable without a unit counts as mapped to 1."""
+        key += self._bias
+        mask, half = self._mask, self._half
+        out = 0
+        for v, s in self._at.items():
+            u = units.get(v)
+            if u:
+                out += ((key >> s & mask) - half) * u
+        return out
+
+    def map(self, terms, units):
+        """The terms with every key replaced by its `image`: a linear map on
+        keys, so a ring homomorphism sending each v^(1/scale) to the
+        monomial of ``units[v]``.  Keys that meet add up, and cancel."""
+        bias, mask, half = self._bias, self._mask, self._half
+        fields = [(s, units[v]) for v, s in self._at.items() if units.get(v)]
+        out = {}
+        for k, c in terms.items():
+            k += bias
+            new = 0
+            for s, u in fields:
+                new += ((k >> s & mask) - half) * u
+            c += out.get(new, 0)
+            if c:
+                out[new] = c
+            elif new in out:
+                del out[new]
+        return out
+
+    def repack(self, terms, target):
+        """The terms keyed in ``target``, a frame with every variable of
+        this one, a multiple of its scale and fields that hold the terms."""
+        ratio = target.scale // self.scale
+        return self.map(terms, {v: ratio * target.weight[v] for v in self.names})
+
+    def least(self, terms):
+        """``(frame, terms)`` at the least scale that holds the terms: this
+        frame's names and width, its scale over the greatest common
+        divisor of it and every field.  Equal names and widths give equal
+        weights, so each key is divided by that divisor."""
+        g = self.scale
+        bias, mask, half = self._bias, self._mask, self._half
+        shifts = list(self._at.values())
+        for k in terms:
+            if g == 1:
+                return self, terms
+            k += bias
+            for s in shifts:
+                g = gcd(g, (k >> s & mask) - half)
+        if g == 1:
+            return self, terms
+        frame = Frame(self.names, self.scale // g, self.width)
+        return frame, {k // g: c for k, c in terms.items()}
+
+
+@lru_cache(maxsize=256)
+def _frame(cls, names, scale, width):
+    """The frame with these names, scale and width.  Frames are immutable
+    values, so equal ones built close together are one object: the ring
+    builds a handful per operation, and most compare by identity."""
+    self = object.__new__(cls)
+    self.names = names
+    self.scale = scale
+    self.width = width
+    shift = width * len(names)
+    # field shift of each variable, the alphabetically first highest
+    self._at = {v: shift - width * (i + 1) for i, v in enumerate(names)}
+    self.weight = {v: (1 << s) + (1 << shift) for v, s in self._at.items()}
+    self._half = 1 << (width - 1)
+    self._bias = sum(self._half << s for s in self._at.values())
+    self._mask = (1 << width) - 1
+    self._shift = shift
+    return self
+
 
 def mono_cmp(m1, m2):
-    """Graded-lex comparison: total degree first, ties broken at the
-    alphabetically first differing variable, larger exponent first.
-    Returns -1, 0 or 1."""
-    pack = Frame.of((m1, m2)).pack
-    k1, k2 = pack(m1), pack(m2)
+    """Graded-lex comparison of two tuple monomials: total degree first,
+    ties broken at the alphabetically first differing variable, larger
+    exponent first.  Returns -1, 0 or 1."""
+    frame, _ = Frame.of((m1, m2))
+    k1, k2 = frame.pack(m1), frame.pack(m2)
     return (k1 > k2) - (k1 < k2)
 
 
 def poly_add(t1, t2):
-    """Coefficientwise sum of two term dicts."""
+    """Coefficientwise sum of two term dicts of one frame."""
     if len(t1) < len(t2):
         t1, t2 = t2, t1
-    return poly_accum_term_mul(dict(t1), t2, ONE, 1)
+    return poly_accum_term_mul(dict(t1), t2, 0, 1)
 
 
 def poly_neg(t):
-    return {m: -c for m, c in t.items()}
+    return {k: -c for k, c in t.items()}
 
 
 def poly_mul(t1, t2):
-    """Distributive product of two term dicts: the larger times each term
-    of the smaller, summed into one dict.
-
-    A one-term smaller operand multiplies through `poly_term_mul`.  Any
-    other product runs in one `Frame`: the larger operand is packed once,
-    each term of the smaller is added through `packed_accum_term_mul`, and
-    each product key is unpacked once.  The frame's span of a variable v is
-    [lo1 + lo2, hi1 + hi2], where [lo, hi] are v's exponent bounds in each
-    operand, (0, 0) in one without v.  This is exact: packing is linear, so
-    ``pack(m1) + pack(m2)`` is the key of m1*m2 even when an operand's key
-    lies outside the spans, and every product exponent e1 + e2 lies in its
-    span, so distinct products get distinct keys and each decodes exactly.
-    Cancelled sums are dropped by the summing loop."""
+    """Distributive product of two term dicts of one frame: the larger
+    times each term of the smaller, summed into one dict.  The frame must
+    hold the product's exponents; cancelled sums are dropped by the
+    summing loop."""
     if len(t1) < len(t2):
         t1, t2 = t2, t1
-    if len(t2) == 1:
-        [(m2, c2)] = t2.items()
-        return poly_term_mul(t1, m2, c2)
-    scale = exp_scale(t1, t2)
-    b1 = exponent_bounds(t1, scale)
-    b2 = exponent_bounds(t2, scale)
-    spans = {}
-    for v in b1.keys() | b2.keys():
-        lo1, hi1 = b1.get(v, (0, 0))
-        lo2, hi2 = b2.get(v, (0, 0))
-        spans[v] = (lo1 + lo2, hi1 + hi2)
-    frame = Frame(scale, spans)
-    pack = frame.pack
-    big = {pack(m): c for m, c in t1.items()}
     out = {}
-    for m2, c2 in t2.items():
-        packed_accum_term_mul(out, big, pack(m2), c2)
-    unpack = frame.unpack
-    return {unpack(k): c for k, c in out.items()}
-
-
-def poly_term_mul(t, mono, coeff):
-    """Multiply a term dict by the single term coeff * mono."""
-    return poly_accum_term_mul({}, t, mono, coeff)
-
-
-def poly_accum_term_mul(out, t, mono, coeff):
-    """In-place out += t * (coeff * mono); returns out."""
-    for m, c in t.items():
-        key = mono_mul(m, mono)
-        s = out.get(key, 0) + c * coeff
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+    for k, c in t2.items():
+        poly_accum_term_mul(out, t1, k, c)
     return out
 
 
-def packed_accum_term_mul(out, t, key, coeff):
-    """In-place out += t * (coeff * key) on packed int keys, where adding
-    two keys multiplies their monomials; returns out."""
+def poly_term_mul(t, key, coeff):
+    """Multiply a term dict by the single term coeff * key."""
+    return poly_accum_term_mul({}, t, key, coeff)
+
+
+def poly_accum_term_mul(out, t, key, coeff):
+    """In-place out += t * (coeff * key), all keys of one frame; returns
+    out."""
     for k, c in t.items():
         k += key
         s = out.get(k, 0) + c * coeff

@@ -9,15 +9,19 @@ Monomial order, used for division, square roots and printing, is graded
 lexicographic: larger total degree first, ties broken at the
 alphabetically first differing variable with the larger exponent winning,
 a missing variable counting as exponent 0.  It has one implementation,
-the packed int keys of the kernel's `Frame`: printing and `leading_term`
-sort and scan by them, and `exact_div` and `exact_sqrt` run one
-leading-term reduction, `_reduce`, on them: a square root is a division
-by 2 * root.
+the int order of the kernel's packed keys.
 
-A monomial is held as the kernel's key, which this module never builds or
-takes apart itself: keys come from `_kernel.mono_of` and `_kernel.ONE`,
-their ``(var, num, den)`` items from `_kernel.mono_items`, and the
-degree of a packed key from `Frame.degree`.
+A polynomial holds a `Frame` of the kernel (its variables, scale and
+field width), a dict from the frame's packed int keys to coefficients, and
+its reach, a bound on |exponent| in whole units.  Keys stay packed between
+operations: operands of one frame add, multiply and compare by int
+arithmetic, and operands of different frames are re-packed into the join
+of the two (`_common`), fitted to the reach of the result.  `substitute`
+is a linear map on keys, `exact_div` and `exact_sqrt` run one
+leading-term reduction, `_reduce`, on the keys (a square root is a
+division by 2 * root), and printing sorts the polynomial's own keys.  Only
+`Monomial`, canonical text and JSON decode a key, through `Frame.unpack`;
+this module never reads a key's layout itself.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ class Monomial:
     def as_poly(self, coeff: int = 1) -> "LaurentPoly":
         if not isinstance(coeff, int):
             raise TypeError("coefficients must be ints")
-        return LaurentPoly._raw({self._key: int(coeff)} if coeff else {})
+        return LaurentPoly._raw(*_packed({self._key: int(coeff)} if coeff else {}))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._key == other._key
@@ -212,8 +216,13 @@ def _json_term(entry) -> tuple:
     return Monomial(exps), int(coeff)
 
 
-def _ordered_keys(terms: dict) -> list:
-    return sorted(terms, key=_K.Frame.of(terms).pack, reverse=True)
+def _packed(monos: dict) -> tuple:
+    """``(frame, terms, reach)`` of a dict from tuple monomials to
+    coefficients: the least frame that holds them and the terms on its
+    keys."""
+    frame, reach = _K.Frame.of(monos)
+    pack = frame.pack
+    return frame, {pack(m): c for m, c in monos.items()}, reach
 
 
 def _outside_box(what: str, v: str, e: int, lo: int, hi: int, scale: int) -> str:
@@ -225,6 +234,9 @@ def _outside_box(what: str, v: str, e: int, lo: int, hi: int, scale: int) -> str
     )
 
 
+_NO_VARS = _K.Frame()  # the frame of the constants
+
+
 class LaurentPoly:
     """A finite integer combination of monomials; the universal value type.
 
@@ -234,34 +246,39 @@ class LaurentPoly:
     not exist in the ring.
     """
 
-    __slots__ = ("_t",)
+    __slots__ = ("_f", "_t", "_r")
 
     def __init__(self, value=0):
         if isinstance(value, LaurentPoly):
-            terms = value._t
+            self._f, self._t, self._r = value._f, dict(value._t), value._r
         elif isinstance(value, Monomial):
-            terms = {value._key: 1}
+            self._f, self._t, self._r = _packed({value._key: 1})
         elif isinstance(value, int):
-            terms = {_K.ONE: int(value)} if value else {}
+            self._f, self._t, self._r = _NO_VARS, ({0: int(value)} if value else {}), 0
         elif isinstance(value, Mapping):
-            terms = _merge_terms(value.items())
+            self._f, self._t, self._r = _packed(_merge_terms(value.items()))
         else:
             raise TypeError(f"cannot build a polynomial from {value!r}")
-        self._t = dict(terms)
 
     @classmethod
-    def _raw(cls, terms: dict) -> "LaurentPoly":
+    def _raw(cls, frame, terms: dict, reach: int) -> "LaurentPoly":
+        """The polynomial with ``terms`` on the keys of ``frame``, every
+        |exponent| at most ``reach``."""
         p = cls.__new__(cls)
-        p._t = terms
+        p._f, p._t, p._r = frame, terms, reach
         return p
+
+    def _in(self, frame) -> dict:
+        """The terms on the keys of ``frame``, which holds them."""
+        return self._t if self._f == frame else self._f.repack(self._t, frame)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
+        return cls._raw(_NO_VARS, {}, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({_K.ONE: 1})
+        return cls._raw(_NO_VARS, {0: 1}, 0)
 
     @classmethod
     def var(cls, name: str, exp: RationalLike = 1) -> "LaurentPoly":
@@ -269,17 +286,22 @@ class LaurentPoly:
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple]) -> "LaurentPoly":
-        return cls._raw(_merge_terms(items))
+        return cls._raw(*_packed(_merge_terms(items)))
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical (descending graded-lex) order."""
-        return [(Monomial._from_key(k), self._t[k]) for k in _ordered_keys(self._t)]
+        t, unpack = self._t, self._f.unpack
+        return [(Monomial._from_key(unpack(k)), t[k]) for k in sorted(t, reverse=True)]
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._t.get(_as_monomial(mono)._key, 0)
+        q = _as_monomial(mono).as_poly()
+        _, t, (key,) = _common(self, q, max(self._r, q._r))
+        return t.get(key, 0)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(sorted({v for key in self._t for v, _, _ in _K.mono_items(key)}))
+        if not self._t:
+            return ()
+        return tuple(v for v, span in self._f.bounds(self._t).items() if span != (0, 0))
 
     def term_count(self) -> int:
         return len(self._t)
@@ -295,31 +317,37 @@ class LaurentPoly:
     def as_monomial(self) -> Monomial:
         if not self.is_monomial():
             raise ValueError(f"not a monomial: {self}")
-        return Monomial._from_key(next(iter(self._t)))
+        return Monomial._from_key(self._f.unpack(next(iter(self._t))))
 
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        key = max(self._t, key=_K.Frame.of(self._t).pack)
-        return Monomial._from_key(key), self._t[key]
+        key = max(self._t)
+        return Monomial._from_key(self._f.unpack(key)), self._t[key]
 
     def __bool__(self) -> bool:
         return bool(self._t)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._t == other._t
+            if len(self._t) != len(other._t):
+                return False
+            _, a, b = _common(self, other, max(self._r, other._r))
+            return a == b
         if isinstance(other, int):
-            return self._t == ({_K.ONE: other} if other else {})
+            return self._t == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
-        # constants hash like the ints they equal
-        if not self._t:
+        # constants hash like the ints they equal; other values hash their
+        # decoded terms, which every frame agrees on
+        t = self._t
+        if not t:
             return hash(0)
-        if len(self._t) == 1 and _K.ONE in self._t:
-            return hash(self._t[_K.ONE])
-        return hash(frozenset(self._t.items()))
+        if len(t) == 1 and 0 in t:
+            return hash(t[0])
+        unpack = self._f.unpack
+        return hash(frozenset((unpack(k), c) for k, c in t.items()))
 
     @staticmethod
     def _coerce(other) -> "LaurentPoly | None":
@@ -333,30 +361,36 @@ class LaurentPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_add(self._t, q._t))
+        reach = max(self._r, q._r)
+        frame, a, b = _common(self, q, reach)
+        return LaurentPoly._raw(frame, _K.poly_add(a, b), reach)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw(_K.poly_neg(self._t))
+        return LaurentPoly._raw(self._f, _K.poly_neg(self._t), self._r)
 
     def __sub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(self._t), q._t, _K.ONE, -1))
+        reach = max(self._r, q._r)
+        frame, a, b = _common(self, q, reach)
+        return LaurentPoly._raw(frame, _K.poly_accum_term_mul(dict(a), b, 0, -1), reach)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_accum_term_mul(dict(q._t), self._t, _K.ONE, -1))
+        return q - self
 
     def __mul__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return LaurentPoly._raw(_K.poly_mul(self._t, q._t))
+        reach = self._r + q._r
+        frame, a, b = _common(self, q, reach)
+        return LaurentPoly._raw(frame, _K.poly_mul(a, b), reach)
 
     __rmul__ = __mul__
 
@@ -386,24 +420,30 @@ class LaurentPoly:
         """Ring homomorphism replacing each variable by a monomial image.
 
         Every variable occurring in the polynomial must have an image;
-        raises :class:`MissingImageError` otherwise.  Extra images are
-        ignored.
+        raises :class:`MissingImageError` for the alphabetically first one
+        that has none.  Extra images are ignored.
+
+        The homomorphism is a linear map on keys (`Frame.map`): v^(1/s),
+        for s the polynomial's scale, goes to the key of its image's
+        1/s-th power, in a frame over the images' variables whose scale is
+        s times the images' own, so every image exponent is a whole number
+        of its units.  Terms that meet add up or cancel, and the result
+        moves to its least scale (`Frame.least`).  A term of reach r goes
+        to exponents of magnitude at most r times the sum of the images'
+        reaches, which the frame is fitted to.
         """
+        frame, t = self._f, self._t
         keyed = {v: _as_monomial(img)._key for v, img in images.items()}
-        out: dict = {}
-        for key, coeff in self._t.items():
-            new = _K.ONE
-            for v, n, d in _K.mono_items(key):
-                img = keyed.get(v)
-                if img is None:
+        if t and not keyed.keys() >= set(frame.names):
+            for v, span in frame.bounds(t).items():
+                if v not in keyed and span != (0, 0):
                     raise MissingImageError(v)
-                new = _K.mono_mul(new, _K.mono_pow(img, n, d))
-            c = out.get(new, 0) + coeff
-            if c:
-                out[new] = c
-            elif new in out:
-                del out[new]
-        return LaurentPoly._raw(out)
+        used = [v for v in frame.names if v in keyed]
+        images_frame, images_reach = _K.Frame.of([keyed[v] for v in used])
+        reach = self._r * len(used) * images_reach
+        target = _K.Frame(images_frame.names, frame.scale * images_frame.scale).fit(reach)
+        units = {v: target.pack(keyed[v]) // frame.scale for v in used}
+        return LaurentPoly._raw(*target.least(frame.map(t, units)), reach)
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -415,12 +455,13 @@ class LaurentPoly:
 
     def to_json_dict(self) -> dict:
         """Canonical JSON object; round-trips bit-exactly."""
+        t, unpack = self._t, self._f.unpack
         entries = []
-        for key in _ordered_keys(self._t):
+        for key in sorted(t, reverse=True):
             entries.append(
                 {
-                    "coeff": str(self._t[key]),
-                    "monomial": {v: f"{n}/{d}" for v, n, d in _K.mono_items(key)},
+                    "coeff": str(t[key]),
+                    "monomial": {v: f"{n}/{d}" for v, n, d in unpack(key)},
                 }
             )
         return {"terms": entries}
@@ -430,7 +471,7 @@ class LaurentPoly:
         terms = _json_field(obj, "terms", "polynomial")
         if not isinstance(terms, list):
             raise TypeError(f"terms must be a JSON array, got {terms!r}")
-        return cls._raw(_merge_terms(map(_json_term, terms)))
+        return cls._raw(*_packed(_merge_terms(map(_json_term, terms))))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -438,6 +479,15 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, text: str) -> "LaurentPoly":
         return cls.from_json_dict(json.loads(text))
+
+
+def _common(p: LaurentPoly, q: LaurentPoly, reach: int) -> tuple:
+    """``(frame, p's terms, q's terms)`` on the keys of one frame: the join
+    of the two frames, fitted to exponents of magnitude up to ``reach``.
+    An operand already in that frame keeps its own dict, so a caller that
+    changes one copies it first."""
+    frame = p._f.join(q._f).fit(reach)
+    return frame, p._in(frame), q._in(frame)
 
 
 # -- canonical text --------------------------------------------------------
@@ -459,16 +509,17 @@ def _render_terms(p: LaurentPoly, mono_text, sep: str) -> str:
     monomial's ``(var, num, den)`` items, by ``sep``."""
     if p.is_zero:
         return "0"
+    t, unpack = p._t, p._f.unpack
     chunks = []
-    for key in _ordered_keys(p._t):
-        coeff = p._t[key]
+    for key in sorted(t, reverse=True):
+        coeff = t[key]
         mag = coeff if coeff > 0 else -coeff
-        if key == _K.ONE:
+        if key == 0:
             body = str(mag)
         elif mag == 1:
-            body = mono_text(_K.mono_items(key))
+            body = mono_text(unpack(key))
         else:
-            body = f"{mag}{sep}{mono_text(_K.mono_items(key))}"
+            body = f"{mag}{sep}{mono_text(unpack(key))}"
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
@@ -508,22 +559,33 @@ def _reduce(frame, rem, lead, lc, tail, box, floor, error, what, floor_text):
     by ``lc``.  Otherwise the remainder ``rem`` loses its leading term and
     the candidate times ``tail``, the divisor's other terms (a key plus a
     key is the key of their product).  The caller may change ``rem`` and
-    ``tail`` before it asks for the next term."""
+    ``tail`` before it asks for the next term.
+
+    Both tests of a candidate are int operations on its key: `Frame.within`
+    reads every field against the box at once, and a degree below ``floor``
+    is a key below the least key of that degree.  The frame's fields must
+    hold the difference of any candidate exponent and a bound of the box;
+    `Frame.outside` decodes the candidate only to word the error."""
+    inside, low = frame.within(box), frame.floor_key(floor)
     while rem:
         lt = max(rem)
         k = lt - lead
-        bad = frame.outside(k, box)
-        if bad:
-            raise error(_outside_box(what, *bad, frame.scale))
-        # exact: the box lies inside the frame's spans
-        if frame.degree(k) < floor:
+        if not inside(k):
+            raise error(_outside_box(what, *frame.outside(k, box), frame.scale))
+        if k < low:
             raise error(floor_text)
         c = rem.pop(lt)
         if c % lc:
             raise error(f"coefficient {c} not divisible by {lc}")
         c //= lc
-        _K.packed_accum_term_mul(rem, tail, k, -c)
+        _K.poly_accum_term_mul(rem, tail, k, -c)
         yield k, c
+
+
+def _box_reach(box: dict, scale: int) -> int:
+    """The largest |exponent| in the Newton ``box`` (units of 1/scale),
+    rounded up to a whole number."""
+    return -(-max((max(-lo, hi) for lo, hi in box.values()), default=0) // scale)
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -542,29 +604,29 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     and the reduction always stops.  Every divisor, monomials included, goes
     through this one reduction, `_reduce`, which square roots share.
 
-    The reduction runs on the packed keys of a `Frame` sized for this call
-    (its docstring gives the field widths).  Only the divisor's other terms
-    are added into the remainder, since its leading term cancels exactly,
-    and each quotient term is decoded to a monomial as it comes.
+    The reduction runs on the packed keys of the operands' common frame,
+    and the quotient keeps them.  Writing [n_lo, n_hi] and [d_lo, d_hi]
+    for the exponents of v in the numerator and the divisor, a quotient
+    term enters the remainder only after passing the Newton box, so
+    remainder terms stay in [n_lo, n_hi], and a candidate, a remainder term
+    over the divisor's leading term, in [n_lo - d_hi, n_hi - d_lo].  So
+    a candidate differs from a bound of the box by at most twice the
+    larger reach of the operands, which the frame is fitted to.  Only the
+    divisor's other terms are added into the remainder, since its leading
+    term cancels exactly.
     """
     if den.is_zero:
         raise DivisionByZeroError("division by the zero polynomial")
     if num.is_zero:
         return LaurentPoly.zero()
 
-    num_t, den_t = num._t, den._t
-    scale = _K.exp_scale(num_t, den_t)
-    num_b = _K.exponent_bounds(num_t, scale)
-    den_b = _K.exponent_bounds(den_t, scale)
-    spans, box = {}, {}
-    for v in num_b.keys() | den_b.keys():
-        n_lo, n_hi = num_b.get(v, (0, 0))
-        d_lo, d_hi = den_b.get(v, (0, 0))
-        spans[v] = (min(n_lo, d_lo, n_lo - d_hi), max(n_hi, d_hi, n_hi - d_lo))
+    frame, rem, tail = _common(num, den, 2 * max(num._r, den._r))
+    rem, tail = dict(rem), dict(tail)
+    num_b, den_b = frame.bounds(rem), frame.bounds(tail)
+    box = {}
+    for v, (n_lo, n_hi) in num_b.items():
+        d_lo, d_hi = den_b[v]
         box[v] = (n_lo - d_lo, n_hi - d_hi)
-    frame = _K.Frame(scale, spans)
-    rem = {frame.pack(m): c for m, c in num_t.items()}
-    tail = {frame.pack(m): c for m, c in den_t.items()}
     lead = max(tail)
     dc = tail.pop(lead)
     floor = frame.degree(min(rem)) - frame.degree(lead)
@@ -572,7 +634,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         frame, rem, lead, dc, tail, box, floor, NotDivisibleError,
         "quotient", "remainder degree fell below the numerator's range",
     )
-    return LaurentPoly._raw({frame.unpack(k): q for k, q in quot})
+    return LaurentPoly._raw(frame, dict(quot), _box_reach(box, frame.scale))
 
 
 def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
@@ -589,18 +651,22 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     Newton(p) = 2 Newton(root), so every exponent of a variable v in the
     root lies in [min_v p / 2, max_v p / 2], and every root term has at
     least half p's least degree.  Candidates strictly decrease in a
-    monomial order inside that finite box, so the reduction always stops."""
+    monomial order inside that finite box, so the reduction always stops.
+
+    The reduction runs in p's frame at twice its scale, so every exponent
+    and degree of p is even there and half a key is the key of the square
+    root.  Remainder terms stay in p's box and candidates, a remainder term
+    over the root's leading term, within 3/2 of p's reach, so a candidate
+    differs from a bound of the root's box by at most twice p's reach,
+    which the frame is fitted to.  The root moves to its least scale."""
     if p.is_zero:
         return LaurentPoly.zero()
 
-    # root exponents have half the denominators of p's, so every exponent
-    # and degree of p is even here
-    scale = 2 * _K.exp_scale(p._t)
-    bounds = _K.exponent_bounds(p._t, scale)
-    spans = {v: (min(lo, lo - hi // 2), max(hi, hi - lo // 2)) for v, (lo, hi) in bounds.items()}
+    f = p._f
+    frame = _K.Frame(f.names, 2 * f.scale, f.width).fit(2 * p._r)
+    rem = f.repack(p._t, frame)
+    bounds = frame.bounds(rem)
     box = {v: (lo // 2, hi // 2) for v, (lo, hi) in bounds.items()}
-    frame = _K.Frame(scale, spans)
-    rem = {frame.pack(m): c for m, c in p._t.items()}
     floor = frame.degree(min(rem)) // 2
     lt = max(rem)
     lc = rem.pop(lt)  # lt = rm^2 and lc = rc^2
@@ -617,5 +683,5 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     )
     for k, c in terms:
         root[k], tail[k] = c, 2 * c
-        _K.packed_accum_term_mul(rem, {k: c}, k, -c)
-    return LaurentPoly._raw({frame.unpack(k): c for k, c in root.items()})
+        _K.poly_accum_term_mul(rem, {k: c}, k, -c)
+    return LaurentPoly._raw(*frame.least(root), -(-p._r // 2))

@@ -70,27 +70,20 @@ def _check_index(n: int) -> None:
 def qp_number(spec: QPSpec, n: int) -> LaurentPoly:
     """Closed-sum form: sum of u^(n-1-i) * v^i for i = 0..n-1.
 
-    This is the primary definition; it is total and division-free.
+    This is the primary definition; it is total and division-free.  Its
+    keys are an arithmetic progression: (n-1) * key(u) + i * (key(v) -
+    key(u)), in the least frame of u and v, fitted to the reach (n-1)
+    times theirs.
     """
     _check_index(n)
-    u = spec.u._key
-    v = spec.v._key
-    term = _K.mono_pow(u, n - 1, 1)
-    step = _K.mono_mul(_K.mono_pow(u, -1, 1), v)
-    # u != v, so the step v/u is not 1 and, exponents being torsion-free,
-    # the n terms u^(n-1) * (v/u)^i are distinct: each is stored once
-    out: dict = {}
-    for _ in range(n):
-        out[term] = 1
-        term = _K.mono_mul(term, step)
-    return LaurentPoly._raw(out)
-
-
-def _widest(polys, scale: int) -> dict:
-    """The largest |exponent| of each variable over the terms of ``polys``,
-    in units of 1/scale."""
-    bounds = _K.exponent_bounds([m for p in polys for m in p._t], scale)
-    return {v: max(-lo, hi) for v, (lo, hi) in bounds.items()}
+    frame, reach = _K.Frame.of((spec.u._key, spec.v._key))
+    reach *= max(n - 1, 0)
+    frame = frame.fit(reach)
+    u = frame.pack(spec.u._key)
+    step = frame.pack(spec.v._key) - u
+    # u != v, so the step is not 0 and the n keys are distinct
+    first = (n - 1) * u
+    return LaurentPoly._raw(frame, dict.fromkeys(range(first, first + n * step, step), 1), reach)
 
 
 def two_term_ladder(
@@ -100,55 +93,47 @@ def two_term_ladder(
 
     ``indices`` is a non-empty range with start >= 0 and step >= 1.  Each
     term is computed only when it is asked for.  The walk runs on the
-    packed int keys of one `Frame`, sized for ``indices[-1]``: a step is
-    one `packed_accum_term_mul` per coefficient term into a fresh dict.
-    The ladder decodes only the entries its caller asks for, each once,
-    when it is yielded.
+    packed int keys of one `Frame`, the join of the four polynomials'
+    frames fitted to the reach of x(indices[-1]): a step is one
+    `poly_accum_term_mul` per coefficient term into a fresh dict, and
+    each entry asked for is handed over on those keys, with no decoding.
 
-    Span bound: with exponents in units of 1/scale (scale the common
-    denominator of the four polynomials), let M_v be the largest |e_v| over
-    the terms of c1 and c2 and B_v the largest over x0 and x1.  Every term
-    of x(k), and every product summed into it, has |e_v| <= B_v + k*M_v, by
-    induction on k.  The frame spans [-(B_v + last*M_v), B_v + last*M_v]
-    for last = indices[-1], so it holds every key of the walk.
+    Reach bound: let M be the larger reach of c1 and c2 and B that of x0
+    and x1.  Every term of x(k), and every product summed into it, has
+    |exponent| <= B + k*M, by induction on k; so does entry k, whose reach
+    it is, and the frame holds the walk up to the last index.
     """
     if not indices or indices.start < 0 or indices.step < 1:
         raise ValueError(f"indices must be a non-empty ascending range from 0 up, got {indices}")
     last = indices[-1]
     yield from (x for k, x in enumerate((x0, x1)) if k in indices)
-    scale = _K.exp_scale(c1._t, c2._t, x0._t, x1._t)
-    reach, base = _widest((c1, c2), scale), _widest((x0, x1), scale)
-    spans = {}
-    for v in reach.keys() | base.keys():
-        b = base.get(v, 0) + last * reach.get(v, 0)
-        spans[v] = (-b, b)
-    frame = _K.Frame(scale, spans)
-    pack, unpack = frame.pack, frame.unpack
-    terms1 = [(pack(m), c) for m, c in c1._t.items()]
-    terms2 = [(pack(m), c) for m, c in c2._t.items()]
-    prev = {pack(m): c for m, c in x0._t.items()}
-    cur = {pack(m): c for m, c in x1._t.items()}
+    base, reach = max(x0._r, x1._r), max(c1._r, c2._r)
+    frame = c1._f.join(c2._f).join(x0._f).join(x1._f).fit(base + last * reach)
+    terms1 = list(c1._in(frame).items())
+    terms2 = list(c2._in(frame).items())
+    prev, cur = x0._in(frame), x1._in(frame)
     for k in range(2, last + 1):
         nxt: dict = {}
         for key, c in terms1:
-            _K.packed_accum_term_mul(nxt, cur, key, c)
+            _K.poly_accum_term_mul(nxt, cur, key, c)
         for key, c in terms2:
-            _K.packed_accum_term_mul(nxt, prev, key, c)
+            _K.poly_accum_term_mul(nxt, prev, key, c)
         prev, cur = cur, nxt
         if k in indices:
-            yield LaurentPoly._raw({unpack(key): c for key, c in nxt.items()})
+            yield LaurentPoly._raw(frame, nxt, base + k * reach)
 
 
 def recurrence_coeffs(spec: QPSpec) -> tuple[LaurentPoly, LaurentPoly]:
     """(k1, k2) = (u + v, -u*v): [n+1] = k1*[n] + k2*[n-1], and the knot
     coefficients of the invariant families."""
-    return spec.u.as_poly() + spec.v.as_poly(), -(spec.u * spec.v).as_poly()
+    u, v = spec.u.as_poly(), spec.v.as_poly()
+    return u + v, -(u * v)
 
 
 def qp_numbers(spec: QPSpec, indices: range) -> Iterator[LaurentPoly]:
     """Yield [n] for n in ``indices`` by the recurrence from [0] = 0, [1] = 1.
 
-    The ladder walks up to ``indices[-1]`` and decodes only the entries its
+    The ladder walks up to ``indices[-1]`` and hands over the entries its
     caller asks for."""
     k1, k2 = recurrence_coeffs(spec)
     return two_term_ladder(k1, k2, LaurentPoly.zero(), LaurentPoly.one(), indices)
@@ -157,7 +142,7 @@ def qp_numbers(spec: QPSpec, indices: range) -> Iterator[LaurentPoly]:
 def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
     """Recurrence form: [k+1] = (u+v)*[k] - u*v*[k-1] from [0]=0, [1]=1.
 
-    The ladder walks to [n] and decodes only that entry."""
+    The ladder walks to [n] and hands over only that entry."""
     _check_index(n)
     return next(qp_numbers(spec, range(n, n + 1)))
 

@@ -18,6 +18,7 @@ import enum
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate, pairwise
+from math import lcm
 
 from qpknot import _kernel as _K
 from qpknot._record import Record
@@ -257,44 +258,58 @@ def to_az_form(p: LaurentPoly) -> LaurentPoly:
     Horner is then undone on the half row from the bottom.  On a step whose
     parity matches the row, g_j is the row's value at w = 1,
     c(0) + 2 * (c(2) + c(4) + ...), taken off at w^0; dividing by z is the
-    running sum q(k-1) = c(k) + q(k+1) from the top.
+    running sum q(k-1) = c(k) + q(k+1) from the top, once between steps.
+
+    Keys split and join by field arithmetic: `Frame.split` takes the
+    t-exponent out of each key, leaving its a-part, which maps to the
+    output frame (the input's other variables and z, at the input's scale)
+    once per row, and z^j adds j times the key of z.  The output moves to
+    its least scale, so an input with t^(1/2), such as l1, lands in the
+    frame of the knot entries' images.
     """
     extra = set(p.variables()) - {"a", "t"}
     if extra:
         raise ValueError(f"expected variables a and t only, found {sorted(extra)}")
 
+    frame, scale = p._f, p._f.scale
     rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {2 * t-exponent: coeff}
-    for key, coeff in p._t.items():
-        n, d, rest = _K.mono_split(key, "t")
-        if d > 2:
-            raise NotExpressibleError(f"t exponent {Fraction(n, d)} is not a half-integer")
-        e = n if d == 2 else 2 * n
-        rows.setdefault((rest, e % 2), {})[e] = coeff
+    for e, rest, coeff in frame.split(p._t, "t"):
+        if 2 * e % scale:
+            raise NotExpressibleError(f"t exponent {Fraction(e, scale)} is not a half-integer")
+        doubled = 2 * e // scale
+        rows.setdefault((rest, doubled % 2), {})[doubled] = coeff
 
-    residue: dict = {}
+    residue: list = []
     for (rest, parity), row in rows.items():
         sign = -1 if parity else 1
         for k in {abs(e) for e in row if e}:
             r = row.get(-k, 0) - sign * row.get(k, 0)
             if r:
-                residue[_K.mono_mul(rest, _K.mono_of([("t", -k, 2)]))] = r
+                a_part = Monomial._from_key(frame.unpack(rest))
+                residue.append((a_part * Monomial.var("t", Fraction(-k, 2)), r))
     if residue:
         raise NotExpressibleError(
-            f"residue {LaurentPoly._raw(residue)} has no z-polynomial form"
+            f"residue {LaurentPoly.from_terms(residue)} has no z-polynomial form"
         )
 
+    names = tuple(sorted({*frame.names, "z"} - {"t"}))
+    out_frame = _K.Frame(names, scale).fit(2 * p._r)
+    units = {v: out_frame.weight[v] for v in names if v != "z"}
+    z_unit = scale * out_frame.weight["z"]
     out: dict = {}
     for (rest, parity), row in rows.items():
+        base = frame.image(rest, units)
         top = max(row)
         half = [row.get(k, 0) for k in range(top, -1, -2)]
         for j in range(top + 1):
+            if j:
+                half = list(accumulate(half))
             if j % 2 == parity:
                 c0 = half.pop()
                 g = c0 + 2 * sum(half)
                 if g:
-                    out[_K.mono_mul(rest, _K.mono_of([("z", j, 1)]))] = g
-            half = list(accumulate(half))
-    return LaurentPoly._raw(out)
+                    out[base + j * z_unit] = g
+    return LaurentPoly._raw(*out_frame.least(out), 2 * p._r)
 
 
 def from_az_form(p: LaurentPoly) -> LaurentPoly:
@@ -302,28 +317,41 @@ def from_az_form(p: LaurentPoly) -> LaurentPoly:
     as a `to_az_form` result or a two-variable link entry.
 
     The mirror of :func:`to_az_form`: Horner's rule in z on each a-part's
-    half row per parity of the z-exponent.  A step from odd to even powers
-    of w makes the new c(0) = c(-1) - c(1) = -2 c(1); g_j is added at w^0
-    on the steps whose parity matches the row.  The finished half is
-    mirrored onto w^-k, and the row times its a-part is summed in, so
-    terms that already carry t merge.  Requires nonnegative integer
+    half row per parity of the z-exponent.  It starts from the top power's
+    one-element row two powers down, since the step in between, to the
+    other parity, leaves a one-element row as it is.  A step from odd to
+    even powers of w makes the new c(0) = c(-1) - c(1) = -2 c(1); g_j is
+    added at w^0 on the steps whose parity matches the row.  The finished
+    half is mirrored onto w^-k, and the row times its a-part is summed in,
+    so terms that already carry t merge.  Requires nonnegative integer
     z-exponents; link entries carrying z^-1 have no Laurent image in t and
     raise :class:`NotExpressibleError`.
-    """
-    rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {z-exponent: coeff}
-    for key, coeff in p._t.items():
-        n, d, rest = _K.mono_split(key, "z")
-        if d != 1 or n < 0:
-            raise NotExpressibleError(
-                f"z exponent {Fraction(n, d)} has no Laurent image in t"
-            )
-        rows.setdefault((rest, n % 2), {})[n] = coeff
 
+    Keys split and join by field arithmetic, as in `to_az_form`: the output
+    frame has the input's variables with t in place of z, at the input's
+    scale, doubled when a row of odd z-powers brings half-integer powers of
+    t; w^k of a row is its a-part's key plus the key of t^(k/2).
+    """
+    frame, scale = p._f, p._f.scale
+    rows: dict[tuple, dict[int, int]] = {}  # (a-part, parity) -> {z-exponent: coeff}
+    for e, rest, coeff in frame.split(p._t, "z"):
+        if e % scale or e < 0:
+            raise NotExpressibleError(
+                f"z exponent {Fraction(e, scale)} has no Laurent image in t"
+            )
+        rows.setdefault((rest, e // scale % 2), {})[e // scale] = coeff
+
+    names = tuple(sorted({*frame.names, "t"} - {"z"}))
+    odd = any(parity for _, parity in rows)
+    out_frame = _K.Frame(names, lcm(scale, 2) if odd else scale).fit(2 * p._r)
+    ratio = out_frame.scale // scale
+    units = {v: ratio * out_frame.weight[v] for v in frame.names if v != "z"}
+    t_unit = out_frame.weight["t"]
     out: dict = {}
     for (rest, parity), zrow in rows.items():
         top = max(zrow)
         half = [zrow[top]]  # c(k) for k = (top - j) % 2, ..., top - j, step 2
-        for j in range(top - 1, -1, -1):
+        for j in range(top - 2, -1, -1):
             if (top - j) % 2:
                 half = [x - y for x, y in zip(half, half[1:] + [0])]
             else:
@@ -331,6 +359,7 @@ def from_az_form(p: LaurentPoly) -> LaurentPoly:
                 half[0] += zrow.get(j, 0)
         sign = -1 if parity else 1
         row = [sign * c for c in reversed(half[1 - parity :])] + half
-        t_row = {_K.mono_of([("t", 2 * i - top, 2)]): c for i, c in enumerate(row) if c}
-        _K.poly_accum_term_mul(out, t_row, rest, 1)
-    return LaurentPoly._raw(out)
+        # w^(2i - top) = t^((2i - top)/2), a whole number of units of t
+        t_row = {(2 * i - top) * out_frame.scale // 2 * t_unit: c for i, c in enumerate(row) if c}
+        _K.poly_accum_term_mul(out, t_row, frame.image(rest, units), 1)
+    return LaurentPoly._raw(out_frame, out, 2 * p._r)

@@ -1,10 +1,17 @@
-"""Make the src layout importable when the package is not installed, and
-share the fixtures of more than one test file."""
+"""Make the src layout importable when the package is not installed, share
+the fixtures of more than one test file, and register the Hypothesis
+profile of the mutation gate."""
 
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
+
+# `tests/mutants.py` runs pytest with --hypothesis-profile=mutants: a killed
+# mutant needs only the first failing example, so the gate skips shrinking
+# it.  The ordinary suite keeps Hypothesis' default profile.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:

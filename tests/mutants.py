@@ -13,7 +13,10 @@ The script first runs every named test on an unchanged copy, where each must
 pass.  Then, one mutant at a time, it copies ``src/``, ``tests/`` and
 ``perfbench/`` (with ``README.md`` and ``pyproject.toml``) to a temporary
 directory, applies the record there and runs the record's tests in that copy;
-``tests/conftest.py`` puts the copy's ``src/`` first on ``sys.path``.  A
+``tests/conftest.py`` puts the copy's ``src/`` first on ``sys.path``.  Both
+runs select the ``mutants`` Hypothesis profile, which ``tests/conftest.py``
+registers without the shrink phase: the first failing example kills a
+mutant, and shrinking it would only cost time.  A
 mutant is killed when every named test fails, or when the run exceeds
 ``TIMEOUT`` seconds (labelled so).  Every run tries every record.  The
 script prints each mutant's verdict and seconds, then killed/total, and
@@ -111,38 +114,32 @@ MUTANTS = [
     ),
     # -- the two-term ladder (qpnumbers.py) --
     Mutant(
-        "ladder-fixed-span",  # spans of +-2^12 whatever the entries need
+        "ladder-fixed-span",  # the frame fitted to 2^12 whatever the entries need
         "qpnumbers.py",
-        "b = base.get(v, 0) + last * reach.get(v, 0)",
-        "b = 1 << 12",
+        ".fit(base + last * reach)",
+        ".fit(1 << 12)",
         ("tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",),
     ),
     Mutant(
-        "ladder-span-without-seeds",  # the span bound drops B_v
+        "ladder-span-without-seeds",  # the reach bound drops B
         "qpnumbers.py",
-        "b = base.get(v, 0) + last * reach.get(v, 0)",
-        "b = last * reach.get(v, 0)",
+        ".fit(base + last * reach)",
+        ".fit(last * reach)",
         ("tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",),
     ),
     Mutant(
-        "ladder-frame-for-half-the-walk",  # the one frame is sized for last // 2
+        "ladder-frame-for-half-the-walk",  # the one frame is fitted to last // 2
         "qpnumbers.py",
-        "b = base.get(v, 0) + last * reach.get(v, 0)",
-        "b = base.get(v, 0) + last // 2 * reach.get(v, 0)",
-        (
-            "tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",
-            "tests/test_skein.py::TestLinkOracle::test_homfly",
-        ),
+        ".fit(base + last * reach)",
+        ".fit(base + last // 2 * reach)",
+        ("tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",),
     ),
     Mutant(
-        "ladder-frame-for-the-first-index",  # sized for indices[0], not indices[-1]
+        "ladder-frame-for-the-first-index",  # fitted to indices[0], not indices[-1]
         "qpnumbers.py",
-        "b = base.get(v, 0) + last * reach.get(v, 0)",
-        "b = base.get(v, 0) + indices[0] * reach.get(v, 0)",
-        (
-            "tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",
-            "tests/test_skein.py::TestLinkOracle::test_homfly",
-        ),
+        ".fit(base + last * reach)",
+        ".fit(base + indices[0] * reach)",
+        ("tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",),
     ),
     Mutant(
         "ladder-decodes-the-other-entries",  # the decode filter inverted
@@ -157,10 +154,10 @@ MUTANTS = [
     ),
     # -- the packed frame (_pykernel.py) --
     Mutant(
-        "frame-16-bit-fields",  # every field 16 bits wide
+        "frame-16-bit-fields",  # fit never widens: every field 16 bits wide
         "_pykernel.py",
-        "width = (hi - lo).bit_length()",
-        "width = 16",
+        "        return Frame(self.names, self.scale, need)\n",
+        "        return self\n",
         ("tests/test_eval_oracle.py::TestSqrtFrame",),
     ),
     Mutant(
@@ -174,10 +171,10 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "unpack-without-offset",  # fields read as if each span started at 0
+        "unpack-without-offset",  # fields read without the bias, as unsigned
         "_pykernel.py",
-        "        key += self._offset\n        scale = self.scale\n",
-        "        scale = self.scale\n",
+        "        key += self._bias\n        scale, mask, half = self.scale, self._mask, self._half\n",
+        "        scale, mask, half = self.scale, self._mask, self._half\n",
         (
             "tests/test_kernel.py::TestFrame::test_unpack_inverts_pack_and_sums_multiply",
             "tests/test_verify.py::TestReports::test_all_pass_at_25",
@@ -186,15 +183,19 @@ MUTANTS = [
     Mutant(
         "degree-without-offset",  # the low fields borrow from the degree
         "_pykernel.py",
-        "return (key + self._offset) >> self.shift",
-        "return key >> self.shift",
+        "return (key + self._bias) >> self._shift",
+        "return key >> self._shift",
         ("tests/test_kernel.py::TestFrame::test_degree_reads_the_top_field",),
     ),
     Mutant(
         "outside-without-offset",
         "_pykernel.py",
-        "        key += self._offset\n        for v, s, mask, lo in self.fields:\n",
-        "        for v, s, mask, lo in self.fields:\n",
+        "        key += self._bias\n        mask, half = self._mask, self._half\n"
+        "        for v, s in self._at.items():\n            e = (key >> s & mask) - half\n"
+        "            b_lo, b_hi = box[v]\n",
+        "        mask, half = self._mask, self._half\n"
+        "        for v, s in self._at.items():\n            e = (key >> s & mask) - half\n"
+        "            b_lo, b_hi = box[v]\n",
         (
             "tests/test_kernel.py::TestFrame::test_outside_names_first_variable_out_of_box",
             "tests/test_kernel.py::TestFrame::test_outside_reads_spans_below_zero",
@@ -203,8 +204,8 @@ MUTANTS = [
     Mutant(
         "accum-without-product",  # the summing loop drops the term's monomial
         "_pykernel.py",
-        "key = mono_mul(m, mono)",
-        "key = m",
+        "        k += key\n",
+        "",
         (
             "tests/test_kernel.py::TestPyKernel::test_poly_accum_term_mul_matches_term_mul",
             "tests/test_eval_oracle.py::TestRingOperations::test_add_sub_mul",
@@ -212,30 +213,40 @@ MUTANTS = [
     ),
     # -- products (_pykernel.py) --
     Mutant(
-        "product-span-from-one-low",  # the span starts at the larger operand's low end
-        "_pykernel.py",
-        "spans[v] = (lo1 + lo2, hi1 + hi2)",
-        "spans[v] = (lo1, hi1 + hi2)",
+        "product-span-from-one-low",  # a product reaches only as far as one operand
+        "laurent.py",
+        "        reach = self._r + q._r\n",
+        "        reach = max(self._r, q._r)\n",
         (
-            "tests/test_eval_oracle.py::TestProductFrame::test_multi_term_products",
-            "tests/test_eval_oracle.py::TestProductFrame::test_operand_keys_outside_the_spans",
+            "tests/test_eval_oracle.py::TestDivisionFrame::test_product_divides_back",
+            "tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",
         ),
     ),
     Mutant(
-        "product-scale-of-one-operand",  # the smaller operand's denominators left out
+        "product-scale-of-one-operand",  # a join keeps one frame's denominators
         "_pykernel.py",
-        "scale = exp_scale(t1, t2)",
-        "scale = exp_scale(t1)",
+        "scale = lcm(self.scale, other.scale)",
+        "scale = self.scale",
         (
             "tests/test_eval_oracle.py::TestProductFrame::test_multi_term_products",
             "tests/test_eval_oracle.py::TestProductFrame::test_variable_in_one_operand_only",
         ),
     ),
     Mutant(
+        "frame-join-drops-names",  # a join keeps one frame's variables
+        "_pykernel.py",
+        "names = tuple(sorted(set(self.names).union(other.names)))",
+        "names = self.names",
+        (
+            "tests/test_eval_oracle.py::TestCrossFrame::test_sum_minus_operand",
+            "tests/test_eval_oracle.py::TestProductFrame::test_variable_in_one_operand_only",
+        ),
+    ),
+    Mutant(
         "one-term-product-without-coefficient",  # a product by c*m taken as one by m
         "_pykernel.py",
-        "return poly_term_mul(t1, m2, c2)",
-        "return poly_term_mul(t1, m2, 1)",
+        "        poly_accum_term_mul(out, t1, k, c)\n",
+        "        poly_accum_term_mul(out, t1, k, 1)\n",
         (
             "tests/test_kernel.py::TestPyKernel::test_poly_mul_by_one_term",
             "tests/test_eval_oracle.py::TestRingOperations::test_add_sub_mul",
@@ -251,10 +262,41 @@ MUTANTS = [
     # -- substitution (laurent.py) --
     Mutant(
         "substitute-keeps-cancelled-terms",  # a zero sum stays in the result
-        "laurent.py",
+        "_pykernel.py",
         "            elif new in out:\n",
         "            elif new not in out:\n",
         ("tests/test_laurent.py::TestSubstitute::test_images_that_meet_cancel",),
+    ),
+    Mutant(
+        "substitute-map-ignores-scale",  # v^(1/s) sent to the image itself, not its 1/s-th power
+        "laurent.py",
+        "units = {v: target.pack(keyed[v]) // frame.scale for v in used}",
+        "units = {v: target.pack(keyed[v]) for v in used}",
+        (
+            "tests/test_eval_oracle.py::TestRingOperations::test_substitute",
+            "tests/test_laurent.py::TestSubstitute::test_fractional_exponents_take_powers_of_the_images",
+        ),
+    ),
+    # -- cross-frame equality and the summing loop (laurent.py, _pykernel.py) --
+    Mutant(
+        "equality-within-one-frame",  # keys compared as if both sides shared a frame
+        "laurent.py",
+        "            _, a, b = _common(self, other, max(self._r, other._r))\n            return a == b\n",
+        "            return self._t == other._t\n",
+        (
+            "tests/test_eval_oracle.py::TestCrossFrame::test_sum_minus_operand",
+            "tests/test_eval_oracle.py::TestCrossFrame::test_fractional_and_integer_powers",
+        ),
+    ),
+    Mutant(
+        "summing-loop-keeps-cancelled-terms",  # a zero sum stays as a zero coefficient
+        "_pykernel.py",
+        "        if s:\n            out[k] = s\n        elif k in out:\n            del out[k]\n",
+        "        out[k] = s\n",
+        (
+            "tests/test_kernel.py::TestPyKernel::test_poly_add_cancellation",
+            "tests/test_eval_oracle.py::TestCrossFrame::test_sum_minus_operand",
+        ),
     ),
     # -- the one reduction of exact division and square roots (laurent.py) --
     Mutant(
@@ -270,7 +312,7 @@ MUTANTS = [
     Mutant(
         "division-without-degree-floor",  # both callers lose the floor on the candidate
         "laurent.py",
-        "        if frame.degree(k) < floor:\n            raise error(floor_text)\n",
+        "        if k < low:\n            raise error(floor_text)\n",
         "",
         (
             "tests/test_laurent.py::TestReductionSteps::test_division"
@@ -281,16 +323,16 @@ MUTANTS = [
     ),
     # -- exact square roots (laurent.py) --
     Mutant(
-        "sqrt-root-key-with-offset",  # the root's leading key read as offset
+        "sqrt-root-key-with-offset",  # the root's leading key read with the bias
         "laurent.py",
         "    rm = lt // 2\n",
-        "    rm = (lt + frame._offset) // 2\n",
+        "    rm = (lt + frame._bias) // 2\n",
         ("tests/test_eval_oracle.py::TestSqrtFrame",),
     ),
     Mutant(
         "sqrt-without-own-square",  # a new root term leaves its square in the remainder
         "laurent.py",
-        "        _K.packed_accum_term_mul(rem, {k: c}, k, -c)\n",
+        "        _K.poly_accum_term_mul(rem, {k: c}, k, -c)\n",
         "",
         (
             "tests/test_laurent.py::TestExactSqrt::test_half_power_root",
@@ -456,7 +498,7 @@ def _run(tree: Path, tests) -> tuple[set[str] | None, str]:
     """The named tests that fail in ``tree`` (None on a timeout), and
     pytest's output."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    cmd += ["--tb=no", "-rfE", *tests]
+    cmd += ["--hypothesis-profile=mutants", "--tb=no", "-rfE", *tests]
     try:
         proc = subprocess.run(
             cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT

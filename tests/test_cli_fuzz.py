@@ -1,9 +1,11 @@
 """The CLI contract under generated input: ``cli.main`` exits 0, 1 or 2 and
 raises nothing; a failure that is not a verdict prints nothing to stdout
-and one ``error:`` line to stderr (argparse's usage errors excepted); and
-what ``eval`` prints parses back to the value of the expression and, at the
+and one ``error:`` line to stderr (argparse's usage errors excepted); what
+``eval`` prints parses back to the value of the expression and, at the
 rational point of the benchmark's stdlib oracle (``perfbench/oracle.py``),
-evaluates to the oracle's exact value of the expression.
+evaluates to the oracle's exact value of the expression; and the JSON that
+``qp-num``, ``series`` and ``table`` print loads back through
+``from_json_dict`` to the value the library computes.
 
 Inputs follow the grammar in the ``exprparse`` docstring, with one-character
 insert, delete and truncate corruptions, and argv for the other subcommands
@@ -14,13 +16,25 @@ fixed example counts."""
 import contextlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpknot import Family, InvariantKind, check_names
+from qpknot import (
+    Family,
+    InvariantKind,
+    InvariantSeries,
+    LaurentPoly,
+    check_names,
+    family_spec,
+    knot_series,
+    link_series,
+    qp_number,
+    to_az_form,
+)
 from qpknot.cli import main
 from qpknot.exprparse import parse_poly
 
@@ -205,3 +219,60 @@ def test_eval_assert(lhs, rhs):
 @given(argvs)
 def test_other_subcommands(argv):
     _check_contract(argv)
+
+
+# -- JSON output loads back --------------------------------------------------
+
+_json_requests = st.one_of(
+    st.builds(
+        lambda f, n: ["qp-num", "--family", f, "--n", n],
+        st.sampled_from([f.value for f in Family]),
+        _numbers,
+    ),
+    st.builds(
+        lambda k, which, n: ["series", "--invariant", k, which, "--max", n],
+        st.sampled_from([k.value for k in InvariantKind]),
+        st.sampled_from(["--knots", "--links"]),
+        _numbers,
+    ),
+    st.builds(
+        lambda k, n, az: ["table", "--invariant", k, "--max", n] + az,
+        st.sampled_from([k.value for k in InvariantKind]),
+        _numbers,
+        st.sampled_from([[], ["--az"]]),
+    ),
+)
+
+
+def _library_value(argv):
+    """What the library computes for a qp-num, series or table request:
+    a polynomial for qp-num, an `InvariantSeries` otherwise."""
+    if argv[0] == "qp-num":
+        return qp_number(family_spec(Family(argv[2])), int(argv[4]))
+    kind, n = InvariantKind(argv[2]), int(argv[argv.index("--max") + 1])
+    if argv[0] == "series":
+        return (knot_series if "--knots" in argv else link_series)(kind, n)
+    series = knot_series(kind, n)
+    if "--az" in argv:
+        return InvariantSeries(kind, "knot", {m: to_az_form(p) for m, p in series.entries.items()})
+    return series
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(_json_requests)
+def test_json_output_loads_back(argv):
+    code, out = _check_contract(argv + ["--format", "json"])
+    if code != 0:
+        return
+    doc = json.loads(out)
+    want = _library_value(argv)
+    if argv[0] == "qp-num":
+        got = LaurentPoly.from_json_dict(doc["poly"])
+        assert (doc["family"], doc["n"]) == (argv[2], int(argv[4]))
+        assert got == want
+        assert json.dumps(got.to_json_dict()) == json.dumps(doc["poly"])
+    else:
+        got = InvariantSeries.from_json_dict(doc)
+        assert (got.kind, got.indexing) == (want.kind, want.indexing)
+        assert got.entries == want.entries
+        assert json.dumps(got.to_json_dict()) == out.rstrip("\n")

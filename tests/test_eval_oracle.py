@@ -13,10 +13,12 @@ costs a few dozen multiplications whatever its size.
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpknot import (
+    Family,
     InvariantKind,
     LaurentPoly,
     Monomial,
@@ -24,10 +26,14 @@ from qpknot import (
     NotDivisibleError,
     exact_div,
     exact_sqrt,
+    family_spec,
     from_az_form,
     knot_series,
+    parse_poly,
+    qp_number,
     to_az_form,
 )
+from qpknot.qpnumbers import recurrence_coeffs, two_term_ladder
 
 VARS = ("a", "p", "q", "t")
 
@@ -398,3 +404,58 @@ class TestAZConversions:
         x = az_point(s, r, entry, az, back)
         assert value(az, x) == value(entry, x)
         assert value(back, x) == value(entry, x)
+
+
+# -- one value in two frames --------------------------------------------------
+
+
+def same_value(a, b, roots):
+    """``a`` and ``b`` are one value: equal both ways, equal hashes, the
+    same text and JSON, and the same value at the oracle's point."""
+    assert a == b and b == a and not a != b
+    assert hash(a) == hash(b)
+    assert str(a) == str(b)
+    assert a.to_json() == b.to_json()
+    x = at(roots, a, b)
+    assert value(a, x) == value(b, x)
+
+
+class TestCrossFrame:
+    """A value keeps the keys of the frame it was built in, so one value can
+    live in two frames; equality, hashing, printing and JSON must not see
+    which."""
+
+    @EXAMPLES
+    @given(polys, polys, st.sampled_from((1, 10**6)), points)
+    def test_sum_minus_operand(self, p, q, far, roots):
+        # q carries y^(far/7), which p lacks: p + q - q lives in a frame with
+        # y and sevenths, and with far = 10^6 a wider one
+        q = q * Monomial.var("y", Fraction(far, 7)).as_poly() + q
+        r = p + q - q
+        assert r._f != p._f
+        same_value(r, p, roots)
+
+    @EXAMPLES
+    @given(st.integers(min_value=-9, max_value=9), polys)
+    def test_constants_hash_like_ints(self, c, q):
+        r = c + q - q
+        assert r == c and hash(r) == hash(c)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_ladder_entry_and_closed_sum(self, family):
+        # the ladder's frame is sized for index 40 and joined with y
+        spec = family_spec(family)
+        y = LaurentPoly.var("y")
+        k1, k2 = recurrence_coeffs(spec)
+        ladder = two_term_ladder(k1 + y - y, k2, LaurentPoly.zero(), LaurentPoly.one(), range(9, 41, 31))
+        entry = next(ladder)
+        roots = {"a": Fraction(3, 2), "p": Fraction(-2, 3), "q": Fraction(5, 4), "t": Fraction(-3, 5)}
+        assert entry._f != qp_number(spec, 9)._f
+        same_value(entry, qp_number(spec, 9), roots)
+
+    def test_fractional_and_integer_powers(self):
+        # a^(2/3) brings thirds into the frame of a value that has none
+        mixed = parse_poly("(a^(2/3)*t + a^2)*(a^(2/3)*t - a^2) - a^(4/3)*t^2")
+        plain = parse_poly("-a^4")
+        assert mixed._f != plain._f
+        same_value(mixed, plain, {"a": Fraction(2, 3), "t": Fraction(5, 2)})

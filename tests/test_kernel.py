@@ -36,8 +36,8 @@ class TestOrder:
 
 class TestFrame:
     MONOS = [{"a": 2, "t": (-1, 2)}, {"t": (3, 2)}, {"a": -1}, {}, {"q": (1, 3), "t": -2}]
-    # every exponent negative: each span lies wholly below zero, so a field
-    # or degree read without the frame's offset comes out wrong
+    # every exponent negative: each field holds a negative digit, so a
+    # field or degree read without the frame's bias comes out wrong
     BELOW_ZERO = [{"a": -3, "t": -5}, {"a": -6, "t": (-7, 2)}, {"a": -4, "t": -3}]
 
     def frames(self):
@@ -45,7 +45,8 @@ class TestFrame:
         that holds its keys."""
         for monos in (self.MONOS, self.BELOW_ZERO):
             keys = [key(m) for m in monos]
-            yield _pykernel.Frame.of(keys), keys
+            frame, _ = _pykernel.Frame.of(keys)
+            yield frame, keys
 
     def test_unpack_inverts_pack_and_sums_multiply(self):
         for frame, keys in self.frames():
@@ -54,7 +55,7 @@ class TestFrame:
             # the spans hold the product of the first two
             m1, m2 = keys[:2]
             prod = _pykernel.mono_mul(m1, m2)
-            wide = _pykernel.Frame.of([m1, m2, prod])
+            wide, _ = _pykernel.Frame.of([m1, m2, prod])
             assert wide.unpack(wide.pack(m1) + wide.pack(m2)) == prod
 
     def test_degree_reads_the_top_field(self):
@@ -64,18 +65,27 @@ class TestFrame:
                 assert frame.degree(frame.pack(m)) == deg
 
     def test_outside_names_first_variable_out_of_box(self):
-        frame = _pykernel.Frame(2, {"a": (-4, 4), "t": (-4, 4)})
+        frame = _pykernel.Frame(("a", "t"), 2)
         k = frame.pack(key({"a": -1, "t": 2}))
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 4)}) is None
         assert frame.outside(k, {"a": (0, 2), "t": (-4, 2)}) == ("a", -2, 0, 2)
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 2)}) == ("t", 4, -4, 2)
 
     def test_outside_reads_spans_below_zero(self):
-        frame = _pykernel.Frame(1, {"a": (-6, -3), "t": (-9, -5)})
+        frame = _pykernel.Frame(("a", "t"), 1)
         k = frame.pack(key({"a": -4, "t": -7}))
         assert frame.outside(k, {"a": (-6, -3), "t": (-9, -5)}) is None
         assert frame.outside(k, {"a": (-3, -3), "t": (-9, -5)}) == ("a", -4, -3, -3)
         assert frame.outside(k, {"a": (-6, -3), "t": (-6, -5)}) == ("t", -7, -6, -5)
+
+
+# one frame for the term-dict tests: a, q and t in halves
+FRAME = _pykernel.Frame(("a", "q", "t"), 2)
+
+
+def packed(exps):
+    """Key in FRAME of the monomial with the exponent mapping ``exps``."""
+    return FRAME.pack(key(exps))
 
 
 def items_of(exps):
@@ -107,30 +117,32 @@ class TestPyKernel:
         assert _pykernel.mono_pow(key({"t": 5}), 0, 1) == ()
 
     def test_poly_add_cancellation(self):
-        t1 = {key({"t": 1}): 1, key({"t": -1}): 1}
-        t2 = {key({"t": -1}): -1}
-        assert _pykernel.poly_add(t1, t2) == {key({"t": 1}): 1}
+        t1 = {packed({"t": 1}): 1, packed({"t": -1}): 1}
+        t2 = {packed({"t": -1}): -1}
+        assert _pykernel.poly_add(t1, t2) == {packed({"t": 1}): 1}
 
     def test_poly_accum_term_mul_matches_term_mul(self):
-        t = {key({"t": 1}): 2, (): -1}
-        out = {key({"q": 1}): 7}
-        assert _pykernel.poly_term_mul(t, key({"q": 1}), 3) == {key({"q": 1, "t": 1}): 6, key({"q": 1}): -3}
-        assert _pykernel.poly_accum_term_mul(out, t, key({"q": 1}), 3) is out
-        assert out == {key({"q": 1, "t": 1}): 6, key({"q": 1}): 4}
-        _pykernel.poly_accum_term_mul(out, {(): 1}, key({"q": 1}), -4)
-        assert out == {key({"q": 1, "t": 1}): 6}
+        t = {packed({"t": 1}): 2, 0: -1}
+        out = {packed({"q": 1}): 7}
+        q = packed({"q": 1})
+        assert _pykernel.poly_term_mul(t, q, 3) == {packed({"q": 1, "t": 1}): 6, q: -3}
+        assert _pykernel.poly_accum_term_mul(out, t, q, 3) is out
+        assert out == {packed({"q": 1, "t": 1}): 6, q: 4}
+        _pykernel.poly_accum_term_mul(out, {0: 1}, q, -4)
+        assert out == {packed({"q": 1, "t": 1}): 6}
 
     def test_poly_mul_by_empty_operand(self):
-        t = {key({"t": 1}): 2, key({"a": (-1, 2)}): -1}
+        t = {packed({"t": 1}): 2, packed({"a": (-1, 2)}): -1}
         assert _pykernel.poly_mul(t, {}) == {}
         assert _pykernel.poly_mul({}, t) == {}
         assert _pykernel.poly_mul({}, {}) == {}
 
     def test_poly_mul_by_one_term(self):
-        t = {key({"t": 1}): 2, key({"a": (-1, 2)}): -1, (): 5}
-        want = {key({"a": (1, 2), "t": 1}): -6, (): 3, key({"a": (1, 2)}): -15}
-        assert _pykernel.poly_mul(t, {key({"a": (1, 2)}): -3}) == want
-        assert _pykernel.poly_mul({key({"a": (1, 2)}): -3}, t) == want
+        t = {packed({"t": 1}): 2, packed({"a": (-1, 2)}): -1, 0: 5}
+        half = packed({"a": (1, 2)})
+        want = {packed({"a": (1, 2), "t": 1}): -6, 0: 3, half: -15}
+        assert _pykernel.poly_mul(t, {half: -3}) == want
+        assert _pykernel.poly_mul({half: -3}, t) == want
 
     def test_mono_split(self):
         m = key({"a": 2, "t": (1, 2), "z": 3})

@@ -1,13 +1,17 @@
 """Only the kernel reads the layout of a monomial key.
 
-Outside `_pykernel.py` a key is opaque: code stores it, hashes it, uses it
-as a dict key and hands it back to the kernel, whose helpers (`ONE`,
-`mono_of`, `mono_items`, `mono_split`, `Frame.degree`) are the only way
-into it.  The pattern below catches the idioms that read or build a key
-directly: unpacking a key's triples, tuple literals of triples, the empty
-key as a literal, shifts by a frame's field width, and reads of a frame's
-field offset, which only `Frame.unpack`, `Frame.degree` and `Frame.outside`
-add.
+Outside `_pykernel.py` a key is opaque.  A packed key is stored, hashed,
+compared, added to another key of its frame (which multiplies their
+monomials), multiplied by an int (a power) and handed back to the kernel;
+``frame.weight[v]`` is the key of v^(1/scale), and the frame's methods
+(`Frame.pack`, `unpack`, `split`, `image`, `map`, `within`, `floor_key`,
+...) are the only way into its fields.  A tuple monomial, the decoded form
+`Monomial` holds, goes through `ONE`, `mono_of`, `mono_items` and
+`mono_split`.  The pattern below catches the idioms that read or build a
+key directly: unpacking a tuple key's triples, tuple literals of triples,
+the empty tuple as a literal, shifts by a frame's field positions, masks
+of its fields, and reads of a frame's private bias, field table, mask,
+half field or degree shift.
 """
 
 import re
@@ -18,8 +22,8 @@ import qpknot
 SRC = Path(qpknot.__file__).parent
 
 LAYOUT = re.compile(
-    r'for \w+, \w+, \w+ in [\w.]*key\b|\(\("|\{\(\):|\(\(\)\)|, \(\),|else \(\)|>> ?(frame\.)?shift'
-    r"|\.(_offset|bias)\b"
+    r'for \w+, \w+, \w+ in [\w.]*key\b|\(\("|\{\(\):|\(\(\)\)|, \(\),|else \(\)'
+    r"|>> ?(frame\.)?_?shift|& ?(frame\.)?_?mask\b|\.(_offset|_?bias|_at|_mask|_half|_shift)\b"
 )
 
 
@@ -32,10 +36,12 @@ def test_only_the_kernel_reads_key_layouts():
         "terms = {(): 1}",
         "poly_accum_term_mul(out, t, (), -1)",
         "x if j else ()",
-        "floor = min(rem) >> frame.shift << frame.shift",
+        "floor = min(rem) >> frame._shift",
         "low = min(rem) >> shift",
-        "rem = {frame.bias + pack(m): c for m, c in num_t.items()}",
-        "pack, bias, unpack = frame.pack, frame.bias, frame.unpack",
+        "e = (key >> s & mask) - half",
+        "rem = {frame._bias + k: c for k, c in num_t.items()}",
+        "lo = key + frame._bias >> frame._at['t']",
+        "half = frame._half",
         "return frame.unpack(key + frame._offset)",
     ):
         assert LAYOUT.search(line), line
@@ -43,9 +49,12 @@ def test_only_the_kernel_reads_key_layouts():
         "for v, n, d in _K.mono_items(key):",
         'residue[_K.mono_mul(rest, _K.mono_of([("t", -k, 2)]))] = r',
         "terms = {_K.ONE: 1}",
-        "floor = degree(min(rem))",
+        "for e, rest, coeff in frame.split(p._t, \"t\"):",
+        "out[base + j * z_unit] = g",
+        "inside, low = frame.within(box), frame.floor_key(floor)",
         "rm = lt // 2",
-        "return LaurentPoly._raw({frame.unpack(k): c for k, c in root.items()})",
+        "k >>= 1",
+        "return LaurentPoly._raw(*frame.least(root), -(-p._r // 2))",
     ):
         assert not LAYOUT.search(line), line
 

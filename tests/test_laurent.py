@@ -103,6 +103,16 @@ class TestArithmetic:
             (T + 1) ** -1
 
 
+    def test_coefficient_of_monomials_in_and_out_of_the_frame(self):
+        p = parse_poly("3*a^2*t + 5 - t^(1/2)")
+        assert p.coefficient(Monomial({"a": 2, "t": 1})) == 3
+        assert p.coefficient(Monomial.one()) == 5
+        assert p.coefficient(Monomial({"t": (1, 2)})) == -1
+        # a variable, a denominator and an exponent the frame does not hold
+        for exps in ({"z": 1}, {"a": (1, 3)}, {"t": 10**9}):
+            assert p.coefficient(Monomial(exps)) == 0
+
+
 class TestSubstitute:
     def test_identity_map(self):
         p = T + T ** -1
@@ -123,6 +133,11 @@ class TestSubstitute:
         got = (x - y).substitute({"x": Monomial.var("t"), "y": Monomial.var("t")})
         assert got == LaurentPoly.zero()
         assert got.term_count() == 0
+
+    def test_fractional_exponents_take_powers_of_the_images(self):
+        p = parse_poly("t^(1/2) - a^(-3/2)*t^(3/2)")
+        got = p.substitute({"t": Monomial({"a": 2, "t": 1}), "a": Monomial({"t": (1, 3)})})
+        assert got == parse_poly("a*t^(1/2) - a^3*t")
 
     def test_missing_image(self):
         with pytest.raises(MissingImageError) as exc:
@@ -315,7 +330,7 @@ class TestReductionSteps:
     """A failing division or square root stops after a fixed number of
     remainder updates; a change to the one reduction they share that costs
     more steps, or fails elsewhere, shows here.  The reduction updates its
-    packed remainder through `packed_accum_term_mul` once a step (the
+    packed remainder through `poly_accum_term_mul` once a step (the
     candidate times the divisor's other terms, for a square root the cross
     terms with 2 * root so far), and a square root adds one more update
     (the candidate's own square)."""
@@ -339,7 +354,7 @@ class TestReductionSteps:
     def test_binomial_sum_over_difference(self, monkeypatch, n):
         num = parse_poly(f"(a*t)^{n} + (q*p)^{n}")
         den = parse_poly("a*t - q*p")
-        assert self._steps(monkeypatch, "packed_accum_term_mul", exact_div, num, den) == (
+        assert self._steps(monkeypatch, "poly_accum_term_mul", exact_div, num, den) == (
             n,
             f"quotient term needs a-exponent -1, outside the Newton bound [0, {n - 1}]",
         )
@@ -384,12 +399,12 @@ class TestReductionSteps:
     )
     def test_division(self, monkeypatch, num, den, steps, error):
         n, d = parse_poly(num), parse_poly(den)
-        got = self._steps(monkeypatch, "packed_accum_term_mul", exact_div, n, d)
+        got = self._steps(monkeypatch, "poly_accum_term_mul", exact_div, n, d)
         assert got == (steps, error)
 
     def test_sqrt(self, monkeypatch):
         p = parse_poly("x^2 + 2*x*y + 2*y^2")
-        assert self._steps(monkeypatch, "packed_accum_term_mul", exact_sqrt, p) == (
+        assert self._steps(monkeypatch, "poly_accum_term_mul", exact_sqrt, p) == (
             2,
             "root term needs x-exponent -1, outside the Newton bound [0, 1]",
         )

@@ -176,6 +176,14 @@ class TestLadder:
         x1=LaurentPoly(7),
         indices=range(1, 25, 2),
     )
+    # the same with seeds of reach 0, so the walk alone needs the width
+    @example(
+        c1=_v("p", 2**70) - _v("q", Fraction(-(2**65), 3)),
+        c2=_v("p", -(2**69)),
+        x0=LaurentPoly.zero(),
+        x1=LaurentPoly(7),
+        indices=range(1, 25, 2),
+    )
     def test_matches_ring_recurrence(self, c1, c2, x0, x1, indices):
         got = list(two_term_ladder(c1, c2, x0, x1, indices))
         ring = _ring_ladder(c1, c2, x0, x1, indices[-1])
@@ -196,9 +204,11 @@ class TestLadder:
         assert list(got) == fib
 
     def test_recurrence_decodes_only_its_entry(self, decoded_keys):
-        # [300] of h2 has 300 terms; the 299 entries below it stay packed
+        # [300] of h2 has 300 terms, and the ladder hands it over on its
+        # packed keys: neither it nor the 299 entries below it are decoded
         got = qp_number_recurrence(family_spec(Family.H2), 300)
-        assert got.term_count() == decoded_keys[0] == 300
+        assert got.term_count() == 300
+        assert decoded_keys[0] == 0
 
     @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
     def test_recurrence_at_300_matches_closed_sum(self, fam):

@@ -10,8 +10,8 @@ import pytest
 
 import qpknot
 from qpknot import _kernel, _pykernel, cli, laurent, verify
-from qpknot.qpnumbers import qp_numbers
-from qpknot.skein import link_entries
+from qpknot.qpnumbers import qp_numbers, recurrence_coeffs
+from qpknot.skein import _link_pair, link_entries
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,24 +55,28 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert qpknot.from_az_form(az) == p
         assert t.stats["kernel.poly_accum_term_mul"].calls > merges
         # division reduces on packed keys inside exact_div: one traced call,
-        # counted by its quotient's terms, and no traced kernel call
+        # counted by its quotient's terms, whose steps are one call each of
+        # the summing loop, the only traced kernel calls
         num, den = p * s.knot(2), s.knot(2)
         div = t.stats["laurent.exact_div"]
         start = (div.calls, div.count)
-        kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
+        kernel = _kernel_calls(t)
         assert qpknot.exact_div(num, den) == p
         assert (div.calls - start[0], div.count - start[1]) == (1, p.term_count())
-        assert {n: t.stats[n].calls for n in kernel} == kernel
-        # so does the square root: one traced call, no traced kernel call
+        assert _added(t, kernel) == {"kernel.poly_accum_term_mul": p.term_count()}
+        # so does the square root: one traced call, and two summing-loop calls
+        # per root term past the leading one (the cross terms with 2 * root,
+        # then the term's own square)
         square, roots = p * p, (p, -p)
         start = t.stats["laurent.exact_sqrt"].calls
-        kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
+        kernel = _kernel_calls(t)
         assert qpknot.exact_sqrt(square) in roots
         assert t.stats["laurent.exact_sqrt"].calls - start == 1
-        assert {n: t.stats[n].calls for n in kernel} == kernel
+        assert _added(t, kernel) == {"kernel.poly_accum_term_mul": 2 * (p.term_count() - 1)}
         assert t.stats["skein.to_az_form"].calls == 1
         assert t.stats["skein.from_az_form"].calls == 1
-        assert t.stats["kernel.mono_mul"].calls > 0
+        # the ring never multiplies tuple monomials: those are Monomial's
+        assert t.stats["kernel.mono_mul"].calls == 0
         # the knot series is built from the closed sums [0]..[4]
         assert t.stats["qpnumbers.qp_number"].calls == 5
         # the route is looked up when the check runs, so the wrapper sees it
@@ -102,20 +106,35 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
     assert [k for k, v in before.items() if after[k] is not v] == []
 
 
-def test_ladders_step_without_traced_kernel_calls(tracer_module):
-    # the ladders step on packed keys inside the generator, as exact_div
-    # reduces, so their time counts under the caller's span
+def test_ladders_step_through_the_summing_loop(tracer_module):
+    # a ladder step is one call of the summing loop per coefficient term,
+    # made inside the generator, so the steps count under
+    # kernel.poly_accum_term_mul and no other kernel name
     t = tracer_module.Tracer()
     try:
         tracer_module.install(t)
+        pairs = [recurrence_coeffs(qpknot.family_spec(f)) for f in qpknot.Family]
         ladders = [qp_numbers(qpknot.family_spec(f), range(41)) for f in qpknot.Family]
-        ladders += [link_entries(kind, range(41)) for kind in qpknot.InvariantKind]
-        kernel = {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
+        for kind in qpknot.InvariantKind:
+            pairs.append(_link_pair(kind))  # over (a, z) for the two-variable kind
+            ladders.append(link_entries(kind, range(41)))
+        kernel = _kernel_calls(t)
         for ladder in ladders:
             assert len(list(ladder)) == 41
-        assert {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")} == kernel
+        steps = sum(39 * (c1.term_count() + c2.term_count()) for c1, c2 in pairs)
+        assert _added(t, kernel) == {"kernel.poly_accum_term_mul": steps}
     finally:
         tracer_module.uninstall(t)
+
+
+def _kernel_calls(t) -> dict:
+    return {n: st.calls for n, st in t.stats.items() if n.startswith("kernel.")}
+
+
+def _added(t, before: dict) -> dict:
+    """The kernel names called since ``before`` was taken, with their calls."""
+    now = _kernel_calls(t)
+    return {n: c - before.get(n, 0) for n, c in now.items() if c != before.get(n, 0)}
 
 
 def _enclosing_checks(tracer_module, run) -> dict:

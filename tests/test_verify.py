@@ -13,8 +13,6 @@ from qpknot import (
     UnknownCheckError,
     check_names,
     family_spec,
-    link_series,
-    unlink2,
     run_all,
     run_check,
 )
@@ -266,16 +264,11 @@ class TestReports:
         )
 
     def test_knot_vs_link_decodes_only_odd_link_entries(self, decoded_keys):
-        # entry 1 is a seed and needs no decoding, and the even entries stay
-        # packed; the one other decode is each seed unlink2's exact quotient
-        odd = range(3, 122, 2)
-        want = sum(
-            link_series(kind, 121).entry(n).term_count() for kind in InvariantKind for n in odd
-        )
-        want += sum(unlink2(kind).term_count() for kind in InvariantKind)
-        decoded_keys[0] = 0
+        # a passing check compares packed keys only: the ladder hands over
+        # its odd entries undecoded, the (a, z) images are built by field
+        # arithmetic, and the seed unlink2 stays on its quotient's keys
         assert run_check("knot-vs-link", 60).passed
-        assert decoded_keys[0] == want
+        assert decoded_keys[0] == 0
 
     @pytest.mark.parametrize(
         "u, v, detail",
