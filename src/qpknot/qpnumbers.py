@@ -140,11 +140,36 @@ def qp_numbers(spec: QPSpec, indices: range) -> Iterator[LaurentPoly]:
 
 
 def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
-    """Recurrence form: [k+1] = (u+v)*[k] - u*v*[k-1] from [0]=0, [1]=1.
+    """Recurrence form: [k+1] = k1*[k] + k2*[k-1] from [0]=0, [1]=1, with
+    (k1, k2) = (u + v, -u*v), reached by index doubling.
 
-    The ladder walks to [n] and hands over only that entry."""
+    By induction on m >= 1 the recurrence gives the matrix power
+    [[k1, k2], [1, 0]]^m = [[[m+1], k2*[m]], [[m], k2*[m-1]]], and the
+    lower left entry of the product of the m-th and the l-th power reads
+    [m+l] = [m]*[l+1] + k2*[m-1]*[l] for m, l >= 1.  At m = l = k, with
+    k2*[k-1] = [k+1] - k1*[k] from the recurrence,
+
+        [2k]   = [k] * (2*[k+1] - k1*[k]),
+
+    and at m = k+1, l = k,
+
+        [2k+1] = [k+1]^2 + k2*[k]^2;
+
+    both hold at k = 0 too.  Reading the binary digits of n from the top,
+    each digit takes ([k], [k+1]) to ([2k], [2k+1]), and a 1 digit then
+    takes one recurrence step to ([2k+1], [2k+2]).  So about log2(n)
+    rounds, each two squarings and a product by 2*[k+1] - k1*[k] (that is
+    u^k + v^k, two terms), replace the ladder's n - 1 steps.  This is the
+    Lucas sequence doubling of Joye and Quisquater (Electronics Letters
+    32(6), 1996), in ring operations only, so nothing is decoded."""
     _check_index(n)
-    return next(qp_numbers(spec, range(n, n + 1)))
+    k1, k2 = recurrence_coeffs(spec)
+    a, b = LaurentPoly.zero(), LaurentPoly.one()  # [k], [k+1] at k = 0
+    for digit in f"{n:b}":
+        a, b = a * (2 * b - k1 * a), b * b + k2 * (a * a)
+        if digit == "1":
+            a, b = b, k1 * b + k2 * a
+    return a
 
 
 def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:

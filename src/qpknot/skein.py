@@ -23,7 +23,7 @@ from math import lcm
 from qpknot import _kernel as _K
 from qpknot._record import Record
 from qpknot.errors import BadRangeError, NotExpressibleError
-from qpknot.laurent import LaurentPoly, Monomial, _json_field, exact_div, exact_sqrt
+from qpknot.laurent import LaurentPoly, Monomial, _box_reach, _json_field, exact_div, exact_sqrt
 from qpknot.qpnumbers import Family, family_spec, qp_number, recurrence_coeffs, two_term_ladder
 
 
@@ -244,6 +244,15 @@ def skein_from_numbers(f: Family) -> SkeinCoeffs:
 # with a running sum.
 
 
+def _read_reach(frame, terms: dict) -> LaurentPoly:
+    """The polynomial with ``terms`` on the keys of ``frame``, its reach
+    read from their exponents.  A conversion fits its output frame to
+    twice the input's reach, a bound that the output's exponents need
+    not come near: l1 = a*(t^(1/2) - t^(-1/2)) goes to a*z, of reach 1."""
+    reach = _box_reach(frame.bounds(terms), frame.scale) if terms else 0
+    return LaurentPoly._raw(frame, terms, reach)
+
+
 def to_az_form(p: LaurentPoly) -> LaurentPoly:
     """Rewrite an (a, t) polynomial as a `LaurentPoly` in a and z, the
     variables of the two-variable link entries and of `unlink2`.
@@ -309,7 +318,7 @@ def to_az_form(p: LaurentPoly) -> LaurentPoly:
                 g = c0 + 2 * sum(half)
                 if g:
                     out[base + j * z_unit] = g
-    return LaurentPoly._raw(*out_frame.least(out), 2 * p._r)
+    return _read_reach(*out_frame.least(out))
 
 
 def from_az_form(p: LaurentPoly) -> LaurentPoly:
@@ -362,4 +371,4 @@ def from_az_form(p: LaurentPoly) -> LaurentPoly:
         # w^(2i - top) = t^((2i - top)/2), a whole number of units of t
         t_row = {(2 * i - top) * out_frame.scale // 2 * t_unit: c for i, c in enumerate(row) if c}
         _K.poly_accum_term_mul(out, t_row, frame.image(rest, units), 1)
-    return LaurentPoly._raw(out_frame, out, 2 * p._r)
+    return _read_reach(out_frame, out)

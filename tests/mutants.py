@@ -1,7 +1,7 @@
 """The mutation gate: each record breaks the package in one place, and the
 tests named in the record must then fail.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [--seed N]
 
 A record holds a file under ``src/``, an exact old text, the new text that
 replaces it, and the pytest node ids that must fail.  The old text must occur
@@ -16,8 +16,14 @@ directory, applies the record there and runs the record's tests in that copy;
 ``tests/conftest.py`` puts the copy's ``src/`` first on ``sys.path``.  Both
 runs select the ``mutants`` Hypothesis profile, which ``tests/conftest.py``
 registers without the shrink phase: the first failing example kills a
-mutant, and shrinking it would only cost time.  A
-mutant is killed when every named test fails, or when the run exceeds
+mutant, and shrinking it would only cost time.  Every run also passes one
+``--hypothesis-seed``, ``SEED`` unless ``--seed N`` names another, and the
+script prints it first: a verdict follows from the commit and the seed, and
+``--seed N`` replays it.  A record should still be killed by a fixed case
+(a plain test, a parametrized case or an ``@example``), so that another
+seed does not change its verdict.
+
+A mutant is killed when every named test fails, or when the run exceeds
 ``TIMEOUT`` seconds (labelled so).  Every run tries every record.  The
 script prints each mutant's verdict and seconds, then killed/total, and
 exits 1 unless every mutant is killed.
@@ -28,6 +34,7 @@ and the gate is not part of the ordinary suite: it takes minutes.
 
 from __future__ import annotations
 
+import argparse
 import shutil
 import subprocess
 import sys
@@ -39,6 +46,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 _COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 TIMEOUT = 300.0  # seconds per pytest run
+SEED = 0  # the Hypothesis seed of every pytest run unless --seed says otherwise
 
 
 class Mutant(NamedTuple):
@@ -148,9 +156,47 @@ MUTANTS = [
         "        if k not in indices:\n",
         (
             "tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",
-            "tests/test_qpnumbers.py::TestLadder::test_recurrence_decodes_only_its_entry",
+            "tests/test_qpnumbers.py::TestLadder::test_ladder_hands_over_only_its_entry",
             "tests/test_verify.py::TestReports::test_knot_vs_link_decodes_only_odd_link_entries",
         ),
+    ),
+    # -- index doubling (qpnumbers.py) --
+    Mutant(
+        "doubling-without-factor-two",  # [2k] = [k] * ([k+1] - k1*[k])
+        "qpnumbers.py",
+        "a * (2 * b - k1 * a)",
+        "a * (b - k1 * a)",
+        (
+            "tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",
+            "tests/test_qpnumbers.py::TestRoutes::test_recurrence_small_values",
+        ),
+    ),
+    Mutant(
+        "doubling-odd-sign",  # [2k+1] = [k+1]^2 - k2*[k]^2
+        "qpnumbers.py",
+        "b * b + k2 * (a * a)",
+        "b * b - k2 * (a * a)",
+        (
+            "tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",
+            "tests/test_qpnumbers.py::TestRoutes::test_recurrence_small_values",
+        ),
+    ),
+    Mutant(
+        "doubling-skips-the-step-on-one",  # every digit read as 0
+        "qpnumbers.py",
+        '        if digit == "1":\n            a, b = b, k1 * b + k2 * a\n',
+        "",
+        (
+            "tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",
+            "tests/test_qpnumbers.py::TestRoutes::test_recurrence_small_values",
+        ),
+    ),
+    Mutant(
+        "doubling-from-the-low-digit",  # the digits of n read in reverse
+        "qpnumbers.py",
+        'for digit in f"{n:b}":',
+        'for digit in reversed(f"{n:b}"):',
+        ("tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",),
     ),
     # -- the packed frame (_pykernel.py) --
     Mutant(
@@ -494,15 +540,19 @@ def _mutated(mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def _run(tree: Path, tests) -> tuple[set[str] | None, str]:
+def _pytest_command(tests, seed: int) -> list[str]:
+    """The pytest run of the named tests, drawing from Hypothesis ``seed``."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    cmd += ["--hypothesis-profile=mutants", f"--hypothesis-seed={seed}"]
+    return cmd + ["--tb=no", "-rfE", *tests]
+
+
+def _run(tree: Path, tests, seed: int) -> tuple[set[str] | None, str]:
     """The named tests that fail in ``tree`` (None on a timeout), and
     pytest's output."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    cmd += ["--hypothesis-profile=mutants", "--tb=no", "-rfE", *tests]
+    cmd = _pytest_command(tests, seed)
     try:
-        proc = subprocess.run(
-            cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT
-        )
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, ""
     if proc.returncode not in (0, 1):  # 1: tests failed; others: usage, collection
@@ -530,13 +580,24 @@ def _failing(tests, failed: set[str]) -> list[str]:
     ]
 
 
-def main() -> int:
+def _parse_args(argv) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description="Run the mutation gate.")
+    parser.add_argument(
+        "--seed", type=int, default=SEED,
+        help=f"Hypothesis seed of every pytest run, to replay a verdict (default {SEED})",
+    )
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    seed = _parse_args(argv).seed
     mutated = [_mutated(m) for m in MUTANTS]  # no stale record runs
+    print(f"hypothesis seed {seed}", flush=True)
     with tempfile.TemporaryDirectory(prefix="qpknot-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy_tree(base)
         tests = sorted({t for m in MUTANTS for t in m.tests})
-        failed, out = _run(base, tests)
+        failed, out = _run(base, tests, seed)
         if failed is None or _failing(tests, failed):
             raise SystemExit(f"the named tests do not all pass unmutated:\n{out}")
 
@@ -546,7 +607,7 @@ def main() -> int:
             _copy_tree(tree)
             (tree / "src" / "qpknot" / m.file).write_text(text)
             start = time.perf_counter()
-            failed, out = _run(tree, m.tests)
+            failed, out = _run(tree, m.tests, seed)
             seconds = time.perf_counter() - start
             shutil.rmtree(tree)
             if failed is None:

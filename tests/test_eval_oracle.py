@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpknot import (
@@ -243,6 +243,30 @@ def residue(p, point):
 class TestDivisionFrame:
     @EXAMPLES
     @given(exact_pairs())
+    # -3*a^(5000002/5) - 8*a^(3/2)*p^(-1/5)*t^(-1/6) and
+    # -2*a^(2000001/2) + 7*a - 1 + 4*a^-1: exponents near 10^6, so the
+    # product reaches past either operand, and a frame fitted to the larger
+    # operand's reach alone is too narrow for it.  Built without ring
+    # arithmetic, which runs at collection, where a broken product would
+    # stop the whole file instead of failing this test.
+    @example(
+        pq=(
+            LaurentPoly(
+                {
+                    Monomial({"a": (5000002, 5)}): -3,
+                    Monomial({"a": (3, 2), "p": (-1, 5), "t": (-1, 6)}): -8,
+                }
+            ),
+            LaurentPoly(
+                {
+                    Monomial({"a": (2000001, 2)}): -2,
+                    Monomial.var("a"): 7,
+                    Monomial.one(): -1,
+                    Monomial.var("a", -1): 4,
+                }
+            ),
+        )
+    )
     def test_product_divides_back(self, pq):
         p, q = pq
         assert exact_div(p * q, q) == p

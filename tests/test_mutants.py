@@ -1,8 +1,8 @@
-"""The mutation gate's records against the current source, and its matching
-of named test ids against pytest's failures."""
+"""The mutation gate's records against the current source, its matching of
+named test ids against pytest's failures, and its one Hypothesis seed."""
 
 import pytest
-from mutants import MUTANTS, _failed, _failing, _mutated
+from mutants import MUTANTS, SEED, _failed, _failing, _mutated, _parse_args, _pytest_command
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -31,3 +31,16 @@ def test_summary_lines_without_a_message():
         "t.py::test_f",
         "t.py::test_g",
     ]
+
+
+def test_every_run_draws_from_one_named_seed():
+    cmd = _pytest_command(["t.py::test_f"], 7)
+    assert cmd.count("--hypothesis-seed=7") == 1
+    assert cmd[-1] == "t.py::test_f"
+
+
+def test_seed_defaults_to_the_fixed_one_and_replays_another():
+    assert _parse_args([]).seed == SEED
+    assert _parse_args(["--seed", "12345"]).seed == 12345
+    with pytest.raises(SystemExit):
+        _parse_args(["--seed", "x"])

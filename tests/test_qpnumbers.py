@@ -22,7 +22,7 @@ from qpknot import (
     qp_number_division,
     qp_number_recurrence,
 )
-from qpknot.qpnumbers import two_term_ladder
+from qpknot.qpnumbers import qp_numbers, two_term_ladder
 
 from strategies import monomials, polys
 
@@ -203,12 +203,29 @@ class TestLadder:
             fib.append(fib[-1] + fib[-2])
         assert list(got) == fib
 
+    def test_ladder_hands_over_only_its_entry(self, decoded_keys):
+        # qp_numbers walks the ladder to [300] of h2 and hands over that
+        # entry alone, on its packed keys: nothing on the walk is decoded
+        spec = family_spec(Family.H2)
+        (got,) = qp_numbers(spec, range(300, 301))
+        assert decoded_keys[0] == 0
+        assert got == qp_number(spec, 300)
+
     def test_recurrence_decodes_only_its_entry(self, decoded_keys):
-        # [300] of h2 has 300 terms, and the ladder hands it over on its
-        # packed keys: neither it nor the 299 entries below it are decoded
+        # [300] of h2 has 300 terms, and index doubling reaches it by ring
+        # products on packed keys: neither it nor the pairs ([k], [k+1])
+        # on the way are decoded
         got = qp_number_recurrence(family_spec(Family.H2), 300)
         assert got.term_count() == 300
         assert decoded_keys[0] == 0
+
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [*range(70), 127, 128, 255, 256, 511, 512])
+    def test_doubling_matches_closed_sum(self, fam, n):
+        # every digit pattern up to 6 bits, and runs of 1 digits and of 0
+        # digits up to 9 bits
+        spec = family_spec(fam)
+        assert qp_number_recurrence(spec, n) == qp_number(spec, n)
 
     @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
     def test_recurrence_at_300_matches_closed_sum(self, fam):

@@ -3,7 +3,7 @@ the reverse square-root construction and the (a, z) change of variable."""
 
 
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -384,6 +384,31 @@ class TestAZForm:
         with pytest.raises(NotExpressibleError) as exc:
             to_az_form(parse_poly("t^(1/2)"))
         assert str(exc.value) == "residue t^(-1/2) has no z-polynomial form"
+
+    def test_link_pair_reaches_are_exact(self):
+        # l1 = a*(t^(1/2) - t^(-1/2)) and l2 = a^2 converted: a conversion
+        # fits its frame to twice the input's reach, but the result carries
+        # the reach of its own exponents
+        l1, l2 = qpknot.skein._link_pair(H)
+        assert (l1, l1._r) == (parse_poly("a*z"), 1)
+        assert (l2, l2._r) == (parse_poly("a^2"), 2)
+
+    @pytest.mark.parametrize("convert", [to_az_form, from_az_form], ids=lambda f: f.__name__)
+    def test_zero_converts_to_zero(self, convert):
+        got = convert(LaurentPoly.zero())
+        assert (got, got._r) == (LaurentPoly.zero(), 0)
+
+    @pytest.mark.parametrize("m, reach", [(0, 0), (1, 4), (5, 12), (12, 26)])
+    def test_conversion_reaches_are_exact(self, m, reach):
+        def exponent_reach(p):
+            exps = [abs(e) for mono, _ in p.terms() for e in mono.exponents.values()]
+            return ceil(max(exps, default=0))
+
+        p = knot_series(H, m).knot(m)
+        image = to_az_form(p)
+        back = from_az_form(image)
+        assert exponent_reach(p) == exponent_reach(image) == reach
+        assert (image._r, back._r) == (reach, reach)
 
     def test_no_module_level_state(self):
         def sizes():
