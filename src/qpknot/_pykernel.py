@@ -9,122 +9,71 @@ Data contract:
   nonzero int coefficients.  The empty dict is 0, and the key 0 is the
   monomial 1 in every frame.  Adding two keys of one frame multiplies
   their monomials, and ascending int order is graded-lex order.
-* monomial at the edge: a tuple of ``(var, num, den)`` triples sorted by
-  ``var``, where ``var`` is a one-letter string and ``num/den`` a reduced
-  rational exponent with ``num != 0`` and ``den >= 1``; `ONE`, the empty
-  tuple, is 1.  `Monomial` holds one, and text, JSON, CSV and LaTeX read
-  them: `Frame.pack` and `Frame.unpack` convert at that edge only.
+* monomial: a ``(frame, key, reach)`` triple, the frame, key and reach of
+  a one-term polynomial; `Monomial` holds one, and `mono_mul`, `mono_pow`,
+  `mono_deg` and `mono_cmp` take them.
+* ``(var, num, den)`` items at the edge: ``var`` a one-letter string and
+  ``num/den`` a rational exponent with ``den >= 1``.  `Frame.of` and
+  `Frame.pack` encode a monomial's items into a key; `Frame.unpack`
+  decodes a key into reduced, nonzero items in variable order, which
+  text, JSON, CSV, LaTeX, hashes and `Monomial`'s exponents read.
 
-This module is the only one that reads either layout.  Everywhere else a
+This module is the only one that reads a key's layout.  Everywhere else a
 key is opaque: it is stored, hashed, compared, added to another key of its
-frame or handed back to the kernel.  `mono_of` builds a tuple from
-``(var, num, den)`` items, `mono_items` lists them and `mono_split` takes
-one variable out; a frame's ``weight[v]``, the key of v^(1/scale), and its
-methods are the way into packed keys.
+frame or handed back to the kernel; a frame's ``weight[v]``, the key of
+v^(1/scale), and its methods are the way into its fields.
 
 `poly_accum_term_mul` is the one summing loop: out += t * (coeff * key).
 `poly_add`, `poly_term_mul` and `poly_mul` are built on it, and the ring
 calls it itself for subtraction, for each step of the leading-term
 reduction of exact division and square roots, for each step of the
-two-term ladder and for the (a, z) -> t merge.  Tuple monomials multiply
-and raise to powers through `mono_mul` and `mono_pow` only in `Monomial`'s
-own arithmetic.
+two-term ladder and for the (a, z) -> t merge.  Monomials multiply, raise
+to powers and compare through `mono_mul`, `mono_pow` and `mono_cmp` only
+in `Monomial`'s own arithmetic.
 """
 
 from functools import lru_cache
 from math import gcd, lcm
-
-ONE = ()
 
 # Bits per exponent field of a frame whose exponents need no more: every
 # |exponent| below 2^15 units of 1/scale.  `Frame.fit` widens past it.
 WIDTH = 16
 
 
-def mono_of(items):
-    """The key of the monomial with the ``(var, num, den)`` items, one per
-    variable, ``den >= 1``: exponents reduced, zero ones dropped, sorted by
-    variable, so equal monomials get equal keys."""
-    out = []
-    for v, n, d in items:
-        if n:
-            g = gcd(n, d)
-            out.append((v, n // g, d // g))
-    out.sort()
-    return tuple(out)
-
-
-def mono_items(key):
-    """The ``(var, num, den)`` items of a monomial key, in variable order,
-    each exponent reduced and nonzero; `mono_of` inverts it."""
-    return key
-
-
 def mono_mul(m1, m2):
-    """Product of two monomials (exponents add)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1 = len(m1)
-    n2 = len(m2)
-    while i < n1 and j < n2:
-        e1 = m1[i]
-        e2 = m2[j]
-        v1 = e1[0]
-        v2 = e2[0]
-        if v1 == v2:
-            num = e1[1] * e2[2] + e2[1] * e1[2]
-            if num:
-                den = e1[2] * e2[2]
-                g = gcd(num, den)
-                out.append((v1, num // g, den // g))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(e1)
-            i += 1
-        else:
-            out.append(e2)
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    """Product of two monomials: their keys added in the join of their
+    frames, fitted to their reaches added."""
+    (f1, k1, r1), (f2, k2, r2) = m1, m2
+    frame = f1.join(f2).fit(r1 + r2)
+    return frame, f1.rekey(k1, frame) + f2.rekey(k2, frame), r1 + r2
 
 
 def mono_pow(m, num, den):
-    """Monomial raised to the rational power num/den (den > 0)."""
-    if num == 0:
-        return ONE
-    out = []
-    for v, a, b in m:
-        nn = a * num
-        dd = b * den
-        g = gcd(nn, dd)
-        out.append((v, nn // g, dd // g))
-    return tuple(out)
-
-
-def mono_split(m, var):
-    """``(num, den, rest)``: the exponent num/den of ``var`` in the monomial
-    ``m`` (0/1 when absent) and ``m`` without ``var``."""
-    for i, (v, n, d) in enumerate(m):
-        if v == var:
-            return n, d, m[:i] + m[i + 1 :]
-    return 0, 1, m
+    """Monomial raised to the rational power num/den (den > 0): in a frame
+    of den times its scale, each exponent's count of units times num, then
+    moved to its least scale."""
+    frame, key, reach = m
+    reach = -(-reach * abs(num) // den)
+    target = Frame(frame.names, frame.scale * den, frame.width).fit(reach)
+    key = frame.image(key, {v: num * target.weight[v] for v in frame.names})
+    target, (key,) = target.least({key: 1})
+    return target, key, reach
 
 
 def mono_deg(m):
     """Total degree as a (num, den) pair with den > 0, unreduced:
     `Monomial.degree` makes a `Fraction` of it."""
-    num = 0
-    den = 1
-    for _, a, b in m:
-        num = num * b + a * den
-        den *= b
-    return num, den
+    frame, key, _ = m
+    return frame.degree(key), frame.scale
+
+
+def mono_cmp(m1, m2):
+    """Graded-lex comparison of two monomials: their keys in the join of
+    their frames, fitted to the larger reach.  Returns -1, 0 or 1."""
+    (f1, k1, r1), (f2, k2, r2) = m1, m2
+    frame = f1.join(f2).fit(max(r1, r2))
+    k1, k2 = f1.rekey(k1, frame), f2.rekey(k2, frame)
+    return (k1 > k2) - (k1 < k2)
 
 
 class Frame:
@@ -179,9 +128,10 @@ class Frame:
 
     @classmethod
     def of(cls, monos):
-        """``(frame, reach)`` for the tuple monomials ``monos``: the least
-        frame that holds them, and the largest |exponent| among them
-        rounded up to a whole number."""
+        """``(frame, reach)`` for the monomials ``monos``, each a sequence
+        of ``(var, num, den)`` items with ``den >= 1``: the least frame that
+        holds them, and the largest |exponent| among them rounded up to a
+        whole number."""
         names = set()
         scale = 1
         reach = 0
@@ -217,16 +167,14 @@ class Frame:
         return Frame(names, scale, width)
 
     def pack(self, m):
-        """Key of the tuple monomial ``m``, which must lie in this frame."""
-        scale = self.scale
-        weight = self.weight
-        k = 0
-        for v, n, d in m:
-            k += n * scale // d * weight[v]
-        return k
+        """Key of the monomial with the ``(var, num, den)`` items ``m``,
+        which must lie in this frame."""
+        return sum(n * self.scale // d * self.weight[v] for v, n, d in m)
 
     def unpack(self, key):
-        """Tuple monomial of a key."""
+        """The ``(var, num, den)`` items of a key, in variable order, each
+        exponent reduced and nonzero: equal monomials of any two frames
+        give equal items."""
         key += self._bias
         scale, mask, half = self.scale, self._mask, self._half
         out = []
@@ -334,8 +282,17 @@ class Frame:
     def repack(self, terms, target):
         """The terms keyed in ``target``, a frame with every variable of
         this one, a multiple of its scale and fields that hold the terms."""
+        return self.map(terms, self._units(target))
+
+    def rekey(self, key, target):
+        """`repack` for one key: the key itself when ``target`` is this
+        frame."""
+        return key if self == target else self.image(key, self._units(target))
+
+    def _units(self, target):
+        """The key in ``target`` of v^(1/scale), for each variable v."""
         ratio = target.scale // self.scale
-        return self.map(terms, {v: ratio * target.weight[v] for v in self.names})
+        return {v: ratio * target.weight[v] for v in self.names}
 
     def least(self, terms):
         """``(frame, terms)`` at the least scale that holds the terms: this
@@ -375,15 +332,6 @@ def _frame(cls, names, scale, width):
     self._mask = (1 << width) - 1
     self._shift = shift
     return self
-
-
-def mono_cmp(m1, m2):
-    """Graded-lex comparison of two tuple monomials: total degree first,
-    ties broken at the alphabetically first differing variable, larger
-    exponent first.  Returns -1, 0 or 1."""
-    frame, _ = Frame.of((m1, m2))
-    k1, k2 = frame.pack(m1), frame.pack(m2)
-    return (k1 > k2) - (k1 < k2)
 
 
 def poly_add(t1, t2):

@@ -19,9 +19,15 @@ arithmetic, and operands of different frames are re-packed into the join
 of the two (`_common`), fitted to the reach of the result.  `substitute`
 is a linear map on keys, `exact_div` and `exact_sqrt` run one
 leading-term reduction, `_reduce`, on the keys (a square root is a
-division by 2 * root), and printing sorts the polynomial's own keys.  Only
-`Monomial`, canonical text and JSON decode a key, through `Frame.unpack`;
-this module never reads a key's layout itself.
+division by 2 * root), and printing sorts the polynomial's own keys.
+
+A `Monomial` holds what a one-term polynomial does: a frame, one key and
+a reach.  Monomials multiply, raise to powers and compare through the
+kernel's `mono_*` operations on keys, and a polynomial built from them,
+`terms()`, `leading_term` and `as_monomial` hand keys over as they are.
+Only canonical text, JSON, hashes and a monomial's exponents and text
+decode a key, through `Frame.unpack`; this module never reads a key's
+layout itself.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ from qpknot.errors import (
 )
 
 RationalLike = int | Fraction | tuple
+
+_NO_VARS = _K.Frame()  # the frame of the constants
 
 # every exponent text the JSON writer emits, and nothing else
 _JSON_EXPONENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -68,10 +76,12 @@ class Monomial:
     """A finite product of variable powers with exact rational exponents.
 
     The empty monomial is the multiplicative identity; every monomial is
-    invertible.  Instances are immutable and hashable.
+    invertible.  Instances are immutable and hashable.  A monomial holds
+    the ``(frame, key, reach)`` of a one-term polynomial; equal monomials
+    in two frames compare and hash equal.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_m",)
 
     def __init__(self, exps: Mapping[str, RationalLike] | None = None):
         items = []
@@ -79,17 +89,19 @@ class Monomial:
             e = _as_exponent(exps[name])
             if e:  # a name with a zero exponent drops out unchecked
                 items.append((_check_var(name), e.numerator, e.denominator))
-        self._key = _K.mono_of(items)
+        frame, reach = _K.Frame.of((items,))
+        self._m = (frame, frame.pack(items), reach)
 
     @classmethod
-    def _from_key(cls, key: tuple) -> "Monomial":
-        m = cls.__new__(cls)
-        m._key = key
-        return m
+    def _raw(cls, m: tuple) -> "Monomial":
+        """The monomial of the packed ``(frame, key, reach)`` triple."""
+        mono = cls.__new__(cls)
+        mono._m = m
+        return mono
 
     @classmethod
     def one(cls) -> "Monomial":
-        return cls._from_key(_K.ONE)
+        return cls._raw((_NO_VARS, 0, 0))
 
     @classmethod
     def var(cls, name: str, exp: RationalLike = 1) -> "Monomial":
@@ -97,31 +109,30 @@ class Monomial:
 
     @property
     def exponents(self) -> dict[str, Fraction]:
-        return {v: Fraction(n, d) for v, n, d in _K.mono_items(self._key)}
+        frame, key, _ = self._m
+        return {v: Fraction(n, d) for v, n, d in frame.unpack(key)}
 
     def exponent(self, name: str) -> Fraction:
-        n, d, _ = _K.mono_split(self._key, name)
-        return Fraction(n, d)
+        return self.exponents.get(name, Fraction(0))
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _, _ in _K.mono_items(self._key))
+        return tuple(self.exponents)
 
     def degree(self) -> Fraction:
-        n, d = _K.mono_deg(self._key)
-        return Fraction(n, d)
+        return Fraction(*_K.mono_deg(self._m))
 
     @property
     def is_one(self) -> bool:
-        return self._key == _K.ONE
+        return self._m[1] == 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial._from_key(_K.mono_mul(self._key, other._key))
+        return Monomial._raw(_K.mono_mul(self._m, other._m))
 
     def __pow__(self, r: RationalLike) -> "Monomial":
         e = _as_exponent(r)
-        return Monomial._from_key(_K.mono_pow(self._key, e.numerator, e.denominator))
+        return Monomial._raw(_K.mono_pow(self._m, e.numerator, e.denominator))
 
     def inverse(self) -> "Monomial":
         return self ** -1
@@ -129,16 +140,19 @@ class Monomial:
     def as_poly(self, coeff: int = 1) -> "LaurentPoly":
         if not isinstance(coeff, int):
             raise TypeError("coefficients must be ints")
-        return LaurentPoly._raw(*_packed({self._key: int(coeff)} if coeff else {}))
+        frame, key, reach = self._m
+        return LaurentPoly._raw(frame, {key: int(coeff)} if coeff else {}, reach)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._key == other._key
+        return isinstance(other, Monomial) and _K.mono_cmp(self._m, other._m) == 0
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        frame, key, _ = self._m
+        return hash(frame.unpack(key))
 
     def __str__(self) -> str:
-        return "1" if self.is_one else _mono_text(_K.mono_items(self._key))
+        frame, key, _ = self._m
+        return _mono_text(frame.unpack(key)) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial('{self}')"
@@ -172,19 +186,34 @@ def _mono_text(items) -> str:
     return "*".join(parts)
 
 
-def _merge_terms(pairs: Iterable[tuple]) -> dict:
-    """Terms of the ``(monomial, int)`` pairs; repeats add up or cancel."""
-    terms: dict = {}
+def _join(monos: Iterable[tuple]) -> tuple:
+    """``(frame, reach)`` of the packed monomials ``monos``: their largest
+    reach, and the join of their frames fitted to it."""
+    frame, reach = _NO_VARS, 0
+    for f, _, r in monos:
+        frame, reach = frame.join(f), max(reach, r)
+    return frame.fit(reach), reach
+
+
+def _packed(pairs: Iterable[tuple]) -> tuple:
+    """``(frame, terms, reach)`` of the ``(monomial, int)`` pairs: the join
+    of the monomials' frames, fitted to their largest reach, and the terms
+    on its keys, where repeats add up or cancel."""
+    monos = []
     for mono, coeff in pairs:
         if not isinstance(coeff, int):
             raise TypeError("coefficients must be ints")
-        key = _as_monomial(mono)._key
+        monos.append((_as_monomial(mono)._m, coeff))
+    frame, reach = _join(m for m, _ in monos)
+    terms: dict = {}
+    for (f, k, _), coeff in monos:
+        key = f.rekey(k, frame)
         c = terms.get(key, 0) + coeff
         if c:
             terms[key] = c
         else:
             terms.pop(key, None)
-    return terms
+    return frame, terms, reach
 
 
 def _json_field(obj, key: str, where: str):
@@ -216,15 +245,6 @@ def _json_term(entry) -> tuple:
     return Monomial(exps), int(coeff)
 
 
-def _packed(monos: dict) -> tuple:
-    """``(frame, terms, reach)`` of a dict from tuple monomials to
-    coefficients: the least frame that holds them and the terms on its
-    keys."""
-    frame, reach = _K.Frame.of(monos)
-    pack = frame.pack
-    return frame, {pack(m): c for m, c in monos.items()}, reach
-
-
 def _outside_box(what: str, v: str, e: int, lo: int, hi: int, scale: int) -> str:
     """Why a candidate with v-exponent e/scale fails the box [lo, hi]/scale,
     worded from what `Frame.outside` returns."""
@@ -232,9 +252,6 @@ def _outside_box(what: str, v: str, e: int, lo: int, hi: int, scale: int) -> str
         f"{what} term needs {v}-exponent {Fraction(e, scale)}, outside the "
         f"Newton bound [{Fraction(lo, scale)}, {Fraction(hi, scale)}]"
     )
-
-
-_NO_VARS = _K.Frame()  # the frame of the constants
 
 
 class LaurentPoly:
@@ -252,11 +269,12 @@ class LaurentPoly:
         if isinstance(value, LaurentPoly):
             self._f, self._t, self._r = value._f, dict(value._t), value._r
         elif isinstance(value, Monomial):
-            self._f, self._t, self._r = _packed({value._key: 1})
+            self._f, key, self._r = value._m
+            self._t = {key: 1}
         elif isinstance(value, int):
             self._f, self._t, self._r = _NO_VARS, ({0: int(value)} if value else {}), 0
         elif isinstance(value, Mapping):
-            self._f, self._t, self._r = _packed(_merge_terms(value.items()))
+            self._f, self._t, self._r = _packed(value.items())
         else:
             raise TypeError(f"cannot build a polynomial from {value!r}")
 
@@ -286,12 +304,12 @@ class LaurentPoly:
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple]) -> "LaurentPoly":
-        return cls._raw(*_packed(_merge_terms(items)))
+        return cls._raw(*_packed(items))
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical (descending graded-lex) order."""
-        t, unpack = self._t, self._f.unpack
-        return [(Monomial._from_key(unpack(k)), t[k]) for k in sorted(t, reverse=True)]
+        f, t, r = self._f, self._t, self._r
+        return [(Monomial._raw((f, k, r)), t[k]) for k in sorted(t, reverse=True)]
 
     def coefficient(self, mono: Monomial) -> int:
         q = _as_monomial(mono).as_poly()
@@ -317,13 +335,13 @@ class LaurentPoly:
     def as_monomial(self) -> Monomial:
         if not self.is_monomial():
             raise ValueError(f"not a monomial: {self}")
-        return Monomial._from_key(self._f.unpack(next(iter(self._t))))
+        return Monomial._raw((self._f, next(iter(self._t)), self._r))
 
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
         key = max(self._t)
-        return Monomial._from_key(self._f.unpack(key)), self._t[key]
+        return Monomial._raw((self._f, key, self._r)), self._t[key]
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -433,16 +451,16 @@ class LaurentPoly:
         reaches, which the frame is fitted to.
         """
         frame, t = self._f, self._t
-        keyed = {v: _as_monomial(img)._key for v, img in images.items()}
+        keyed = {v: _as_monomial(img)._m for v, img in images.items()}
         if t and not keyed.keys() >= set(frame.names):
             for v, span in frame.bounds(t).items():
                 if v not in keyed and span != (0, 0):
                     raise MissingImageError(v)
-        used = [v for v in frame.names if v in keyed]
-        images_frame, images_reach = _K.Frame.of([keyed[v] for v in used])
+        used = {v: keyed[v] for v in frame.names if v in keyed}
+        joined, images_reach = _join(used.values())
         reach = self._r * len(used) * images_reach
-        target = _K.Frame(images_frame.names, frame.scale * images_frame.scale).fit(reach)
-        units = {v: target.pack(keyed[v]) // frame.scale for v in used}
+        target = _K.Frame(joined.names, frame.scale * joined.scale).fit(reach)
+        units = {v: f.rekey(k, target) // frame.scale for v, (f, k, _) in used.items()}
         return LaurentPoly._raw(*target.least(frame.map(t, units)), reach)
 
     def __str__(self) -> str:
@@ -471,7 +489,7 @@ class LaurentPoly:
         terms = _json_field(obj, "terms", "polynomial")
         if not isinstance(terms, list):
             raise TypeError(f"terms must be a JSON array, got {terms!r}")
-        return cls._raw(*_packed(_merge_terms(map(_json_term, terms))))
+        return cls._raw(*_packed(map(_json_term, terms)))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from qpknot._record import Record
 from qpknot.errors import NegativeIndexError, NotDivisibleError
-from qpknot.laurent import LaurentPoly, Monomial, exact_div
+from qpknot.laurent import LaurentPoly, Monomial, _join, exact_div
 from qpknot import _kernel as _K
 
 
@@ -72,15 +72,16 @@ def qp_number(spec: QPSpec, n: int) -> LaurentPoly:
 
     This is the primary definition; it is total and division-free.  Its
     keys are an arithmetic progression: (n-1) * key(u) + i * (key(v) -
-    key(u)), in the least frame of u and v, fitted to the reach (n-1)
-    times theirs.
+    key(u)), in the join of the frames of u and v, fitted to their reach
+    and to the reach (n-1) times theirs.
     """
     _check_index(n)
-    frame, reach = _K.Frame.of((spec.u._key, spec.v._key))
+    frame, reach = _join((spec.u._m, spec.v._m))
     reach *= max(n - 1, 0)
     frame = frame.fit(reach)
-    u = frame.pack(spec.u._key)
-    step = frame.pack(spec.v._key) - u
+    (fu, ku, _), (fv, kv, _) = spec.u._m, spec.v._m
+    u = fu.rekey(ku, frame)
+    step = fv.rekey(kv, frame) - u
     # u != v, so the step is not 0 and the n keys are distinct
     first = (n - 1) * u
     return LaurentPoly._raw(frame, dict.fromkeys(range(first, first + n * step, step), 1), reach)
@@ -143,33 +144,33 @@ def qp_number_recurrence(spec: QPSpec, n: int) -> LaurentPoly:
     """Recurrence form: [k+1] = k1*[k] + k2*[k-1] from [0]=0, [1]=1, with
     (k1, k2) = (u + v, -u*v), reached by index doubling.
 
-    By induction on m >= 1 the recurrence gives the matrix power
-    [[k1, k2], [1, 0]]^m = [[[m+1], k2*[m]], [[m], k2*[m-1]]], and the
-    lower left entry of the product of the m-th and the l-th power reads
-    [m+l] = [m]*[l+1] + k2*[m-1]*[l] for m, l >= 1.  At m = l = k, with
-    k2*[k-1] = [k+1] - k1*[k] from the recurrence,
+    The recurrence makes [k] = (u^k - v^k)/(u - v), so with
+    s_k = u^k + v^k = 2*[k+1] - k1*[k], two terms,
 
-        [2k]   = [k] * (2*[k+1] - k1*[k]),
+        [2k]   = [k] * s_k,
+        [2k+1] = [k+1] * s_k - (u*v)^k,
 
-    and at m = k+1, l = k,
-
-        [2k+1] = [k+1]^2 + k2*[k]^2;
-
-    both hold at k = 0 too.  Reading the binary digits of n from the top,
-    each digit takes ([k], [k+1]) to ([2k], [2k+1]), and a 1 digit then
-    takes one recurrence step to ([2k+1], [2k+2]).  So about log2(n)
-    rounds, each two squarings and a product by 2*[k+1] - k1*[k] (that is
-    u^k + v^k, two terms), replace the ladder's n - 1 steps.  This is the
-    Lucas sequence doubling of Joye and Quisquater (Electronics Letters
+    since (u^(k+1) - v^(k+1)) * (u^k + v^k) is u^(2k+1) - v^(2k+1) plus
+    (u*v)^k * (u - v); both hold at k = 0 too (s_0 = 2).  Reading the
+    binary digits of n from the top, each round takes ([k], [k+1],
+    (u*v)^k) to ([2k], [2k+1], (u*v)^(2k)), and a 1 digit then takes one
+    recurrence step to k + 1, with u*v = -k2.  So about log2(n) rounds,
+    each two products by the two terms of s_k, replace the ladder's n - 1
+    steps, and the last round builds only the half it returns.  This is
+    the Lucas sequence doubling of Joye and Quisquater (Electronics Letters
     32(6), 1996), in ring operations only, so nothing is decoded."""
     _check_index(n)
     k1, k2 = recurrence_coeffs(spec)
-    a, b = LaurentPoly.zero(), LaurentPoly.one()  # [k], [k+1] at k = 0
-    for digit in f"{n:b}":
-        a, b = a * (2 * b - k1 * a), b * b + k2 * (a * a)
+    # [k], [k+1] and (u*v)^k at k = 0
+    a, b, w = LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.one()
+    *head, last = f"{n:b}"
+    for digit in head:
+        s = 2 * b - k1 * a  # u^k + v^k
+        a, b, w = a * s, b * s - w, w * w
         if digit == "1":
-            a, b = b, k1 * b + k2 * a
-    return a
+            a, b, w = b, k1 * b + k2 * a, -(w * k2)
+    s = 2 * b - k1 * a
+    return b * s - w if last == "1" else a * s
 
 
 def qp_number_division(spec: QPSpec, n: int) -> LaurentPoly:

@@ -288,17 +288,18 @@ def to_az_form(p: LaurentPoly) -> LaurentPoly:
         doubled = 2 * e // scale
         rows.setdefault((rest, doubled % 2), {})[doubled] = coeff
 
-    residue: list = []
+    # the a-part times w^-k = t^(-k/2), keyed in p's frame; k * scale is
+    # even, since an odd scale divides 2e only where it divides e
+    residue: dict = {}
     for (rest, parity), row in rows.items():
         sign = -1 if parity else 1
         for k in {abs(e) for e in row if e}:
             r = row.get(-k, 0) - sign * row.get(k, 0)
             if r:
-                a_part = Monomial._from_key(frame.unpack(rest))
-                residue.append((a_part * Monomial.var("t", Fraction(-k, 2)), r))
+                residue[rest - k * scale // 2 * frame.weight["t"]] = r
     if residue:
         raise NotExpressibleError(
-            f"residue {LaurentPoly.from_terms(residue)} has no z-polynomial form"
+            f"residue {LaurentPoly._raw(frame, residue, p._r)} has no z-polynomial form"
         )
 
     names = tuple(sorted({*frame.names, "z"} - {"t"}))

@@ -23,10 +23,12 @@ script prints it first: a verdict follows from the commit and the seed, and
 (a plain test, a parametrized case or an ``@example``), so that another
 seed does not change its verdict.
 
-A mutant is killed when every named test fails, or when the run exceeds
-``TIMEOUT`` seconds (labelled so).  Every run tries every record.  The
-script prints each mutant's verdict and seconds, then killed/total, and
-exits 1 unless every mutant is killed.
+A mutant is killed when every named test fails, when pytest cannot
+collect them (a mutant that breaks the package's import; the unchanged
+copy must still pass), or when the run exceeds ``TIMEOUT`` seconds
+(labelled so).  Every run tries every record.  The script prints each
+mutant's verdict and seconds, then killed/total, and exits 1 unless every
+mutant is killed.
 
 pytest does not collect this file (its name does not start with ``test_``),
 and the gate is not part of the ordinary suite: it takes minutes.
@@ -162,20 +164,20 @@ MUTANTS = [
     ),
     # -- index doubling (qpnumbers.py) --
     Mutant(
-        "doubling-without-factor-two",  # [2k] = [k] * ([k+1] - k1*[k])
+        "doubling-without-factor-two",  # s_k = [k+1] - k1*[k] in every round but the last
         "qpnumbers.py",
-        "a * (2 * b - k1 * a)",
-        "a * (b - k1 * a)",
+        "s = 2 * b - k1 * a  # u^k + v^k",
+        "s = b - k1 * a  # u^k + v^k",
         (
             "tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",
             "tests/test_qpnumbers.py::TestRoutes::test_recurrence_small_values",
         ),
     ),
     Mutant(
-        "doubling-odd-sign",  # [2k+1] = [k+1]^2 - k2*[k]^2
+        "doubling-odd-sign",  # [2k+1] = [k+1]*s_k + (uv)^k in every round but the last
         "qpnumbers.py",
-        "b * b + k2 * (a * a)",
-        "b * b - k2 * (a * a)",
+        "a, b, w = a * s, b * s - w, w * w",
+        "a, b, w = a * s, b * s + w, w * w",
         (
             "tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",
             "tests/test_qpnumbers.py::TestRoutes::test_recurrence_small_values",
@@ -184,7 +186,7 @@ MUTANTS = [
     Mutant(
         "doubling-skips-the-step-on-one",  # every digit read as 0
         "qpnumbers.py",
-        '        if digit == "1":\n            a, b = b, k1 * b + k2 * a\n',
+        '        if digit == "1":\n            a, b, w = b, k1 * b + k2 * a, -(w * k2)\n',
         "",
         (
             "tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",
@@ -194,8 +196,8 @@ MUTANTS = [
     Mutant(
         "doubling-from-the-low-digit",  # the digits of n read in reverse
         "qpnumbers.py",
-        'for digit in f"{n:b}":',
-        'for digit in reversed(f"{n:b}"):',
+        '*head, last = f"{n:b}"',
+        '*head, last = reversed(f"{n:b}")',
         ("tests/test_qpnumbers.py::TestLadder::test_doubling_matches_closed_sum",),
     ),
     # -- the packed frame (_pykernel.py) --
@@ -274,7 +276,7 @@ MUTANTS = [
         "scale = lcm(self.scale, other.scale)",
         "scale = self.scale",
         (
-            "tests/test_eval_oracle.py::TestProductFrame::test_multi_term_products",
+            "tests/test_eval_oracle.py::TestProductFrame::test_cross_terms_cancel",
             "tests/test_eval_oracle.py::TestProductFrame::test_variable_in_one_operand_only",
         ),
     ),
@@ -299,11 +301,62 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "degree-without-common-denominator",  # mono_deg keeps the first denominator
+        "degree-without-common-denominator",  # mono_deg reads units of 1/scale as whole ones
         "_pykernel.py",
-        "        den *= b\n",
+        "return frame.degree(key), frame.scale",
+        "return frame.degree(key), 1",
+        (
+            "tests/test_laurent.py::TestMonomial::test_degree",
+            "tests/test_kernel.py::TestPyKernel::test_mono_deg_is_the_degree_over_the_scale",
+        ),
+    ),
+    # -- monomials on packed keys (_pykernel.py, qpnumbers.py) --
+    Mutant(
+        "monomial-product-unfitted",  # a product kept in the join, not fitted to r1 + r2
+        "_pykernel.py",
+        "frame = f1.join(f2).fit(r1 + r2)",
+        "frame = f1.join(f2)",
+        ("tests/test_eval_oracle.py::TestMonomialOracle::test_product",),
+    ),
+    Mutant(
+        "monomial-power-unscaled",  # a power's unit counts left as they were, not times num
+        "_pykernel.py",
+        "{v: num * target.weight[v] for v in frame.names}",
+        "{v: target.weight[v] for v in frame.names}",
+        (
+            "tests/test_eval_oracle.py::TestMonomialOracle::test_power_and_inverse",
+            "tests/test_laurent.py::TestMonomial::test_mono_pow_inverts",
+        ),
+    ),
+    Mutant(
+        "monomial-power-unreduced",  # a power left at den times the scale, not its least
+        "_pykernel.py",
+        "    target, (key,) = target.least({key: 1})\n",
         "",
-        ("tests/test_laurent.py::TestMonomial::test_degree",),
+        (
+            "tests/test_kernel.py::TestPyKernel::test_mono_pow_scales_the_units",
+            "tests/test_kernel.py::TestPyKernel::test_mono_pow_lands_at_the_least_scale",
+        ),
+    ),
+    Mutant(
+        "monomial-equality-within-one-frame",  # keys of two frames compared as they are
+        "_pykernel.py",
+        "    k1, k2 = f1.rekey(k1, frame), f2.rekey(k2, frame)\n",
+        "",
+        (
+            "tests/test_eval_oracle.py::TestMonomialOracle::test_product",
+            "tests/test_kernel.py::TestOrder::test_tie_break_first_variable_larger_exponent",
+        ),
+    ),
+    Mutant(
+        "closed-sum-u-in-its-own-frame",  # u's key read as a key of the join
+        "qpnumbers.py",
+        "u = fu.rekey(ku, frame)",
+        "u = ku",
+        (
+            "tests/test_qpnumbers.py::TestTabulatedValues::test_two_parameter_numbers",
+            "tests/test_eval_oracle.py::TestCrossFrame::test_ladder_entry_and_closed_sum[h1]",
+        ),
     ),
     # -- substitution (laurent.py) --
     Mutant(
@@ -316,8 +369,8 @@ MUTANTS = [
     Mutant(
         "substitute-map-ignores-scale",  # v^(1/s) sent to the image itself, not its 1/s-th power
         "laurent.py",
-        "units = {v: target.pack(keyed[v]) // frame.scale for v in used}",
-        "units = {v: target.pack(keyed[v]) for v in used}",
+        "units = {v: f.rekey(k, target) // frame.scale for",
+        "units = {v: f.rekey(k, target) for",
         (
             "tests/test_eval_oracle.py::TestRingOperations::test_substitute",
             "tests/test_laurent.py::TestSubstitute::test_fractional_exponents_take_powers_of_the_images",
@@ -548,14 +601,16 @@ def _pytest_command(tests, seed: int) -> list[str]:
 
 
 def _run(tree: Path, tests, seed: int) -> tuple[set[str] | None, str]:
-    """The named tests that fail in ``tree`` (None on a timeout), and
-    pytest's output."""
+    """The named tests that fail in ``tree`` (None on a timeout, all of
+    them when pytest cannot collect them), and pytest's output."""
     cmd = _pytest_command(tests, seed)
     try:
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, ""
-    if proc.returncode not in (0, 1):  # 1: tests failed; others: usage, collection
+    if proc.returncode in (2, 4):  # collection failed: a module, or the package, does not import
+        return set(tests), proc.stdout
+    if proc.returncode not in (0, 1):  # 1: tests failed; others: internal error, none collected
         raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
     return _failed(proc.stdout), proc.stdout
 

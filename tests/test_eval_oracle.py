@@ -7,7 +7,8 @@ and L the least common multiple of every exponent denominator in play, so
 x^(n/d) becomes the integer power r^(L*n/d) and evaluation is a ring
 homomorphism.  The (a, z) conversions are checked at t = s^2, z = s - 1/s.
 Exponents near 10^6 are evaluated modulo a large prime, where a power
-costs a few dozen multiplications whatever its size.
+costs a few dozen multiplications whatever its size.  `Monomial` itself
+is checked against plain dicts of `Fraction` exponents.
 """
 
 from fractions import Fraction
@@ -41,7 +42,8 @@ VARS = ("a", "p", "q", "t")
 exponents = st.builds(
     Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2, 3))
 )
-monomials = st.dictionaries(st.sampled_from(VARS), exponents, max_size=3).map(Monomial)
+exponent_dicts = st.dictionaries(st.sampled_from(VARS), exponents, max_size=3)
+monomials = exponent_dicts.map(Monomial)
 coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
 polys = st.dictionaries(monomials, coeffs, max_size=5).map(LaurentPoly)
 nonzero_polys = polys.filter(bool)
@@ -86,6 +88,75 @@ def at(roots, *polys):
     """The point x = r_x^L for every variable, L common to ``polys``."""
     scale = denominators(*polys)
     return {v: (r, scale) for v, r in roots.items()}
+
+
+def nonzero(exps):
+    """The exponent dict without its zero exponents."""
+    return {v: e for v, e in exps.items() if e}
+
+
+def monomial_text(exps):
+    """The canonical text of a monomial, from its nonzero exponents."""
+    parts = []
+    for v, e in sorted(exps.items()):
+        if e == 1:
+            parts.append(v)
+        elif e.denominator == 1:
+            parts.append(f"{v}^{e.numerator}")
+        else:
+            parts.append(f"{v}^({e.numerator}/{e.denominator})")
+    return "*".join(parts) or "1"
+
+
+def same_monomial(m, exps):
+    """``m`` reads as the nonzero exponents ``exps`` in every accessor, and
+    equals and hashes like the monomial built from them."""
+    built = Monomial(exps)
+    assert m.exponents == exps
+    assert m.variables() == tuple(sorted(exps))
+    assert m.degree() == sum(exps.values())
+    assert str(m) == monomial_text(exps)
+    assert m.is_one == (not exps)
+    assert m == built and hash(m) == hash(built)
+
+
+class TestMonomialOracle:
+    """`Monomial` against plain dicts of `Fraction` exponents, with no ring
+    arithmetic: a product adds exponents, a power scales them."""
+
+    @EXAMPLES
+    @given(exponent_dicts, exponent_dicts)
+    # a product that cancels a variable, in a frame that still holds it
+    @example({"a": Fraction(1), "t": Fraction(1)}, {"a": Fraction(-1)})
+    # a product past the fields of both operands' frames
+    @example({"t": Fraction(30000)}, {"a": Fraction(1, 3), "t": Fraction(30000)})
+    def test_product(self, e1, e2):
+        got = Monomial(e1) * Monomial(e2)
+        want = nonzero({v: e1.get(v, 0) + e2.get(v, 0) for v in {*e1, *e2}})
+        same_monomial(got, want)
+        assert (got == Monomial(e1)) == (want == nonzero(e1))
+
+    @EXAMPLES
+    @given(exponent_dicts, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    @example({"a": Fraction(2), "t": Fraction(-1, 2)}, Fraction(-2, 3))
+    @example({"q": Fraction(3)}, Fraction(0))
+    def test_power_and_inverse(self, e, r):
+        same_monomial(Monomial(e) ** r, nonzero({v: x * r for v, x in e.items()}))
+        same_monomial(Monomial(e).inverse(), nonzero({v: -x for v, x in e.items()}))
+
+    @EXAMPLES
+    @given(st.lists(exponent_dicts, min_size=1, max_size=6), st.sampled_from((1, 10**6)))
+    @example([{"a": Fraction(1), "t": Fraction(1, 2)}, {"q": Fraction(-2, 3)}, {}], 10**6)
+    def test_terms_of_a_wide_polynomial(self, dicts, far):
+        # p^far widens the frame every term of the polynomial keeps
+        wanted = {}
+        for e in [*dicts, {"p": Fraction(far)}]:
+            wanted[tuple(sorted(nonzero(e).items()))] = nonzero(e)
+        p = LaurentPoly.from_terms((Monomial(e), 1) for e in wanted.values())
+        got = {tuple(sorted(m.exponents.items())): m for m, _ in p.terms()}
+        assert got.keys() == wanted.keys()
+        for key, m in got.items():
+            same_monomial(m, wanted[key])
 
 
 class TestRingOperations:

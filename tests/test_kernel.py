@@ -2,36 +2,50 @@
 
 from fractions import Fraction
 
-from qpknot import _kernel, _pykernel
+from qpknot import _pykernel
 from qpknot.laurent import Monomial
 
 
-def key(text_exps):
-    return Monomial(text_exps)._key
+def exponent(e):
+    """A `Monomial` exponent, ``n`` or ``(n, d)``, as a `Fraction`."""
+    return Fraction(*e) if isinstance(e, tuple) else Fraction(e)
+
+
+def mono(exps):
+    """The packed ``(frame, key, reach)`` of the monomial with the exponent
+    mapping ``exps``."""
+    return Monomial(exps)._m
+
+
+def items(exps):
+    """The ``(var, num, den)`` items of an exponent mapping, in variable
+    order, each exponent reduced and nonzero."""
+    es = {v: exponent(e) for v, e in sorted(exps.items())}
+    return tuple((v, e.numerator, e.denominator) for v, e in es.items() if e)
 
 
 class TestOrder:
     def test_degree_dominates(self):
         # a^4 > a^2*t > a^2*t^-1 (degrees 4, 3, 1)
-        k1 = key({"a": 4})
-        k2 = key({"a": 2, "t": 1})
-        k3 = key({"a": 2, "t": -1})
-        assert _pykernel.mono_cmp(k1, k2) == 1
-        assert _pykernel.mono_cmp(k2, k3) == 1
-        assert _pykernel.mono_cmp(k3, k1) == -1
+        m1 = mono({"a": 4})
+        m2 = mono({"a": 2, "t": 1})
+        m3 = mono({"a": 2, "t": -1})
+        assert _pykernel.mono_cmp(m1, m2) == 1
+        assert _pykernel.mono_cmp(m2, m3) == 1
+        assert _pykernel.mono_cmp(m3, m1) == -1
 
     def test_tie_break_first_variable_larger_exponent(self):
         # equal degree 3: p^3 beats q^3 at variable p
-        assert _pykernel.mono_cmp(key({"p": 3}), key({"q": 3})) == 1
+        assert _pykernel.mono_cmp(mono({"p": 3}), mono({"q": 3})) == 1
         # equal degree 1: t beats a^-1*t^2 because 0 > -1 at variable a
-        assert _pykernel.mono_cmp(key({"t": 1}), key({"a": -1, "t": 2})) == 1
+        assert _pykernel.mono_cmp(mono({"t": 1}), mono({"a": -1, "t": 2})) == 1
 
     def test_fractional_degrees(self):
-        assert _pykernel.mono_cmp(key({"t": (1, 2)}), key({"t": (-1, 2)})) == 1
-        assert _pykernel.mono_cmp(key({"t": (1, 3)}), key({"t": (1, 2)})) == -1
+        assert _pykernel.mono_cmp(mono({"t": (1, 2)}), mono({"t": (-1, 2)})) == 1
+        assert _pykernel.mono_cmp(mono({"t": (1, 3)}), mono({"t": (1, 2)})) == -1
 
     def test_equal(self):
-        assert _pykernel.mono_cmp(key({"q": 2, "p": 1}), key({"p": 1, "q": 2})) == 0
+        assert _pykernel.mono_cmp(mono({"q": 2, "p": 1}), mono({"p": 1, "q": 2})) == 0
 
 
 class TestFrame:
@@ -41,39 +55,47 @@ class TestFrame:
     BELOW_ZERO = [{"a": -3, "t": -5}, {"a": -6, "t": (-7, 2)}, {"a": -4, "t": -3}]
 
     def frames(self):
-        """(frame, keys) for each monomial list, the frame the least one
-        that holds its keys."""
+        """(frame, monomials) for each list, the frame the least one that
+        holds the monomials' items."""
         for monos in (self.MONOS, self.BELOW_ZERO):
-            keys = [key(m) for m in monos]
-            frame, _ = _pykernel.Frame.of(keys)
-            yield frame, keys
+            frame, _ = _pykernel.Frame.of([items(m) for m in monos])
+            yield frame, monos
 
     def test_unpack_inverts_pack_and_sums_multiply(self):
-        for frame, keys in self.frames():
-            for m in keys:
-                assert frame.unpack(frame.pack(m)) == m
+        for frame, monos in self.frames():
+            for m in monos:
+                assert frame.unpack(frame.pack(items(m))) == items(m)
             # the spans hold the product of the first two
-            m1, m2 = keys[:2]
-            prod = _pykernel.mono_mul(m1, m2)
-            wide, _ = _pykernel.Frame.of([m1, m2, prod])
-            assert wide.unpack(wide.pack(m1) + wide.pack(m2)) == prod
+            e1, e2 = monos[:2]
+            prod = {v: exponent(e1.get(v, 0)) + exponent(e2.get(v, 0)) for v in {*e1, *e2}}
+            m1, m2, m12 = items(e1), items(e2), items(prod)
+            wide, _ = _pykernel.Frame.of([m1, m2, m12])
+            assert wide.unpack(wide.pack(m1) + wide.pack(m2)) == m12
 
     def test_degree_reads_the_top_field(self):
-        for frame, keys in self.frames():
-            for m in keys:
-                deg = Fraction(*_pykernel.mono_deg(m)) * frame.scale
-                assert frame.degree(frame.pack(m)) == deg
+        for frame, monos in self.frames():
+            for m in monos:
+                deg = sum(map(exponent, m.values())) * frame.scale
+                assert frame.degree(frame.pack(items(m))) == deg
+
+    def test_rekey_moves_a_key_into_a_wider_frame(self):
+        for frame, monos in self.frames():
+            target = _pykernel.Frame((*frame.names, "z"), 6 * frame.scale).fit(1 << 20)
+            for m in monos:
+                key = frame.pack(items(m))
+                assert frame.rekey(key, target) == target.pack(items(m))
+                assert frame.rekey(key, frame) == key
 
     def test_outside_names_first_variable_out_of_box(self):
         frame = _pykernel.Frame(("a", "t"), 2)
-        k = frame.pack(key({"a": -1, "t": 2}))
+        k = frame.pack(items({"a": -1, "t": 2}))
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 4)}) is None
         assert frame.outside(k, {"a": (0, 2), "t": (-4, 2)}) == ("a", -2, 0, 2)
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 2)}) == ("t", 4, -4, 2)
 
     def test_outside_reads_spans_below_zero(self):
         frame = _pykernel.Frame(("a", "t"), 1)
-        k = frame.pack(key({"a": -4, "t": -7}))
+        k = frame.pack(items({"a": -4, "t": -7}))
         assert frame.outside(k, {"a": (-6, -3), "t": (-9, -5)}) is None
         assert frame.outside(k, {"a": (-3, -3), "t": (-9, -5)}) == ("a", -4, -3, -3)
         assert frame.outside(k, {"a": (-6, -3), "t": (-6, -5)}) == ("t", -7, -6, -5)
@@ -85,36 +107,31 @@ FRAME = _pykernel.Frame(("a", "q", "t"), 2)
 
 def packed(exps):
     """Key in FRAME of the monomial with the exponent mapping ``exps``."""
-    return FRAME.pack(key(exps))
-
-
-def items_of(exps):
-    """``(var, num, den)`` items of a `Monomial` exponent mapping."""
-    return [(v, *(e if isinstance(e, tuple) else (e, 1))) for v, e in exps.items()]
-
-
-class TestKeyHelpers:
-    def test_mono_items_inverts_mono_of(self):
-        for m in TestFrame.MONOS:
-            items = items_of(m)
-            k = _kernel.mono_of(reversed(items))
-            assert k == key(m)
-            assert list(_kernel.mono_items(k)) == sorted(items)
-
-    def test_mono_of_reduces_and_drops_zero_exponents(self):
-        assert _kernel.mono_of([("t", 2, 2)]) == key({"t": 1})
-        assert _kernel.mono_of([("t", -6, 4), ("a", 0, 3)]) == key({"t": (-3, 2)})
-        assert _kernel.mono_of([("z", 0, 1)]) == _kernel.ONE == key({})
-        assert Monomial._from_key(_kernel.ONE).is_one
+    return FRAME.pack(items(exps))
 
 
 class TestPyKernel:
     def test_mono_mul_merges_and_cancels(self):
-        got = _pykernel.mono_mul(key({"q": 1, "t": 2}), key({"t": -2, "a": 1}))
-        assert got == key({"a": 1, "q": 1})
+        frame, key, reach = _pykernel.mono_mul(mono({"q": 1, "t": 2}), mono({"t": -2, "a": 1}))
+        assert (frame.unpack(key), reach) == (items({"a": 1, "q": 1}), 4)
 
     def test_mono_pow_zero_is_one(self):
-        assert _pykernel.mono_pow(key({"t": 5}), 0, 1) == ()
+        assert _pykernel.mono_pow(mono({"t": 5}), 0, 1)[1:] == (0, 0)
+
+    def test_mono_pow_scales_the_units(self):
+        frame, key, reach = _pykernel.mono_pow(mono({"a": 2, "t": (1, 2)}), -2, 3)
+        assert (frame.unpack(key), reach) == (items({"a": (-4, 3), "t": (-1, 3)}), 2)
+        assert frame.scale == 3
+
+    def test_mono_pow_lands_at_the_least_scale(self):
+        m = mono({"t": (1, 2)})
+        for r in ((3, 1), (1, 3), (6, 1), (1, 3)):
+            m = _pykernel.mono_pow(m, *r)
+        assert m[0].scale == 1 and m[0].unpack(m[1]) == items({"t": 1})
+
+    def test_mono_deg_is_the_degree_over_the_scale(self):
+        n, d = _pykernel.mono_deg(mono({"a": 2, "t": (-1, 2), "q": (1, 3)}))
+        assert Fraction(n, d) == Fraction(11, 6)
 
     def test_poly_add_cancellation(self):
         t1 = {packed({"t": 1}): 1, packed({"t": -1}): 1}
@@ -143,10 +160,3 @@ class TestPyKernel:
         want = {packed({"a": (1, 2), "t": 1}): -6, 0: 3, half: -15}
         assert _pykernel.poly_mul(t, {half: -3}) == want
         assert _pykernel.poly_mul({half: -3}, t) == want
-
-    def test_mono_split(self):
-        m = key({"a": 2, "t": (1, 2), "z": 3})
-        assert _pykernel.mono_split(m, "t") == (1, 2, key({"a": 2, "z": 3}))
-        assert _pykernel.mono_split(m, "a") == (2, 1, key({"t": (1, 2), "z": 3}))
-        assert _pykernel.mono_split(m, "q") == (0, 1, m)
-        assert _pykernel.mono_split((), "t") == (0, 1, ())

@@ -5,13 +5,14 @@ compared, added to another key of its frame (which multiplies their
 monomials), multiplied by an int (a power) and handed back to the kernel;
 ``frame.weight[v]`` is the key of v^(1/scale), and the frame's methods
 (`Frame.pack`, `unpack`, `split`, `image`, `map`, `within`, `floor_key`,
-...) are the only way into its fields.  A tuple monomial, the decoded form
-`Monomial` holds, goes through `ONE`, `mono_of`, `mono_items` and
-`mono_split`.  The pattern below catches the idioms that read or build a
-key directly: unpacking a tuple key's triples, tuple literals of triples,
-the empty tuple as a literal, shifts by a frame's field positions, masks
-of its fields, and reads of a frame's private bias, field table, mask,
-half field or degree shift.
+...) are the only way into its fields.  A `Monomial` holds a packed key
+too, with its frame and reach: `Frame.of` and `Frame.pack` encode
+``(var, num, den)`` items into a key, and `Frame.unpack` decodes one.
+The pattern below catches the idioms that read or build a key directly:
+unpacking a key as ``(var, num, den)`` triples, tuple literals of
+triples, the empty tuple as a literal, shifts by a frame's field
+positions, masks of its fields, and reads of a frame's private bias,
+field table, mask, half field or degree shift.
 """
 
 import re
@@ -46,9 +47,9 @@ def test_only_the_kernel_reads_key_layouts():
     ):
         assert LAYOUT.search(line), line
     for line in (
-        "for v, n, d in _K.mono_items(key):",
-        'residue[_K.mono_mul(rest, _K.mono_of([("t", -k, 2)]))] = r',
-        "terms = {_K.ONE: 1}",
+        "for v, n, d in frame.unpack(key):",
+        'residue[rest - k * scale // 2 * frame.weight["t"]] = r',
+        "return LaurentPoly._raw(frame, {key: int(coeff)} if coeff else {}, reach)",
         "for e, rest, coeff in frame.split(p._t, \"t\"):",
         "out[base + j * z_unit] = g",
         "inside, low = frame.within(box), frame.floor_key(floor)",

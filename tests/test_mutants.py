@@ -1,8 +1,12 @@
 """The mutation gate's records against the current source, its matching of
-named test ids against pytest's failures, and its one Hypothesis seed."""
+named test ids against pytest's failures, its one Hypothesis seed, and a
+run that cannot collect its tests."""
+
+import shutil
+from pathlib import Path
 
 import pytest
-from mutants import MUTANTS, SEED, _failed, _failing, _mutated, _parse_args, _pytest_command
+from mutants import MUTANTS, SEED, _failed, _failing, _mutated, _parse_args, _pytest_command, _run
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -44,3 +48,14 @@ def test_seed_defaults_to_the_fixed_one_and_replays_another():
     assert _parse_args(["--seed", "12345"]).seed == 12345
     with pytest.raises(SystemExit):
         _parse_args(["--seed", "x"])
+
+
+def test_a_run_that_cannot_collect_fails_every_named_test(tmp_path):
+    # pytest exits 4 when a named test's module does not import, as in a
+    # mutant that breaks the package's import
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    shutil.copy(Path(__file__).with_name("conftest.py"), tests)
+    (tests / "test_x.py").write_text("import qpknot_no_such_module\n\n\ndef test_f():\n    pass\n")
+    named = ["tests/test_x.py::test_f"]
+    assert _run(tmp_path, named, 0)[0] == set(named)
