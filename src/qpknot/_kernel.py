@@ -18,6 +18,14 @@ leading-term reduction that `exact_div` and `exact_sqrt` share, for each
 step of `qpnumbers.two_term_ladder` and for the merge in `from_az_form`;
 those steps count under it.
 
+Dense operands take the packed route instead: `poly_mul` multiplies them
+as one big int each, and `exact_div` and `exact_sqrt` try `dense_div` and
+`dense_sqrt` before their reduction, which runs only when those return
+None.  The route runs inside `_pykernel` and the tracer does not wrap
+`dense_div` or `dense_sqrt`, so a packed product counts once under
+`poly_mul`, and a packed quotient or root counts under no kernel name: its
+time is the self time of the `exact_div` or `exact_sqrt` span.
+
 `mono_mul`, `mono_pow`, `mono_deg` and `mono_cmp` multiply, raise, measure
 and compare packed monomials for `Monomial`; the ring's own arithmetic
 never calls them.  `poly_term_mul` is called by the tests only.
@@ -30,6 +38,8 @@ decodes them, and joins, fits and maps frames.
 
 from qpknot._pykernel import (
     Frame,
+    dense_div,
+    dense_sqrt,
     mono_cmp,
     mono_deg,
     mono_mul,

@@ -17,9 +17,10 @@ its reach, a bound on |exponent| in whole units.  Keys stay packed between
 operations: operands of one frame add, multiply and compare by int
 arithmetic, and operands of different frames are re-packed into the join
 of the two (`_common`), fitted to the reach of the result.  `substitute`
-is a linear map on keys, `exact_div` and `exact_sqrt` run one
-leading-term reduction, `_reduce`, on the keys (a square root is a
-division by 2 * root), and printing sorts the polynomial's own keys.
+is a linear map on keys, `exact_div` and `exact_sqrt` ask the kernel's
+packed route first and otherwise run one leading-term reduction,
+`_reduce`, on the keys (a square root is a division by 2 * root), and
+printing sorts the polynomial's own keys.
 
 A `Monomial` holds what a one-term polynomial does: a frame, one key and
 a reach.  Monomials multiply, raise to powers and compare through the
@@ -408,7 +409,7 @@ class LaurentPoly:
             return NotImplemented
         reach = self._r + q._r
         frame, a, b = _common(self, q, reach)
-        return LaurentPoly._raw(frame, _K.poly_mul(a, b), reach)
+        return LaurentPoly._raw(frame, _K.poly_mul(a, b, frame), reach)
 
     __rmul__ = __mul__
 
@@ -622,6 +623,17 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     and the reduction always stops.  Every divisor, monomials included, goes
     through this one reduction, `_reduce`, which square roots share.
 
+    Dense operands are first tried on the kernel's packed route
+    (`_kernel.dense_div`): the numerator and divisor become one int each,
+    `divmod` divides them, and the int quotient is read back onto the
+    frame's keys.  It is returned only when the remainder is zero, every
+    quotient term lies in the Newton box below, and a bound on the
+    coefficients of quotient times divisor stays below half a slot; the
+    kernel's docstring proves that the quotient is then exact.  Otherwise,
+    or when the route's density rule refuses the call, the reduction runs
+    from the start, so the answer and every error text are those of the
+    reduction alone.
+
     The reduction runs on the packed keys of the operands' common frame,
     and the quotient keeps them.  Writing [n_lo, n_hi] and [d_lo, d_hi]
     for the exponents of v in the numerator and the divisor, a quotient
@@ -639,12 +651,16 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
 
     frame, rem, tail = _common(num, den, 2 * max(num._r, den._r))
-    rem, tail = dict(rem), dict(tail)
     num_b, den_b = frame.bounds(rem), frame.bounds(tail)
     box = {}
     for v, (n_lo, n_hi) in num_b.items():
         d_lo, d_hi = den_b[v]
         box[v] = (n_lo - d_lo, n_hi - d_hi)
+    reach = _box_reach(box, frame.scale)
+    quot = _K.dense_div(frame, rem, tail, box)
+    if quot is not None:
+        return LaurentPoly._raw(frame, quot, reach)
+    rem, tail = dict(rem), dict(tail)
     lead = max(tail)
     dc = tail.pop(lead)
     floor = frame.degree(min(rem)) - frame.degree(lead)
@@ -652,7 +668,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         frame, rem, lead, dc, tail, box, floor, NotDivisibleError,
         "quotient", "remainder degree fell below the numerator's range",
     )
-    return LaurentPoly._raw(frame, dict(quot), _box_reach(box, frame.scale))
+    return LaurentPoly._raw(frame, dict(quot), reach)
 
 
 def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
@@ -671,12 +687,20 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     least half p's least degree.  Candidates strictly decrease in a
     monomial order inside that finite box, so the reduction always stops.
 
-    The reduction runs in p's frame at twice its scale, so every exponent
-    and degree of p is even there and half a key is the key of the square
-    root.  Remainder terms stay in p's box and candidates, a remainder term
-    over the root's leading term, within 3/2 of p's reach, so a candidate
-    differs from a bound of the root's box by at most twice p's reach,
-    which the frame is fitted to.  The root moves to its least scale."""
+    Everything runs in p's frame at twice its scale, so every exponent and
+    degree of p is even there and half a key is the key of the square root.
+    A dense p is first tried on the kernel's packed route
+    (`_kernel.dense_sqrt`): `math.isqrt` of p's int, read back onto p's
+    own lattice, is the root when its square is p's int, its terms lie in
+    the Newton box and a coefficient bound holds (proved in the kernel),
+    and it is negated when its leading coefficient is negative.
+    Otherwise, or when the density rule refuses the call, the reduction
+    runs from the start and gives the answer and the error text.  In the
+    reduction, remainder terms stay in p's box and candidates, a remainder
+    term over the root's leading term, within 3/2 of p's reach, so a
+    candidate differs from a bound of the root's box by at most twice p's
+    reach, which the frame is fitted to.  The root moves to its least
+    scale."""
     if p.is_zero:
         return LaurentPoly.zero()
 
@@ -685,6 +709,10 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     rem = f.repack(p._t, frame)
     bounds = frame.bounds(rem)
     box = {v: (lo // 2, hi // 2) for v, (lo, hi) in bounds.items()}
+    reach = -(-p._r // 2)
+    root = _K.dense_sqrt(frame, rem, box)
+    if root is not None:
+        return LaurentPoly._raw(*frame.least(root), reach)
     floor = frame.degree(min(rem)) // 2
     lt = max(rem)
     lc = rem.pop(lt)  # lt = rm^2 and lc = rc^2
@@ -702,4 +730,4 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     for k, c in terms:
         root[k], tail[k] = c, 2 * c
         _K.poly_accum_term_mul(rem, {k: c}, k, -c)
-    return LaurentPoly._raw(*frame.least(root), -(-p._r // 2))
+    return LaurentPoly._raw(*frame.least(root), reach)

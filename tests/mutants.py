@@ -16,19 +16,22 @@ directory, applies the record there and runs the record's tests in that copy;
 ``tests/conftest.py`` puts the copy's ``src/`` first on ``sys.path``.  Both
 runs select the ``mutants`` Hypothesis profile, which ``tests/conftest.py``
 registers without the shrink phase: the first failing example kills a
-mutant, and shrinking it would only cost time.  Every run also passes one
-``--hypothesis-seed``, ``SEED`` unless ``--seed N`` names another, and the
-script prints it first: a verdict follows from the commit and the seed, and
-``--seed N`` replays it.  A record should still be killed by a fixed case
-(a plain test, a parametrized case or an ``@example``), so that another
-seed does not change its verdict.
+mutant, and shrinking it would only cost time.  Each run passes a
+``--hypothesis-seed``, and the gate makes every run twice, under ``SEED``
+and ``SEED + 1``, or under N and N + 1 when ``--seed N`` names another
+start.  The script prints both seeds first: a verdict follows from the commit and
+the seed, and ``--seed N`` replays it.  A record should be killed by a
+fixed case (a plain test, a parametrized case or an ``@example``), so that
+the seed does not change its verdict; the script names every record whose
+verdict differs between the two seeds.
 
-A mutant is killed when every named test fails, when pytest cannot
-collect them (a mutant that breaks the package's import; the unchanged
-copy must still pass), or when the run exceeds ``TIMEOUT`` seconds
-(labelled so).  Every run tries every record.  The script prints each
-mutant's verdict and seconds, then killed/total, and exits 1 unless every
-mutant is killed.
+A mutant is killed under a seed when every named test fails, when pytest
+cannot collect them (a mutant that breaks the package's import; the
+unchanged copy must still pass), or when the run exceeds ``TIMEOUT``
+seconds (labelled so).  Every run tries every record.  The script prints
+each mutant's verdict (one per seed when they differ) and seconds, then
+how many were killed under both seeds out of the total, and exits 1
+unless every mutant is killed under both.
 
 pytest does not collect this file (its name does not start with ``test_``),
 and the gate is not part of the ordinary suite: it takes minutes.
@@ -48,7 +51,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 _COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 TIMEOUT = 300.0  # seconds per pytest run
-SEED = 0  # the Hypothesis seed of every pytest run unless --seed says otherwise
+SEED = 0  # the first Hypothesis seed of every record unless --seed says otherwise
 
 
 class Mutant(NamedTuple):
@@ -278,6 +281,7 @@ MUTANTS = [
         (
             "tests/test_eval_oracle.py::TestProductFrame::test_cross_terms_cancel",
             "tests/test_eval_oracle.py::TestProductFrame::test_variable_in_one_operand_only",
+            "tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",
         ),
     ),
     Mutant(
@@ -309,6 +313,38 @@ MUTANTS = [
             "tests/test_laurent.py::TestMonomial::test_degree",
             "tests/test_kernel.py::TestPyKernel::test_mono_deg_is_the_degree_over_the_scale",
         ),
+    ),
+    # -- the packed route (_pykernel.py) --
+    Mutant(
+        "packed-root-own-strides",  # the root read back on its own box's strides, not the square's
+        "_pykernel.py",
+        "out = grid.unpack(r, [e // 2 for e in lo], tops)",
+        "out = _Grid(frame, g, [t + 1 for t in tops], grid.width).unpack(r, [e // 2 for e in lo], tops)",
+        (
+            "tests/test_packed_route.py::TestPackedOracle::test_roots",
+            "tests/test_packed_route.py::TestPackedOracle::test_knot_entries",
+        ),
+    ),
+    Mutant(
+        "packed-newton-box-unchecked",  # a digit past a variable's top read as a term
+        "_pykernel.py",
+        "                    if j > top:\n                        return None\n",
+        "",
+        ("tests/test_packed_route.py::TestPackedFailures::test_int_quotient_past_the_newton_box",),
+    ),
+    Mutant(
+        "packed-slot-a-byte-short",  # no byte for the sign when the bound fills its bytes
+        "_pykernel.py",
+        "return bound.bit_length() // 8 + 1",
+        "return (bound.bit_length() + 7) // 8",
+        ("tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",),
+    ),
+    Mutant(
+        "packed-root-sign-unnormalised",  # the int root's sign kept, whatever its leading term's
+        "_pykernel.py",
+        "    if out[max(out)] < 0:\n        out = {k: -c for k, c in out.items()}\n",
+        "",
+        ("tests/test_packed_route.py::TestPackedOracle::test_roots",),
     ),
     # -- monomials on packed keys (_pykernel.py, qpnumbers.py) --
     Mutant(
@@ -639,42 +675,60 @@ def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description="Run the mutation gate.")
     parser.add_argument(
         "--seed", type=int, default=SEED,
-        help=f"Hypothesis seed of every pytest run, to replay a verdict (default {SEED})",
+        help=f"first of the two Hypothesis seeds of every record, to replay a verdict (default {SEED})",
     )
     return parser.parse_args(argv)
 
 
+def _verdict(tests, failed: set[str] | None) -> str:
+    """A mutant's verdict from the named tests and those that failed
+    (None on a timeout)."""
+    if failed is None:
+        return "killed (timeout)"
+    survivors = sorted(set(tests) - set(_failing(tests, failed)))
+    return "SURVIVED: " + ", ".join(survivors) if survivors else "killed"
+
+
+def _seeds(seed: int) -> tuple[int, int]:
+    """The two Hypothesis seeds every record runs under."""
+    return seed, seed + 1
+
+
 def main(argv=None) -> int:
-    seed = _parse_args(argv).seed
+    seeds = _seeds(_parse_args(argv).seed)
     mutated = [_mutated(m) for m in MUTANTS]  # no stale record runs
-    print(f"hypothesis seed {seed}", flush=True)
+    print("hypothesis seeds " + " and ".join(map(str, seeds)), flush=True)
     with tempfile.TemporaryDirectory(prefix="qpknot-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy_tree(base)
         tests = sorted({t for m in MUTANTS for t in m.tests})
-        failed, out = _run(base, tests, seed)
-        if failed is None or _failing(tests, failed):
-            raise SystemExit(f"the named tests do not all pass unmutated:\n{out}")
+        for seed in seeds:
+            failed, out = _run(base, tests, seed)
+            if failed is None or _failing(tests, failed):
+                raise SystemExit(f"the named tests do not all pass unmutated under seed {seed}:\n{out}")
 
-        killed = 0
+        killed, differ = 0, []
         for i, (m, text) in enumerate(zip(MUTANTS, mutated)):
             tree = Path(tmp) / f"m{i}"
             _copy_tree(tree)
             (tree / "src" / "qpknot" / m.file).write_text(text)
+            verdicts = []
             start = time.perf_counter()
-            failed, out = _run(tree, m.tests, seed)
+            for seed in seeds:
+                verdicts.append(_verdict(m.tests, _run(tree, m.tests, seed)[0]))
             seconds = time.perf_counter() - start
             shutil.rmtree(tree)
-            if failed is None:
-                verdict = "killed (timeout)"
-            elif len(_failing(m.tests, failed)) == len(m.tests):
-                verdict = "killed"
-            else:
-                survivors = sorted(set(m.tests) - set(_failing(m.tests, failed)))
-                verdict = "SURVIVED: " + ", ".join(survivors)
-            killed += verdict.startswith("killed")
-            print(f"{seconds:7.1f} s  {m.name:34} {verdict}", flush=True)
-    print(f"killed {killed}/{len(MUTANTS)}")
+            alive = [v.startswith("SURVIVED") for v in verdicts]
+            killed += not any(alive)
+            if len(set(alive)) > 1:
+                differ.append(m.name)
+            shown = verdicts[0] if len(set(verdicts)) == 1 else " | ".join(
+                f"seed {seed}: {v}" for seed, v in zip(seeds, verdicts)
+            )
+            print(f"{seconds:7.1f} s  {m.name:34} {shown}", flush=True)
+    print(f"killed {killed}/{len(MUTANTS)} under both seeds")
+    if differ:
+        print("verdict differs between the seeds: " + ", ".join(differ))
     return 0 if killed == len(MUTANTS) else 1
 
 

@@ -150,13 +150,13 @@ class TestPyKernel:
 
     def test_poly_mul_by_empty_operand(self):
         t = {packed({"t": 1}): 2, packed({"a": (-1, 2)}): -1}
-        assert _pykernel.poly_mul(t, {}) == {}
-        assert _pykernel.poly_mul({}, t) == {}
-        assert _pykernel.poly_mul({}, {}) == {}
+        assert _pykernel.poly_mul(t, {}, FRAME) == {}
+        assert _pykernel.poly_mul({}, t, FRAME) == {}
+        assert _pykernel.poly_mul({}, {}, FRAME) == {}
 
     def test_poly_mul_by_one_term(self):
         t = {packed({"t": 1}): 2, packed({"a": (-1, 2)}): -1, 0: 5}
         half = packed({"a": (1, 2)})
         want = {packed({"a": (1, 2), "t": 1}): -6, 0: 3, half: -15}
-        assert _pykernel.poly_mul(t, {half: -3}) == want
-        assert _pykernel.poly_mul({half: -3}, t) == want
+        assert _pykernel.poly_mul(t, {half: -3}, FRAME) == want
+        assert _pykernel.poly_mul({half: -3}, t, FRAME) == want

@@ -1,12 +1,25 @@
 """The mutation gate's records against the current source, its matching of
-named test ids against pytest's failures, its one Hypothesis seed, and a
-run that cannot collect its tests."""
+named test ids against pytest's failures, its two Hypothesis seeds and the
+records whose verdict differs between them, and a run that cannot collect
+its tests."""
 
 import shutil
 from pathlib import Path
 
 import pytest
-from mutants import MUTANTS, SEED, _failed, _failing, _mutated, _parse_args, _pytest_command, _run
+import mutants
+from mutants import (
+    MUTANTS,
+    SEED,
+    _failed,
+    _failing,
+    _mutated,
+    _parse_args,
+    _pytest_command,
+    _run,
+    _seeds,
+    _verdict,
+)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -59,3 +72,36 @@ def test_a_run_that_cannot_collect_fails_every_named_test(tmp_path):
     (tests / "test_x.py").write_text("import qpknot_no_such_module\n\n\ndef test_f():\n    pass\n")
     named = ["tests/test_x.py::test_f"]
     assert _run(tmp_path, named, 0)[0] == set(named)
+
+
+def test_verdict_names_the_survivors():
+    tests = ["t.py::test_f", "t.py::test_g"]
+    assert _verdict(tests, {"t.py::test_f", "t.py::test_g[x]"}) == "killed"
+    assert _verdict(tests, {"t.py::test_f"}) == "SURVIVED: t.py::test_g"
+    assert _verdict(tests, None) == "killed (timeout)"
+
+
+def test_every_record_runs_under_two_seeds():
+    assert _seeds(SEED) == (SEED, SEED + 1)
+    assert _seeds(12345) == (12345, 12346)
+
+
+def test_a_verdict_that_differs_between_the_seeds_is_reported(monkeypatch, capsys):
+    # the record is killed under the first seed and survives the second
+    record = MUTANTS[0]
+    monkeypatch.setattr(mutants, "MUTANTS", [record])
+
+    def copy_tree(dest):  # the mutated file's directory, nothing more
+        (dest / "src" / "qpknot").mkdir(parents=True)
+
+    def run(tree, tests, seed):
+        return (set(tests) if tree.name != "base" and seed == SEED else set()), ""
+
+    monkeypatch.setattr(mutants, "_copy_tree", copy_tree)
+    monkeypatch.setattr(mutants, "_run", run)
+    assert mutants.main([]) == 1
+    out = capsys.readouterr().out
+    assert f"hypothesis seeds {SEED} and {SEED + 1}" in out
+    assert f"seed {SEED}: killed | seed {SEED + 1}: SURVIVED" in out
+    assert "killed 0/1 under both seeds" in out
+    assert out.endswith(f"verdict differs between the seeds: {record.name}\n")

@@ -42,6 +42,9 @@ def _bindings() -> dict:
 
 
 def test_install_wraps_and_uninstall_restores(tracer_module):
+    # entries dense enough for the kernel's packed route, built untraced
+    dense = qpknot.knot_series(qpknot.InvariantKind.HOMFLY, 30)
+    big, mid = dense.knot(30), dense.knot(25)
     before = _bindings()
     t = tracer_module.Tracer()
     try:
@@ -73,6 +76,19 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert qpknot.exact_sqrt(square) in roots
         assert t.stats["laurent.exact_sqrt"].calls - start == 1
         assert _added(t, kernel) == {"kernel.poly_accum_term_mul": 2 * (p.term_count() - 1)}
+        # a dense product, quotient and root take the kernel's packed route,
+        # which calls no traced name: the product counts once under
+        # poly_mul, the quotient and root once each under their own spans
+        kernel = _kernel_calls(t)
+        num, square, roots = big * mid, big * big, (big, -big)
+        assert _added(t, kernel) == {"kernel.poly_mul": 2, "kernel.other": 1}
+        start, kernel = (div.calls, div.count), _kernel_calls(t)
+        assert qpknot.exact_div(num, mid) == big
+        assert (div.calls - start[0], div.count - start[1]) == (1, big.term_count())
+        start = t.stats["laurent.exact_sqrt"].calls
+        assert qpknot.exact_sqrt(square) in roots
+        assert t.stats["laurent.exact_sqrt"].calls - start == 1
+        assert _added(t, kernel) == {}
         assert t.stats["skein.to_az_form"].calls == 1
         assert t.stats["skein.from_az_form"].calls == 1
         # the ring never multiplies tuple monomials: those are Monomial's
