@@ -33,7 +33,9 @@ never calls them.  `poly_term_mul` is called by the tests only.
 Only the kernel reads the layout of a key; the rest of the package stores
 keys, hashes them, adds keys of one frame and hands them back.  `Frame`,
 untraced, is its way in: it encodes ``(var, num, den)`` items into keys,
-decodes them, and joins, fits and maps frames.
+decodes them, and joins, fits and maps frames.  Five of its methods read a
+key's fields: `Frame.column`, which `bounds`, `split`, `outside` and the
+packed route go through, and `unpack`, `image`, `map` and `least`.
 """
 
 from qpknot._pykernel import (

@@ -21,7 +21,11 @@ Data contract:
 This module is the only one that reads a key's layout.  Everywhere else a
 key is opaque: it is stored, hashed, compared, added to another key of its
 frame or handed back to the kernel; a frame's ``weight[v]``, the key of
-v^(1/scale), and its methods are the way into its fields.
+v^(1/scale), and its methods are the way into its fields.  Five of them
+decode fields: `Frame.column` reads one variable's exponent over many
+keys, and `bounds`, `split`, `outside` and the packed route read through
+it (`Frame.columns`); `unpack`, `image`, `map` and `least` keep their own
+per-key loops, where a call per key would cost more than the loop.
 
 Term dicts meet by two routes.  The term route is `poly_accum_term_mul`,
 the one summing loop: out += t * (coeff * key).  `poly_add`,
@@ -194,19 +198,25 @@ class Frame:
                 out.append((v, e // g, scale // g))
         return tuple(out)
 
+    def column(self, keys, var):
+        """The exponent of ``var`` in each of the keys, in their order and in
+        units of 1/scale: 0 in each when the frame has no such variable."""
+        s = self._at.get(var)
+        if s is None:
+            return [0] * len(keys)
+        bias, mask, half = self._bias, self._mask, self._half
+        return [((k + bias) >> s & mask) - half for k in keys]
+
+    def columns(self, keys):
+        """The `column` of each variable of the frame, in variable order."""
+        return [self.column(keys, v) for v in self.names]
+
     def split(self, terms, var):
         """``(e, rest, coeff)`` for each term: e the exponent of ``var`` in
         units of 1/scale (0 when the frame has no such variable), rest the
         key without it."""
-        s = self._at.get(var)
-        if s is None:
-            return [(0, k, c) for k, c in terms.items()]
-        unit, bias, mask, half = self.weight[var], self._bias, self._mask, self._half
-        out = []
-        for k, c in terms.items():
-            e = ((k + bias) >> s & mask) - half
-            out.append((e, k - e * unit, c))
-        return out
+        unit = self.weight.get(var, 0)
+        return [(e, k - e * unit, c) for e, k, c in zip(self.column(terms, var), terms, terms.values())]
 
     def degree(self, key):
         """Total degree of a key, in units of 1/scale."""
@@ -236,25 +246,16 @@ class Frame:
         """``(var, e, lo, hi)`` for the alphabetically first variable whose
         exponent e in a key lies outside ``box[var] = (lo, hi)``, else
         None; ``box`` holds every variable of the frame."""
-        key += self._bias
-        mask, half = self._mask, self._half
-        for v, s in self._at.items():
-            e = (key >> s & mask) - half
-            b_lo, b_hi = box[v]
-            if e < b_lo or e > b_hi:
-                return v, e, b_lo, b_hi
+        for v, (e,) in zip(self.names, self.columns((key,))):
+            lo, hi = box[v]
+            if e < lo or e > hi:
+                return v, e, lo, hi
         return None
 
     def bounds(self, keys):
         """Least and greatest exponent of each variable of the frame over
         the keys (some), as ``var -> (lo, hi)`` in units of 1/scale."""
-        biased = [k + self._bias for k in keys]
-        mask, half = self._mask, self._half
-        out = {}
-        for v, s in self._at.items():
-            es = [k >> s & mask for k in biased]
-            out[v] = (min(es) - half, max(es) - half)
-        return out
+        return {v: (min(es), max(es)) for v, es in zip(self.names, self.columns(keys))}
 
     def image(self, key, units):
         """The sum, over the variables v of the frame, of the exponent of v
@@ -435,23 +436,19 @@ def _slot_bytes(bound):
     return bound.bit_length() // 8 + 1
 
 
-def _survey(frame, parts):
-    """``(columns, g)`` for term dicts ``parts`` of ``frame``: for each part
-    ``(fields, lows, highs)``, its keys' exponents (one list per variable of
-    the frame, in the dict's order, units of 1/scale) with their least and
-    greatest; and for each variable the gcd of every part's offsets from its
-    own least exponent (1 where they are all 0)."""
-    bias, mask, half = frame._bias, frame._mask, frame._half
-    shifts = list(frame._at.values())
-    columns = []
-    g = [0] * len(shifts)
+def _lattice(frame, *parts):
+    """``(spans, g)`` for the term dicts ``parts`` of ``frame``, the operands
+    of one call: ``(columns, lows, highs)`` for each, its `Frame.columns`
+    with the least and greatest exponent of each variable, and for each
+    variable the gcd of every operand's exponents less that operand's
+    least one (1 where they are all 0)."""
+    spans, g = [], [0] * len(frame.names)
     for t in parts:
-        keys = [k + bias for k in t]
-        fields = [[(k >> s & mask) - half for k in keys] for s in shifts]
-        lows = [min(es) for es in fields]
-        columns.append((fields, lows, [max(es) for es in fields]))
-        g = [gcd(gv, *[e - lo for e in es]) for gv, es, lo in zip(g, fields, lows)]
-    return columns, [gv or 1 for gv in g]
+        cols = frame.columns(t)
+        lows = [min(es) for es in cols]
+        spans.append((cols, lows, [max(es) for es in cols]))
+        g = [gcd(gv, *[e - lo for e in es]) for gv, es, lo in zip(g, cols, lows)]
+    return spans, [gv or 1 for gv in g]
 
 
 def _route(frame, g, extents, work, bound):
@@ -485,11 +482,11 @@ class _Grid:
         """The int whose ``slots`` digits are each X/2."""
         return int.from_bytes(self.half.to_bytes(self.width, "little") * slots, "little")
 
-    def pack(self, terms, fields, lows):
-        """The int of ``terms`` whose keys have the exponents ``fields``
-        (from `_survey`), put on the lattice from ``lows``."""
+    def pack(self, terms, columns, lows):
+        """The int of ``terms`` whose keys have the exponents ``columns``
+        (`Frame.columns`), put on the lattice from ``lows``."""
         slots = [0] * len(terms)
-        for es, lo, gv, stride in zip(fields, lows, self.g, self.strides):
+        for es, lo, gv, stride in zip(columns, lows, self.g, self.strides):
             slots = [i + (e - lo) // gv * stride for i, e in zip(slots, es)]
         w, half = self.width, self.half
         top = max(slots) + 1
@@ -536,12 +533,12 @@ def _packed_mul(frame, t1, t2):
     """The product of ``t1`` and the smaller ``t2`` by the packed route, or
     None when the rule of `_route` sends it down the term route.  Its
     coefficients are at most max|t1| * max|t2| * len(t2)."""
-    ((f1, lo1, hi1), (f2, lo2, hi2)), g = _survey(frame, (t1, t2))
+    ((c1, lo1, hi1), (c2, lo2, hi2)), g = _lattice(frame, t1, t2)
     extents = [(h1 - l1 + h2 - l2) // gv + 1 for l1, h1, l2, h2, gv in zip(lo1, hi1, lo2, hi2, g)]
     grid = _route(frame, g, extents, len(t1) * len(t2), _peak(t1) * _peak(t2) * len(t2))
     if grid is None:
         return None
-    n = grid.pack(t1, f1, lo1) * grid.pack(t2, f2, lo2)
+    n = grid.pack(t1, c1, lo1) * grid.pack(t2, c2, lo2)
     return grid.unpack(n, [a + b for a, b in zip(lo1, lo2)], [e - 1 for e in extents])
 
 
@@ -581,7 +578,7 @@ def dense_div(frame, num, den, box):
         return None
     if DENSE * n_num > n_den * min(n_num, prod(hi - lo + 1 for lo, hi in box.values())):
         return None
-    ((fn, lon, hin), (fd, lod, hid)), g = _survey(frame, (num, den))
+    ((cn, lon, hin), (cd, lod, hid)), g = _lattice(frame, num, den)
     extents = [(h - l) // gv + 1 for l, h, gv in zip(lon, hin, g)]
     tops = [(hn - ln - hd + ld) // gv for ln, hn, ld, hd, gv in zip(lon, hin, lod, hid, g)]
     if min(tops, default=0) < 0:
@@ -591,7 +588,7 @@ def dense_div(frame, num, den, box):
     grid = _route(frame, g, extents, work, _peak(num) * peak * min(n_num, n_den))
     if grid is None:
         return None
-    q, r = divmod(grid.pack(num, fn, lon), grid.pack(den, fd, lod))
+    q, r = divmod(grid.pack(num, cn, lon), grid.pack(den, cd, lod))
     if r:
         return None
     out = grid.unpack(q, [a - b for a, b in zip(lon, lod)], tops)
@@ -620,14 +617,14 @@ def dense_sqrt(frame, square, box):
     # as in `dense_div`: the rule fails unless this holds
     if DENSE * count > min(count, prod(hi - lo + 1 for lo, hi in box.values())) ** 2:
         return None
-    ((fs, lo, hi),), g = _survey(frame, (square,))
+    ((cs, lo, hi),), g = _lattice(frame, square)
     extents = [(h - l) // gv + 1 for l, h, gv in zip(lo, hi, g)]
     tops = [(e - 1) // 2 for e in extents]
     work = min(count, prod(t + 1 for t in tops)) ** 2
     grid = _route(frame, g, extents, work, _peak(square) * count)
     if grid is None:
         return None
-    p = grid.pack(square, fs, lo)
+    p = grid.pack(square, cs, lo)
     if p <= 0:
         return None
     r = isqrt(p)

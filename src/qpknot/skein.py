@@ -171,10 +171,10 @@ def link_entries(kind: InvariantKind, indices: range) -> Iterator[LaurentPoly]:
     recurrence in (l1, l2), each only when it is asked for.
 
     Seeds are the n = 0 entry unlink2 and the n = 1 entry 1 (unknot); the
-    two-variable entries are produced in (a, z).  The ladder decodes only
-    the entries its caller asks for, and the generator keeps only the last
-    two entries, so a consumer that compares and drops them never holds
-    the whole ladder.
+    two-variable entries are produced in (a, z).  The ladder yields only
+    the entries its caller asks for, on its packed keys, and the generator
+    keeps only the last two entries, so a consumer that compares and drops
+    them never holds the whole ladder.
     """
     return two_term_ladder(*_link_pair(kind), unlink2(kind), LaurentPoly.one(), indices)
 

@@ -155,7 +155,7 @@ MUTANTS = [
         ("tests/test_qpnumbers.py::TestLadder::test_matches_ring_recurrence",),
     ),
     Mutant(
-        "ladder-decodes-the-other-entries",  # the decode filter inverted
+        "ladder-yields-the-other-entries",  # the yield filter inverted
         "qpnumbers.py",
         "        if k in indices:\n",
         "        if k not in indices:\n",
@@ -239,17 +239,44 @@ MUTANTS = [
         ("tests/test_kernel.py::TestFrame::test_degree_reads_the_top_field",),
     ),
     Mutant(
-        "outside-without-offset",
+        "outside-without-offset",  # the key's fields read as unsigned
         "_pykernel.py",
-        "        key += self._bias\n        mask, half = self._mask, self._half\n"
-        "        for v, s in self._at.items():\n            e = (key >> s & mask) - half\n"
-        "            b_lo, b_hi = box[v]\n",
-        "        mask, half = self._mask, self._half\n"
-        "        for v, s in self._at.items():\n            e = (key >> s & mask) - half\n"
-        "            b_lo, b_hi = box[v]\n",
+        "zip(self.names, self.columns((key,)))",
+        "zip(self.names, self.columns((key - self._bias,)))",
         (
             "tests/test_kernel.py::TestFrame::test_outside_names_first_variable_out_of_box",
             "tests/test_kernel.py::TestFrame::test_outside_reads_spans_below_zero",
+        ),
+    ),
+    Mutant(
+        "column-without-offset",  # the fields of many keys read as unsigned
+        "_pykernel.py",
+        "return [((k + bias) >> s & mask) - half for k in keys]",
+        "return [(k >> s & mask) - half for k in keys]",
+        (
+            "tests/test_kernel.py::TestFrame::test_column_reads_each_variable",
+            "tests/test_verify.py::TestReports::test_all_pass_at_25",
+        ),
+    ),
+    Mutant(
+        "column-reads-the-first-variable",  # the first variable's shift read for every variable
+        "_pykernel.py",
+        "        s = self._at.get(var)\n",
+        "        s = self._at.get(self.names[0]) if var in self._at else None\n",
+        (
+            "tests/test_kernel.py::TestFrame::test_column_reads_each_variable",
+            "tests/test_kernel.py::TestFrame::test_split_takes_one_variable_off_each_key",
+            "tests/test_skein.py::TestAZForm::test_trefoil",
+        ),
+    ),
+    Mutant(
+        "split-rest-keeps-the-field",  # the rest of a key without `- e * unit`
+        "_pykernel.py",
+        "return [(e, k - e * unit, c) for e, k, c in",
+        "return [(e, k, c) for e, k, c in",
+        (
+            "tests/test_kernel.py::TestFrame::test_split_takes_one_variable_off_each_key",
+            "tests/test_skein.py::TestAZForm::test_trefoil",
         ),
     ),
     Mutant(
@@ -324,6 +351,13 @@ MUTANTS = [
             "tests/test_packed_route.py::TestPackedOracle::test_roots",
             "tests/test_packed_route.py::TestPackedOracle::test_knot_entries",
         ),
+    ),
+    Mutant(
+        "packed-lows-of-the-other-operand",  # every operand's lows from the first's columns
+        "_pykernel.py",
+        "        lows = [min(es) for es in cols]\n",
+        "        lows = [min(es) for es in frame.columns(parts[0])]\n",
+        ("tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",),
     ),
     Mutant(
         "packed-newton-box-unchecked",  # a digit past a variable's top read as a term

@@ -5,7 +5,9 @@ and one ``error:`` line to stderr (argparse's usage errors excepted); what
 rational point of the benchmark's stdlib oracle (``perfbench/oracle.py``),
 evaluates to the oracle's exact value of the expression; and the JSON that
 ``qp-num``, ``series`` and ``table`` print loads back through
-``from_json_dict`` to the value the library computes.
+``from_json_dict`` to the value the library computes.  A parse error of
+``eval`` points into the text it names: at a character that is not
+whitespace, or at the end (a blank text at its start).
 
 Inputs follow the grammar in the ``exprparse`` docstring, with one-character
 insert, delete and truncate corruptions, and argv for the other subcommands
@@ -17,6 +19,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 from pathlib import Path
 from random import Random
 
@@ -36,7 +39,8 @@ from qpknot import (
     to_az_form,
 )
 from qpknot.cli import main
-from qpknot.exprparse import parse_poly
+from qpknot.errors import ExprSyntaxError
+from qpknot.exprparse import parse_expression, parse_poly
 
 _SETTINGS = dict(derandomize=True, deadline=None, database=None)
 
@@ -170,7 +174,36 @@ def _check_contract(argv):
             assert code == 2 and ": error: " in err.splitlines()[-1]
         else:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        _check_parse_offset(argv, err)
     return code, out
+
+
+_OFFSET = re.compile(r"\(offset (\d+)\)$")
+
+
+def _check_parse_offset(argv, err):
+    """A parse error of ``eval`` or ``eval --assert`` names an offset k with
+    0 <= k <= len(text) and either k == len(text) or text[k] not
+    whitespace; a blank text gives "empty expression" at its start.  For
+    ``--assert L==R`` the error is L's when L does not parse, else R's,
+    whose offsets count from len(L) + 2.  Returns whether it checked one."""
+    match = _OFFSET.search(err.rstrip("\n"))
+    if argv[0] != "eval" or match is None:
+        return False
+    text, k = argv[-1], int(match.group(1))
+    if "--assert" in argv:
+        left, right = text.split("==")
+        try:
+            parse_expression(left)
+        except ExprSyntaxError:
+            text = left
+        else:
+            text, k = right, k - len(left) - 2
+    if text.strip():
+        assert 0 <= k <= len(text) and (k == len(text) or not text[k].isspace()), (argv, err)
+    else:
+        assert k == 0 and err.startswith("error: empty expression "), (argv, err)
+    return True
 
 
 def _check_oracle_value(expr, out):
@@ -213,6 +246,23 @@ def test_eval_on_corrupted_text(expr):
 @given(expressions, corrupted)
 def test_eval_assert(lhs, rhs):
     _check_contract(["eval", "--assert", f"{lhs} == {rhs}"])
+
+
+@settings(max_examples=600, **_SETTINGS)
+@given(corrupted, expressions)
+def test_parse_error_offsets(text, lhs):
+    # a corrupted text that does not parse, alone and as the right side of
+    # an identity, whose left side may fail to evaluate first (exit 1 or
+    # 2, no offset); alone it names an offset unless argparse takes it for
+    # an option
+    try:
+        parse_expression(text)
+    except ExprSyntaxError:
+        code, _, err = _run(["eval", text])
+        assert code == 2
+        assert _check_parse_offset(["eval", text], err) or err.startswith("usage: ")
+        argv = ["eval", "--assert", f"{lhs} == {text}"]
+        _check_parse_offset(argv, _run(argv)[2])
 
 
 @settings(max_examples=120, **_SETTINGS)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from qpknot import _pykernel
+from qpknot import LaurentPoly, _pykernel, to_az_form
 from qpknot.laurent import Monomial
 
 
@@ -86,12 +86,65 @@ class TestFrame:
                 assert frame.rekey(key, target) == target.pack(items(m))
                 assert frame.rekey(key, frame) == key
 
+    def reader_cases(self):
+        """(frame, keys, monomials) for the column readers: the keys those of
+        the monomials, each an exponent mapping, in order.  The first frame
+        is a polynomial's, built from its monomials: negative exponents at
+        scale 6.  The second is fitted past 16 bits and holds the widest
+        exponents its fields take, +-(2^(width - 1) - 1) units."""
+        monos = [
+            {"a": Fraction(-5, 6), "q": Fraction(1, 3), "t": Fraction(-7, 2)},
+            {"a": -2, "t": Fraction(3, 2)},
+            {"q": Fraction(-4, 3)},
+            {},
+        ]
+        p = LaurentPoly({Monomial(m): c for m, c in zip(monos, (1, -2, 3, 4))})
+        assert p._f.scale == 6
+        yield p._f, list(p._t), monos
+        wide = _pykernel.Frame(("a", "q", "t"), 6).fit(10**6)
+        assert wide.width > 16
+        top = Fraction((1 << (wide.width - 1)) - 1, 6)
+        monos = [{"a": top, "q": -top, "t": Fraction(1, 6)}, {"a": -top, "t": top}, {"q": top}]
+        yield wide, [wide.pack(items(m)) for m in monos], monos
+
+    def test_column_reads_each_variable(self):
+        for frame, keys, monos in self.reader_cases():
+            want = {v: [exponent(m.get(v, 0)) * frame.scale for m in monos] for v in frame.names}
+            for v in frame.names:
+                assert frame.column(keys, v) == want[v]
+            assert frame.column(keys, "z") == [0] * len(keys)
+            assert frame.columns(keys) == [want[v] for v in frame.names]
+            assert frame.bounds(keys) == {v: (min(es), max(es)) for v, es in want.items()}
+
+    def test_split_takes_one_variable_off_each_key(self):
+        for frame, keys, monos in self.reader_cases():
+            terms = dict(zip(keys, range(1, len(keys) + 1)))
+            for v in (*frame.names, "z"):
+                rests = [frame.pack(items({**m, v: 0})) for m in monos]
+                es = [exponent(m.get(v, 0)) * frame.scale for m in monos]
+                assert frame.split(terms, v) == list(zip(es, rests, terms.values()))
+
+    def test_a_variable_whose_exponents_are_all_zero(self):
+        # b cancels from every term but stays in the product's frame
+        b, t = LaurentPoly.var("b"), LaurentPoly.var("t")
+        p = (b * t + b * t**-1) * b**-1
+        assert p._f.names == ("b", "t")
+        assert p._f.bounds(p._t) == {"b": (0, 0), "t": (-p._f.scale, p._f.scale)}
+        assert p.variables() == ("t",)
+        assert to_az_form(p) == to_az_form(t + t**-1)
+
     def test_outside_names_first_variable_out_of_box(self):
         frame = _pykernel.Frame(("a", "t"), 2)
         k = frame.pack(items({"a": -1, "t": 2}))
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 4)}) is None
         assert frame.outside(k, {"a": (0, 2), "t": (-4, 2)}) == ("a", -2, 0, 2)
         assert frame.outside(k, {"a": (-2, 2), "t": (-4, 2)}) == ("t", 4, -4, 2)
+        # both out: the first in variable order, whatever the box's order
+        assert frame.outside(k, {"t": (-4, 2), "a": (0, 2)}) == ("a", -2, 0, 2)
+        frame = _pykernel.Frame(("a", "q", "t"), 1)
+        k = frame.pack(items({"a": 1, "q": -3, "t": 5}))
+        box = {"t": (0, 4), "q": (-2, 2), "a": (0, 1)}
+        assert frame.outside(k, box) == ("q", -3, -2, 2)
 
     def test_outside_reads_spans_below_zero(self):
         frame = _pykernel.Frame(("a", "t"), 1)
