@@ -34,8 +34,8 @@ Only the kernel reads the layout of a key; the rest of the package stores
 keys, hashes them, adds keys of one frame and hands them back.  `Frame`,
 untraced, is its way in: it encodes ``(var, num, den)`` items into keys,
 decodes them, and joins, fits and maps frames.  Five of its methods read a
-key's fields: `Frame.column`, which `bounds`, `split`, `outside` and the
-packed route go through, and `unpack`, `image`, `map` and `least`.
+key's fields: `Frame.column`, which `span`, `bounds`, `split`, `outside`
+and the packed route go through, and `unpack`, `image`, `map` and `least`.
 """
 
 from qpknot._pykernel import (

@@ -23,9 +23,9 @@ key is opaque: it is stored, hashed, compared, added to another key of its
 frame or handed back to the kernel; a frame's ``weight[v]``, the key of
 v^(1/scale), and its methods are the way into its fields.  Five of them
 decode fields: `Frame.column` reads one variable's exponent over many
-keys, and `bounds`, `split`, `outside` and the packed route read through
-it (`Frame.columns`); `unpack`, `image`, `map` and `least` keep their own
-per-key loops, where a call per key would cost more than the loop.
+keys, and `span`, `bounds`, `split`, `outside` and the packed route read
+through it; `unpack`, `image`, `map` and `least` keep their own per-key
+loops, where a call per key would cost more than the loop.
 
 Term dicts meet by two routes.  The term route is `poly_accum_term_mul`,
 the one summing loop: out += t * (coeff * key).  `poly_add`,
@@ -33,18 +33,21 @@ the one summing loop: out += t * (coeff * key).  `poly_add`,
 itself for subtraction, for each step of the leading-term reduction of
 exact division and square roots, for each step of the two-term ladder and
 for the (a, z) -> t merge.  The packed route (Kronecker substitution, at
-the end of this module) puts dense operands on one big int each and lets
-int `*`, `divmod` and `math.isqrt` do the work: `poly_mul` takes it
-itself, and the ring's `exact_div` and `exact_sqrt` ask `dense_div` and
-`dense_sqrt` first.  One rule, in `_route`, decides, and a quotient or
-root is returned only with a certificate that it is exact; otherwise the
-ring reduces term by term, so answers and errors do not depend on the
-route.  Monomials multiply, raise to powers and compare through
+the end of this module) puts dense operands on one big int each:
+`poly_mul` takes it itself, and the ring's `exact_div` and `exact_sqrt`
+ask `dense_div` and `dense_sqrt` first.  One rule, in `_route`, decides,
+and a quotient or root is returned only with a certificate that it is
+exact; otherwise the ring reduces term by term, so answers and errors do
+not depend on the route.  Monomials multiply, raise to powers and compare through
 `mono_mul`, `mono_pow` and `mono_cmp` only in `Monomial`'s own arithmetic.
 """
 
+import sys
+from array import array
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
+from operator import add, mul, sub
 
 # Bits per exponent field of a frame whose exponents need no more: every
 # |exponent| below 2^15 units of 1/scale.  `Frame.fit` widens past it.
@@ -252,10 +255,17 @@ class Frame:
                 return v, e, lo, hi
         return None
 
+    def span(self, keys):
+        """``(columns, lows, highs)`` of the keys (some): their `columns`
+        and the least and greatest exponent in each."""
+        cols = self.columns(keys)
+        return cols, [min(es) for es in cols], [max(es) for es in cols]
+
     def bounds(self, keys):
         """Least and greatest exponent of each variable of the frame over
         the keys (some), as ``var -> (lo, hi)`` in units of 1/scale."""
-        return {v: (min(es), max(es)) for v, es in zip(self.names, self.columns(keys))}
+        _, lows, highs = self.span(keys)
+        return dict(zip(self.names, zip(lows, highs)))
 
     def image(self, key, units):
         """The sum, over the variables v of the frame, of the exponent of v
@@ -401,126 +411,146 @@ def poly_accum_term_mul(out, t, key, coeff):
 
 # -- the packed route ------------------------------------------------------
 #
-# Kronecker substitution: a polynomial on a lattice box becomes one int, the
-# sum of c * X^slot over its terms, and CPython's int `*`, `divmod` and
-# `math.isqrt` multiply, divide and take roots of it.  The lattice is shared
-# by every operand of one call: for each variable v of the frame, g_v is the
-# gcd of every operand's exponents of v less that operand's least one, and
-# a polynomial whose least exponents are ``lows`` puts the term of
-# exponents e in the slot sum_v (e_v - low_v) / g_v * stride_v.  The strides
-# are the mixed radix of the extents of the call's largest box (the
-# product, dividend or square), the alphabetically first variable the
-# slowest, so the slot map is injective on that box and adds exponents of
-# polynomials whose lows add: slot_A(a) + slot_B(b) = slot_AB(a + b).  Each
-# slot holds a balanced digit, |c| < X/2 with X = 2^(8 * width), so an int
-# has at most one such expansion and reading its digits back recovers the
-# coefficients, provided the polynomial's coefficients are that small.
+# Kronecker substitution: a polynomial becomes one int, and int `*`,
+# `divmod` and `math.isqrt` multiply, divide and take roots of it.  The
+# operands of one call share a lattice: g_v is the gcd of every operand's
+# exponents of v less its least one, and a polynomial whose least exponents
+# are ``lows`` puts the term of exponents e in the slot
+# sum_v (e_v - low_v) / g_v * stride_v, the strides the mixed radix of the
+# extents of the call's largest box (product, dividend or square), the
+# first variable the slowest.  So the slot map is injective on that box
+# and adds: slot_A(a) + slot_B(b) = slot_AB(a + b) when the lows add.
+# Digit i of an operand's int holds slot s0 + G * i, s0 its least slot and
+# G the gcd of every operand's slots less their s0: s -> (s - s0) / G is
+# injective and adds too, as least slots add.  Digits are balanced,
+# |c| < X/2 with X = 2^(8 * width), so an int has at most one such
+# expansion and gives back coefficients that small.  A slot of 1, 2, 4 or
+# 8 bytes is one signed `array` item, so ints are built and read in C.
 
-# The packed route is taken when the term route's work, in term pairs, is
-# at least DENSE times the slots of the call's largest box (`_route`): the
-# route reads and writes every slot in interpreted code, and the term
-# route handles each term pair once.  Timed in process (best of 15, Python
-# 3.11.7, shared 2-vCPU Xeon) on dense operands of 3 to 64 terms, along
-# t^(1/2) alone or alternating a^0 and a^1, the two routes broke even at
-# work/slots of 5 to 19: near 11 and 5 for products, 10 and 8 for
-# quotients, 8 and 17-19 for square roots (one variable, then two), in two
-# runs.  Past it the packed route wins by more the larger the call: at 64
-# terms it took 0.27 to 0.87 of the term route's time.  The calls of the
-# benchmark's `large-index` workload read 27 to 108.
+# The route is taken when the term route's work, in term pairs, is at
+# least DENSE times the slots of the call's largest box (`_route`).  Timed
+# (best of 15, Python 3.11.7, shared 2-vCPU Xeon) on dense operands of 3 to
+# 64 terms, along t^(1/2) alone or alternating a^0 and a^1, the routes
+# broke even at work/slots of 5 to 19: near 11 and 5 for products, 10 and
+# 8 for quotients, 8 and 17-19 for roots (one variable, then two).  At 64
+# terms the packed route took 0.27 to 0.87 of the term route's time.
+# `large-index`'s calls read 27 to 108.
 DENSE = 8
+
+# `array` typecodes by bytes; big-endian hosts read slots one by one
+_CODES = dict(zip((1, 2, 4, 8), "bhiq")) if sys.byteorder == "little" else {}
 
 
 def _slot_bytes(bound):
-    """Bytes per slot whose balanced digits hold every coefficient of
-    magnitude up to ``bound``: |c| < 2^(8 * bytes - 1)."""
-    return bound.bit_length() // 8 + 1
+    """Bytes per slot whose balanced digits hold every |c| <= ``bound``,
+    |c| < 2^(8 * bytes - 1), rounded up to an `array` item's size."""
+    need = bound.bit_length() // 8 + 1
+    return next((w for w in _CODES if w >= need), need)
 
 
-def _lattice(frame, *parts):
-    """``(spans, g)`` for the term dicts ``parts`` of ``frame``, the operands
-    of one call: ``(columns, lows, highs)`` for each, its `Frame.columns`
-    with the least and greatest exponent of each variable, and for each
-    variable the gcd of every operand's exponents less that operand's
-    least one (1 where they are all 0)."""
-    spans, g = [], [0] * len(frame.names)
-    for t in parts:
-        cols = frame.columns(t)
-        lows = [min(es) for es in cols]
-        spans.append((cols, lows, [max(es) for es in cols]))
+def _lattice(*spans):
+    """g for the operands of one call, each its `Frame.span`: per variable
+    the gcd of every operand's exponents less its least one, or 1."""
+    g = [0] * len(spans[0][0])
+    for cols, lows, _ in spans:
         g = [gcd(gv, *[e - lo for e in es]) for gv, es, lo in zip(g, cols, lows)]
-    return spans, [gv or 1 for gv in g]
+    return [gv or 1 for gv in g]
 
 
-def _route(frame, g, extents, work, bound):
+def _route(g, extents, work, bound):
     """The `_Grid` of a call whose largest box has ``extents`` steps of
-    ``g`` per variable, with slots for coefficients up to ``bound``; None
-    when the term route's ``work`` (term pairs) is below DENSE times the
-    box's slots.  This is the one density rule of the packed route."""
+    ``g`` per variable, its slots holding coefficients up to ``bound``;
+    None when the term route's ``work`` is below DENSE times the box's
+    slots.  This is the one density rule of the packed route."""
     if DENSE * prod(extents) > work:
         return None
-    return _Grid(frame, g, extents, _slot_bytes(bound))
+    return _Grid(g, extents, _slot_bytes(bound))
 
 
 class _Grid:
-    """The lattice and slot width of one packed call (see above)."""
+    """The lattice, slot width and slot gcd G of one packed call."""
 
-    __slots__ = ("strides", "steps", "weights", "g", "width", "half")
+    __slots__ = ("strides", "g", "width", "code", "gap")
 
-    def __init__(self, frame, g, extents, width):
+    def __init__(self, g, extents, width):
         strides, s = [], 1
         for e in reversed(extents):
             strides.append(s)
             s *= e
         self.strides = strides[::-1]
-        self.weights = [frame.weight[v] for v in frame.names]
-        self.steps = [gv * w for gv, w in zip(g, self.weights)]
         self.g = g
         self.width = width
-        self.half = 1 << (8 * width - 1)
+        self.code = _CODES.get(width)
 
-    def _bias(self, slots):
-        """The int whose ``slots`` digits are each X/2."""
-        return int.from_bytes(self.half.to_bytes(self.width, "little") * slots, "little")
+    def _tops(self, size):
+        """B: ``size`` digits X/2, each slot's top bit."""
+        return int.from_bytes((1 << 8 * self.width - 1).to_bytes(self.width, "little") * size, "little")
 
-    def pack(self, terms, columns, lows):
-        """The int of ``terms`` whose keys have the exponents ``columns``
-        (`Frame.columns`), put on the lattice from ``lows``."""
-        slots = [0] * len(terms)
-        for es, lo, gv, stride in zip(columns, lows, self.g, self.strides):
-            slots = [i + (e - lo) // gv * stride for i, e in zip(slots, es)]
-        w, half = self.width, self.half
-        top = max(slots) + 1
-        buf = bytearray(half.to_bytes(w, "little") * top)
-        for i, c in zip(slots, terms.values()):
-            i *= w
-            buf[i : i + w] = (c + half).to_bytes(w, "little")
-        return int.from_bytes(buf, "little") - self._bias(top)
+    def pack(self, *parts):
+        """``(int, s0)`` for each ``(terms, span)``, span the terms'
+        `Frame.span`: digit i holds slot s0 + G * i.  Sets G."""
+        placed, gap = [], 0
+        for terms, (cols, lows, _) in parts:
+            slots = [0] * len(terms)
+            for es, lo, gv, stride in zip(cols, lows, self.g, self.strides):
+                slots = [i + (e - lo) // gv * stride for i, e in zip(slots, es)]
+            s0 = min(slots)
+            gap = gcd(gap, *[s - s0 for s in slots])
+            placed.append((terms, slots, s0))
+        self.gap = gap = gap or 1
+        out = []
+        for terms, slots, s0 in placed:
+            digits = [0] * ((max(slots) - s0) // gap + 1)
+            for s, c in zip(slots, terms.values()):
+                digits[(s - s0) // gap] = c
+            if self.code:
+                data = array(self.code, digits)
+            else:
+                data = b"".join(c.to_bytes(self.width, "little", signed=True) for c in digits)
+            top = self._tops(len(digits))
+            out.append(((int.from_bytes(data, "little") ^ top) - top, s0))
+        return out
 
-    def unpack(self, n, lows, tops):
-        """The term dict of the int ``n`` on the lattice from ``lows``, or
-        None unless every digit lies in the box of ``tops[v]`` steps past
-        ``lows[v]`` for each variable v: no digit past its last slot, and
-        none whose steps in some variable exceed that variable's top."""
-        w, half = self.width, self.half
-        size = sum(t * s for t, s in zip(tops, self.strides)) + 1
+    def unpack(self, n, s0, tops, frame, lows, units):
+        """The terms of ``n``, digit i at slot s0 + G * i, keyed in
+        ``frame``: j_v steps along v are exponent lows_v + j_v * units_v.
+        None unless every digit lies in the box of ``tops[v]`` steps: none
+        past its last slot, none past some variable's top."""
+        gap, w, strides = self.gap, self.width, self.strides
+        weights = [frame.weight[v] for v in frame.names]
+        base, steps = sum(map(mul, lows, weights)), list(map(mul, units, weights))
+        last = sum(map(mul, tops, strides))
+        size = max(0, (last - s0) // gap + 1)
+        top = self._tops(size)
         try:
-            data = (n + self._bias(size)).to_bytes(size * w, "little")
-        except OverflowError:  # a digit past the last slot, or below the first
+            data = ((n + top) ^ top).to_bytes(size * w, "little")
+        except OverflowError:  # a digit past the last slot, or no slot
             return None
-        zero = half.to_bytes(w, "little")
-        base = sum(lo * wt for lo, wt in zip(lows, self.weights))
-        dims = list(zip(self.strides, tops, self.steps))
+        if self.code:
+            digits = array(self.code, data)
+        else:
+            digits = [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, len(data), w)]
+        # rows along the last variable, their digits G slots apart
+        outer = list(zip(strides, tops, steps))[:-1]
+        end, unit = tops[-1], steps[-1]
+        run = strides[-2] if outer else last + 1
         out = {}
-        for i in range(0, size * w, w):
-            d = data[i : i + w]
-            if d != zero:
-                key, rest = base, i // w
-                for stride, top, step in dims:
-                    j, rest = divmod(rest, stride)
-                    if j > top:
-                        return None
-                    key += j * step
-                out[key] = int.from_bytes(d, "little") - half
+        for r in range(s0 // run, last // run + 1):
+            i = max(0, (r * run - s0 + gap - 1) // gap)
+            row = digits[i : ((r + 1) * run - s0 + gap - 1) // gap]
+            if not any(row):
+                continue
+            j = s0 + gap * i - r * run
+            key, rest = base + j * unit, r * run
+            for stride, t, step in outer:
+                k, rest = divmod(rest, stride)
+                if k > t:
+                    return None
+                key += k * step
+            if any(row[max(0, (end - j) // gap + 1) :]):
+                return None
+            keys = range(key, key + gap * unit * len(row), gap * unit)
+            out.update(zip(compress(keys, row), filter(None, row)))
         return out
 
 
@@ -531,45 +561,48 @@ def _peak(terms):
 
 def _packed_mul(frame, t1, t2):
     """The product of ``t1`` and the smaller ``t2`` by the packed route, or
-    None when the rule of `_route` sends it down the term route.  Its
-    coefficients are at most max|t1| * max|t2| * len(t2)."""
-    ((c1, lo1, hi1), (c2, lo2, hi2)), g = _lattice(frame, t1, t2)
+    None when `_route` refuses it.  Its coefficients are at most
+    max|t1| * max|t2| * len(t2)."""
+    span1, span2 = frame.span(t1), frame.span(t2)
+    (_, lo1, hi1), (_, lo2, hi2) = span1, span2
+    g = _lattice(span1, span2)
     extents = [(h1 - l1 + h2 - l2) // gv + 1 for l1, h1, l2, h2, gv in zip(lo1, hi1, lo2, hi2, g)]
-    grid = _route(frame, g, extents, len(t1) * len(t2), _peak(t1) * _peak(t2) * len(t2))
+    grid = _route(g, extents, len(t1) * len(t2), _peak(t1) * _peak(t2) * len(t2))
     if grid is None:
         return None
-    n = grid.pack(t1, c1, lo1) * grid.pack(t2, c2, lo2)
-    return grid.unpack(n, [a + b for a, b in zip(lo1, lo2)], [e - 1 for e in extents])
+    (n1, m1), (n2, m2) = grid.pack((t1, span1), (t2, span2))
+    return grid.unpack(n1 * n2, m1 + m2, [e - 1 for e in extents], frame, map(add, lo1, lo2), g)
 
 
-def dense_div(frame, num, den, box):
+def dense_div(frame, num, den, box, num_span, den_span):
     """The exact quotient num/den of two term dicts of ``frame`` by the
-    packed route, certified; None when the route's rule refuses the call
-    or the quotient is not certified, and the caller then reduces term by
-    term.  ``box`` is the quotient's Newton box, ``var -> (lo, hi)`` in
-    units of 1/scale.
+    packed route, certified; None when the rule refuses the call or the
+    quotient is not certified, and the caller then reduces term by term.
+    ``box`` is the quotient's Newton box, ``var -> (lo, hi)`` in units of
+    1/scale, which the caller builds from ``num_span`` and ``den_span``,
+    the operands' `Frame.span`: the box and the route share one read.
 
-    The rule's work is the term pairs of the leading-term reduction, the
-    divisor's terms times the quotient's, which are taken as the slots of
-    the quotient's box but no more than the dividend's terms (a sparse box
-    overstates them).  With P and D the operands, X/2 half a slot, and q
-    the int quotient read back onto the lattice from P's lows less D's, q
-    is returned only when
+    The rule's work is the term pairs of the reduction, the divisor's terms
+    times the quotient's, taken as the slots of the quotient's box but no
+    more than the dividend's terms.  With P and D the operands, X/2 half a
+    slot, and q the int quotient read back onto the lattice from P's lows
+    less D's, from slot q0 = s0(P) - s0(D) (refused when negative), q is
+    returned only when
 
-    1. every digit of the int quotient lies in the quotient's Newton box
-       B_q (`_Grid.unpack`), so q's terms are those digits;
+    1. every digit of the int quotient lies in the Newton box B_q
+       (`_Grid.unpack`), so q's terms are those digits;
     2. max|q| * max|D| * min(#q, #D) < X/2, where max|P| < X/2 and
-       max|D| < X/2 by the choice of the slot width;
+       max|D| < X/2 by the slot width;
     3. the int identity q * D == P holds: `divmod` leaves no remainder.
 
     Then q * D == P as polynomials.  Every term of q * D lies in B_q + B_D,
-    which is P's box, where the slot map is injective and adds exponents:
-    so the int of q * D is q's int times D's, which is P's int.  Every
-    coefficient of q * D is a sum of at most min(#q, #D) products, each at
-    most max|q| * max|D|, so below X/2, as are P's.  The balanced base-X
-    expansion of an int is unique, so q * D and P have equal digits in
-    every slot of P's box: equal coefficients.  The quotient of a ring
-    without zero divisors is unique, so q is num/den."""
+    P's box, where the slot map is injective and adds, and in a slot
+    q0 + s0(D) + G * i = s0(P) + G * i: so the int of q * D is q's int
+    times D's, P's int.  Every coefficient of q * D is a sum of at most
+    min(#q, #D) products, each at most max|q| * max|D|, so below X/2, as
+    are P's.  Balanced base-X expansions are unique, so q * D and P have
+    equal coefficients, and q is num/den, as a domain's quotients are
+    unique."""
     n_num, n_den = len(num), len(den)
     # P's box has at least n_num slots, and the quotient's box at most the
     # slots of ``box`` at g = 1, so the rule fails unless this holds, which
@@ -578,59 +611,68 @@ def dense_div(frame, num, den, box):
         return None
     if DENSE * n_num > n_den * min(n_num, prod(hi - lo + 1 for lo, hi in box.values())):
         return None
-    ((cn, lon, hin), (cd, lod, hid)), g = _lattice(frame, num, den)
+    (_, lon, hin), (_, lod, hid) = num_span, den_span
+    g = _lattice(num_span, den_span)
     extents = [(h - l) // gv + 1 for l, h, gv in zip(lon, hin, g)]
     tops = [(hn - ln - hd + ld) // gv for ln, hn, ld, hd, gv in zip(lon, hin, lod, hid, g)]
     if min(tops, default=0) < 0:
         return None
     work = min(n_num, prod(t + 1 for t in tops)) * n_den
     peak = _peak(den)
-    grid = _route(frame, g, extents, work, _peak(num) * peak * min(n_num, n_den))
+    grid = _route(g, extents, work, _peak(num) * peak * min(n_num, n_den))
     if grid is None:
         return None
-    q, r = divmod(grid.pack(num, cn, lon), grid.pack(den, cd, lod))
+    (p, n0), (d, d0) = grid.pack((num, num_span), (den, den_span))
+    if n0 < d0:
+        return None
+    q, r = divmod(p, d)
     if r:
         return None
-    out = grid.unpack(q, [a - b for a, b in zip(lon, lod)], tops)
+    out = grid.unpack(q, n0 - d0, tops, frame, map(sub, lon, lod), g)
     if not out or (_peak(out) * peak * min(len(out), n_den)).bit_length() >= 8 * grid.width:
         return None
     return out
 
 
-def dense_sqrt(frame, square, box):
-    """The square root of a term dict of ``frame``, whose exponents are all
-    even, by the packed route, certified and with a positive leading
-    coefficient; None as for `dense_div`.  ``box`` is the root's Newton
-    box, half the square's.
+def dense_sqrt(frame, square, target):
+    """The square root of a term dict P of ``frame`` by the packed route,
+    certified, with a positive leading coefficient, keyed in ``target``,
+    ``frame`` at twice its scale; None as for `dense_div`.  The route reads
+    P's `Frame.span` in P's frame; the caller repacks P and reads the
+    root's Newton box only if it gives up.
 
-    The rule's work is the term pairs of the reduction, the square of the
-    root's terms, which are taken as for `dense_div`: the slots of the
-    root's box but no more than the square's terms.  The root r is the int
-    square root of P's int, read back onto P's own lattice (the same
-    strides, from P's lows halved), and is returned only when every digit
-    lies in B_r, half P's box, max|r|^2 * #r < X/2, and r^2 is P's int.  As for `dense_div`, every
-    term of r^2 then lies in B_r + B_r, P's box, every coefficient of it is
-    below X/2, and r^2 == P as polynomials.  `isqrt` gives the root whose
-    top slot is positive; the root is negated when its graded-lex leading
-    coefficient is not."""
+    The rule's work, the square of the root's terms, is taken as for
+    `dense_div`.  The root r, the int square root of P's int read back onto
+    P's lattice from P's lows halved and slot s0(P) / 2 (refused when odd),
+    is returned only when every digit lies in B_r, half P's box,
+    max|r|^2 * #r < X/2, and r^2 is P's int.  As for `dense_div`, every
+    term of r^2 then lies in B_r + B_r, P's box, in a slot s0(P) + G * i,
+    every coefficient of it is below X/2, and r^2 == P as polynomials.  In
+    ``target`` P's lows halved are P's lows, and g_v is 2 * g_v units.
+    `isqrt` gives the root whose top slot is positive; it is negated when
+    its graded-lex leading coefficient is not."""
     count = len(square)
-    # as in `dense_div`: the rule fails unless this holds
-    if DENSE * count > min(count, prod(hi - lo + 1 for lo, hi in box.values())) ** 2:
+    # as in `dense_div`: the rule needs count >= DENSE
+    if count < DENSE:
         return None
-    ((cs, lo, hi),), g = _lattice(frame, square)
+    span = frame.span(square)
+    _, lo, hi = span
+    if DENSE * count > min(count, prod(h - l + 1 for l, h in zip(lo, hi))) ** 2:
+        return None
+    g = _lattice(span)
     extents = [(h - l) // gv + 1 for l, h, gv in zip(lo, hi, g)]
     tops = [(e - 1) // 2 for e in extents]
     work = min(count, prod(t + 1 for t in tops)) ** 2
-    grid = _route(frame, g, extents, work, _peak(square) * count)
+    grid = _route(g, extents, work, _peak(square) * count)
     if grid is None:
         return None
-    p = grid.pack(square, cs, lo)
-    if p <= 0:
+    ((p, s0),) = grid.pack((square, span))
+    if p <= 0 or s0 % 2:
         return None
     r = isqrt(p)
     if r * r != p:
         return None
-    out = grid.unpack(r, [e // 2 for e in lo], tops)
+    out = grid.unpack(r, s0 // 2, tops, target, lo, [2 * gv for gv in g])
     if not out or (_peak(out) ** 2 * len(out)).bit_length() >= 8 * grid.width:
         return None
     if out[max(out)] < 0:

@@ -626,13 +626,14 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Dense operands are first tried on the kernel's packed route
     (`_kernel.dense_div`): the numerator and divisor become one int each,
     `divmod` divides them, and the int quotient is read back onto the
-    frame's keys.  It is returned only when the remainder is zero, every
-    quotient term lies in the Newton box below, and a bound on the
-    coefficients of quotient times divisor stays below half a slot; the
-    kernel's docstring proves that the quotient is then exact.  Otherwise,
-    or when the route's density rule refuses the call, the reduction runs
-    from the start, so the answer and every error text are those of the
-    reduction alone.
+    frame's keys; the Newton box and the route share one read of each
+    operand, its `Frame.span`.  The quotient is returned only when the
+    remainder is zero, every quotient term lies in the Newton box below,
+    and a bound on the coefficients of quotient times divisor stays below
+    half a slot; the kernel's docstring proves that the quotient is then
+    exact.  Otherwise, or when the route's density rule refuses the call,
+    the reduction runs from the start, so the answer and every error text
+    are those of the reduction alone.
 
     The reduction runs on the packed keys of the operands' common frame,
     and the quotient keeps them.  Writing [n_lo, n_hi] and [d_lo, d_hi]
@@ -651,13 +652,11 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
 
     frame, rem, tail = _common(num, den, 2 * max(num._r, den._r))
-    num_b, den_b = frame.bounds(rem), frame.bounds(tail)
-    box = {}
-    for v, (n_lo, n_hi) in num_b.items():
-        d_lo, d_hi = den_b[v]
-        box[v] = (n_lo - d_lo, n_hi - d_hi)
+    spans = frame.span(rem), frame.span(tail)
+    (_, n_lo, n_hi), (_, d_lo, d_hi) = spans
+    box = {v: (a - b, c - d) for v, a, b, c, d in zip(frame.names, n_lo, d_lo, n_hi, d_hi)}
     reach = _box_reach(box, frame.scale)
-    quot = _K.dense_div(frame, rem, tail, box)
+    quot = _K.dense_div(frame, rem, tail, box, *spans)
     if quot is not None:
         return LaurentPoly._raw(frame, quot, reach)
     rem, tail = dict(rem), dict(tail)
@@ -687,32 +686,33 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
     least half p's least degree.  Candidates strictly decrease in a
     monomial order inside that finite box, so the reduction always stops.
 
-    Everything runs in p's frame at twice its scale, so every exponent and
-    degree of p is even there and half a key is the key of the square root.
-    A dense p is first tried on the kernel's packed route
-    (`_kernel.dense_sqrt`): `math.isqrt` of p's int, read back onto p's
-    own lattice, is the root when its square is p's int, its terms lie in
-    the Newton box and a coefficient bound holds (proved in the kernel),
-    and it is negated when its leading coefficient is negative.
-    Otherwise, or when the density rule refuses the call, the reduction
-    runs from the start and gives the answer and the error text.  In the
-    reduction, remainder terms stay in p's box and candidates, a remainder
-    term over the root's leading term, within 3/2 of p's reach, so a
-    candidate differs from a bound of the root's box by at most twice p's
-    reach, which the frame is fitted to.  The root moves to its least
-    scale."""
+    The root is keyed in p's frame at twice its scale, where every
+    exponent and degree of p is even and half a key is the key of the
+    square root.  A dense p is first tried on the kernel's packed route
+    (`_kernel.dense_sqrt`), which reads p once, in p's own frame, and
+    writes the root's keys straight into the doubled one: `math.isqrt` of
+    p's int, read back onto p's own lattice, is the root when its square
+    is p's int, its terms lie in the Newton box and a coefficient bound
+    holds (proved in the kernel), and it is negated when its leading
+    coefficient is negative.  Otherwise, or when the density rule refuses
+    the call, p is repacked into the doubled frame, the Newton box is
+    read, and the reduction runs from the start and gives the answer and
+    the error text.  In the reduction, remainder terms stay in p's box and
+    candidates, a remainder term over the root's leading term, within 3/2
+    of p's reach, so a candidate differs from a bound of the root's box by
+    at most twice p's reach, which the frame is fitted to.  The root moves
+    to its least scale."""
     if p.is_zero:
         return LaurentPoly.zero()
 
     f = p._f
     frame = _K.Frame(f.names, 2 * f.scale, f.width).fit(2 * p._r)
-    rem = f.repack(p._t, frame)
-    bounds = frame.bounds(rem)
-    box = {v: (lo // 2, hi // 2) for v, (lo, hi) in bounds.items()}
     reach = -(-p._r // 2)
-    root = _K.dense_sqrt(frame, rem, box)
+    root = _K.dense_sqrt(f, p._t, frame)
     if root is not None:
         return LaurentPoly._raw(*frame.least(root), reach)
+    rem = f.repack(p._t, frame)
+    box = {v: (lo // 2, hi // 2) for v, (lo, hi) in frame.bounds(rem).items()}
     floor = frame.degree(min(rem)) // 2
     lt = max(rem)
     lc = rem.pop(lt)  # lt = rm^2 and lc = rc^2

@@ -345,33 +345,86 @@ MUTANTS = [
     Mutant(
         "packed-root-own-strides",  # the root read back on its own box's strides, not the square's
         "_pykernel.py",
-        "out = grid.unpack(r, [e // 2 for e in lo], tops)",
-        "out = _Grid(frame, g, [t + 1 for t in tops], grid.width).unpack(r, [e // 2 for e in lo], tops)",
+        "    out = grid.unpack(r, s0 // 2, tops,",
+        "    grid.strides = _Grid(g, [t + 1 for t in tops], grid.width).strides\n"
+        "    out = grid.unpack(r, s0 // 2, tops,",
         (
             "tests/test_packed_route.py::TestPackedOracle::test_roots",
             "tests/test_packed_route.py::TestPackedOracle::test_knot_entries",
         ),
     ),
     Mutant(
-        "packed-lows-of-the-other-operand",  # every operand's lows from the first's columns
+        "packed-lows-of-the-other-operand",  # every operand placed from the first's lows
         "_pykernel.py",
-        "        lows = [min(es) for es in cols]\n",
-        "        lows = [min(es) for es in frame.columns(parts[0])]\n",
+        "        for terms, (cols, lows, _) in parts:\n",
+        "        for terms, (cols, _, _) in parts:\n            lows = parts[0][1][1]\n",
         ("tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",),
     ),
     Mutant(
-        "packed-newton-box-unchecked",  # a digit past a variable's top read as a term
+        "packed-newton-box-unchecked",  # a digit past the last variable's top read as a term
         "_pykernel.py",
-        "                    if j > top:\n                        return None\n",
+        "            if any(row[max(0, (end - j) // gap + 1) :]):\n                return None\n",
         "",
         ("tests/test_packed_route.py::TestPackedFailures::test_int_quotient_past_the_newton_box",),
     ),
     Mutant(
+        "packed-inner-top-unchecked",  # a row past an outer variable's top read as terms
+        "_pykernel.py",
+        "                if k > t:\n                    return None\n",
+        "",
+        ("tests/test_packed_route.py::TestPackedFailures::test_int_quotient_past_an_inner_top",),
+    ),
+    Mutant(
         "packed-slot-a-byte-short",  # no byte for the sign when the bound fills its bytes
         "_pykernel.py",
-        "return bound.bit_length() // 8 + 1",
-        "return (bound.bit_length() + 7) // 8",
+        "need = bound.bit_length() // 8 + 1",
+        "need = (bound.bit_length() + 7) // 8",
         ("tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",),
+    ),
+    Mutant(
+        "packed-typecode-a-size-short",  # each slot read as an `array` item one size too small
+        "_pykernel.py",
+        '_CODES = dict(zip((1, 2, 4, 8), "bhiq"))',
+        '_CODES = dict(zip((1, 2, 4, 8), "bbhi"))',
+        ("tests/test_packed_route.py::TestPackedOracle::test_knot_entries",),
+    ),
+    Mutant(
+        "packed-wide-digits-unsigned",  # a slot wider than 8 bytes read without its sign
+        "_pykernel.py",
+        '[int.from_bytes(data[i : i + w], "little", signed=True) for',
+        '[int.from_bytes(data[i : i + w], "little") for',
+        ("tests/test_packed_route.py::TestPackedOracle::test_slots_wider_than_eight_bytes",),
+    ),
+    Mutant(
+        "packed-gap-of-one-operand",  # G from the last operand's slots only
+        "_pykernel.py",
+        "gap = gcd(gap, *[s - s0 for s in slots])",
+        "gap = gcd(*[s - s0 for s in slots])",
+        ("tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",),
+    ),
+    Mutant(
+        "packed-row-first-digit-off-by-one",  # each row read from one digit past its first
+        "_pykernel.py",
+        "i = max(0, (r * run - s0 + gap - 1) // gap)",
+        "i = max(0, (r * run - s0 + gap) // gap)",
+        (
+            "tests/test_packed_route.py::TestPackedOracle::test_knot_entries",
+            "tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",
+        ),
+    ),
+    Mutant(
+        "packed-root-least-slot-unhalved",  # the root read back from the square's least slot
+        "_pykernel.py",
+        "out = grid.unpack(r, s0 // 2, tops,",
+        "out = grid.unpack(r, s0, tops,",
+        ("tests/test_packed_route.py::TestPackedOracle::test_roots",),
+    ),
+    Mutant(
+        "packed-odd-least-slot-accepted",  # a square whose least slot is odd rooted all the same
+        "_pykernel.py",
+        "if p <= 0 or s0 % 2:",
+        "if p <= 0:",
+        ("tests/test_packed_route.py::TestPackedFailures::test_odd_least_slot",),
     ),
     Mutant(
         "packed-root-sign-unnormalised",  # the int root's sign kept, whatever its leading term's

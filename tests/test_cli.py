@@ -276,6 +276,11 @@ class TestEval:
         assert run("eval", "--assert", identity) == (2, "")
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("identity", ["t", "t==t==t"])
+    def test_assert_needs_exactly_one_equals(self, capsys, identity):
+        assert run("eval", "--assert", identity) == (2, "")
+        assert capsys.readouterr().err == "error: --assert needs exactly one '=='\n"
+
     @pytest.mark.parametrize(
         "argv, printed",
         [

@@ -13,12 +13,15 @@ took the packed route, and answers and errors are compared with the term
 route's, the packed route switched off.
 
 The route is taken when one rule holds (`_pykernel._route`);
-`TestRoutePins` pins which shapes of the benchmark's workloads take it.
+`TestRoutePins` pins which shapes of the benchmark's workloads take it,
+and `TestLargeIndexShifts` runs every shift a `large-index` run reaches.
 """
 
 import importlib.util
 import io
+import itertools
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +103,12 @@ def o_poly(*terms):
 
 ONE_A_ROOT_T = o_poly(({}, 1), ({"a": 1}, 1), ({"t": Fraction(1, 2)}, 1))  # 1 + a + t^(1/2)
 ONES = o_poly(*(({"t": i}, 1) for i in range(128)))  # every product coefficient at its bound
+EVENS = o_poly(*(({"t": 2 * i}, 1) for i in range(16)))  # slots two apart beside ONES' one
+# a^0 t^1..t^20 + a (1 + t + ... + t^20): no term at the box's low corner,
+# so the least slot of its square is 2
+CORNERLESS = o_poly(*(({"a": i, "t": j}, 1 + i + j % 3) for i in range(2) for j in range(21) if i or j))
+# (1 - t)^40: its square's coefficients pass 2^63, in both signs
+WIDE = o_pow(o_poly(({}, 1), ({"t": 1}, -1)), 40)
 
 
 def folded(e, d, fold):
@@ -117,6 +126,38 @@ def folded(e, d, fold):
         j = dict(m).get("t", 0)
         num[mono({"t": j - fold, "a": 1} if j >= fold else {"t": j})] = c
     return num, den
+
+
+def s_mul(p, q):
+    """The product of two slot polynomials, dicts from a slot to a
+    coefficient."""
+    out = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {s: c for s, c in out.items() if c}
+
+
+def laid(slots, *runs):
+    """The oracle dict of a slot polynomial laid out in rows: slot s is the
+    monomial whose exponents are the mixed-radix digits of s, t the last
+    with ``runs[-1]`` values, then b when there are two runs, then a.  When
+    the polynomial fills every exponent of its rows, these are the slots
+    the packed route gives it."""
+    out = {}
+    for s, c in slots.items():
+        exps = {}
+        for v, run in zip("tb", reversed(runs)):
+            s, exps[v] = divmod(s, run)
+        exps["a"] = s
+        out[mono(exps)] = c
+    return {m: c for m, c in out.items() if c}
+
+
+def signs(count, seed):
+    """``count`` coefficients drawn from -2, -1, 1 and 2."""
+    rng = random.Random(seed)
+    return [rng.choice((-2, -1, 1, 2)) for _ in range(count)]
 
 
 # -- dense operands ---------------------------------------------------------
@@ -175,14 +216,19 @@ def routes():
         yield out
 
 
+def outcome(fn, *args):
+    """``fn(*args)``: the value it returns, or the type and text of the
+    error it raises."""
+    try:
+        return fn(*args)
+    except (NotDivisibleError, NotAPerfectSquareError) as exc:
+        return type(exc), str(exc)
+
+
 def term_route(fn, *args):
-    """``fn(*args)`` with the packed route switched off: the value it
-    returns, or the type and text of the error it raises."""
+    """The `outcome` of ``fn(*args)`` with the packed route switched off."""
     with patch.object(_pykernel, "_route", lambda *_: None):
-        try:
-            return fn(*args)
-        except (NotDivisibleError, NotAPerfectSquareError) as exc:
-            return type(exc), str(exc)
+        return outcome(fn, *args)
 
 
 def packed(fn, *args):
@@ -245,6 +291,7 @@ class TestPackedOracle:
     @given(dense_pairs())
     @example((o_pow(ONE_A_ROOT_T, 11), o_pow(ONE_A_ROOT_T, 9)))
     @example((ONES, ONES))  # every coefficient of the product at its bound
+    @example((ONES, EVENS))  # G from both operands' slots, not the smaller's
     def test_products_and_quotients(self, ab):
         products_and_quotients(*ab)
 
@@ -252,11 +299,21 @@ class TestPackedOracle:
     @given(dense_polys())
     @example(o_pow(ONE_A_ROOT_T, 12))
     @example(ONES)
+    @example(CORNERLESS)  # the root's least slot half the square's
     # (1 + t)^30 - a: the root's last slot holds -a and its graded-lex
     # leading term is t^30, so the int root has the other sign
     @example(o_add(o_pow(o_poly(({}, 1), ({"t": 1}, 1)), 30), o_poly(({"a": 1}, -1))))
     def test_roots(self, a):
         root(a)
+
+    def test_slots_wider_than_eight_bytes(self):
+        # one `int.from_bytes` per slot
+        p = ring(WIDE)
+        with routes() as taken:
+            products_and_quotients(WIDE, WIDE)
+            root(WIDE)
+        assert [grid.width > 8 for grid in taken] == [True] * 4
+        assert packed(p.__mul__, p) == term_route(p.__mul__, p)
 
     def test_sparse_product_never_packs(self):
         # (a^1000000 + 1)(a^1000000 - 1): three slots a lattice step of
@@ -294,16 +351,94 @@ class TestPackedFailures:
         m = sorted(square)[where % len(square)]
         fails_as_term_route(exact_sqrt, ring(o_add(square, {m: bump})))
 
+    # Each refusal of the route, reached on slot polynomials laid out in
+    # rows (`laid`): the answer or the error is the term route's.
+
+    def test_int_quotient_past_the_last_slot(self):
+        # rows of 100: D = 1 + ... + t^40 + a ends at slot 100, not at its
+        # box's corner, 140, so Q's 171 digits pass the quotient box's last
+        # slot, 159
+        q = dict(enumerate(signs(171, 1)))
+        d = {**dict.fromkeys(range(41), 1), 100: 1}
+        fails_as_term_route(exact_div, ring(laid(s_mul(q, d), 100)), ring(laid(d, 100)))
+
+    def test_int_quotient_past_an_inner_top(self):
+        # rows of 30 t-slots, 4 b-rows to an a-row: Q's digits fill b = 0..3,
+        # but the quotient box stops at b = 2
+        q = {30 * b + t: c for (b, t), c in zip(itertools.product(range(4), range(10)), signs(40, 2))}
+        d = {30 * b + t: 1 for b in range(2) for t in range(21)}
+        fails_as_term_route(exact_div, ring(laid(s_mul(q, d), 4, 30)), ring(laid(d, 4, 30)))
+
+    def test_negative_quotient_offset(self):
+        # the divisor's least slot is 1, the dividend's 0
+        p = dict(enumerate(signs(271, 3)))
+        d = {**dict.fromkeys(range(1, 41), 1), 100: 1}
+        fails_as_term_route(exact_div, ring(laid(p, 100)), ring(laid(d, 100)))
+
+    def test_empty_quotient_box(self):
+        # rows of 62: P = 3 * s^61 * D, so P's int is 3 times D's, but P's
+        # least slot, 61, lies past the quotient box's last, 31
+        d = {**dict.fromkeys(range(31), 1), 62: 1}
+        p = {61 + s: 3 * c for s, c in d.items()}
+        fails_as_term_route(exact_div, ring(laid(p, 62)), ring(laid(d, 62)))
+
+    def test_divisor_wider_than_the_dividend(self):
+        # a*t / ((1 + a + a^2)(1 + t + t^2)): refused before the route
+        num, den = ring(o_poly(({"a": 1, "t": 1}, 1))), ring(laid(dict.fromkeys(range(9), 1), 3))
+        with routes() as taken:
+            got = outcome(exact_div, num, den)
+        assert taken == []
+        assert got == term_route(exact_div, num, den)
+
+    def test_quotient_past_its_coefficient_bound(self):
+        # a true quotient of coefficients up to 4100: times the divisor's 16
+        # ones they pass half a 2-byte slot, which the dividend's do not
+        q = {j: (-1) ** j * 100 * min(j + 1, 82 - j) for j in range(82)}
+        d = dict.fromkeys(range(16), 1)
+        num, den = ring(laid(s_mul(q, d))), ring(laid(d))
+        with routes() as taken:
+            got = exact_div(num, den)
+        assert [grid.width for grid in taken] == [2]
+        assert read(got) == laid(q)
+
+    def test_root_past_its_coefficient_bound(self):
+        # R = 1 + 256 * A(s), A's 16 coefficients in -2..2: R's int squared
+        # has base-2^16 digits below 1200, the square's coefficients, and
+        # R's digits, up to 513, are past the root's bound in 2-byte slots
+        x, r = 1 << 16, 1 + 256 * sum(c << 16 * j for j, c in enumerate(signs(15, 4) + [1]))
+        n, square = r * r, {}
+        for j in range(32):
+            square[j] = (n + x // 2) % x - x // 2
+            n = (n - square[j]) >> 16
+        fails_as_term_route(exact_sqrt, ring(laid(square)))
+
+    def test_negative_square(self):
+        q = dict(enumerate(signs(40, 6)))
+        fails_as_term_route(exact_sqrt, ring(laid({s: -c for s, c in s_mul(q, q).items()})))
+
+    def test_odd_least_slot(self):
+        # rows of 13: A's square moved up one slot, so its int is still a
+        # perfect square, and A lies in the root's box
+        a = {13 * i + j: c for (i, j), c in zip(itertools.product(range(5), range(7)), signs(35, 5))}
+        fails_as_term_route(exact_sqrt, ring(laid({s + 1: c for s, c in s_mul(a, a).items()}, 13)))
+
 
 # -- which workload shapes take the route ------------------------------------
 
-# The benchmark's input generators, loaded from their file without putting
-# perfbench/ on sys.path.
-_spec = importlib.util.spec_from_file_location(
-    "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench(name):
+    """A module of the benchmark, loaded from its file.  perfbench/ is on
+    sys.path only while it loads, for the worker's own imports."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with patch.object(sys, "path", [str(PERFBENCH), *sys.path]):
+        spec.loader.exec_module(module)
+    return module
+
+
+workloads, worker, oracle = map(_perfbench, ("workloads", "worker", "oracle"))
 
 
 class TestRoutePins:
@@ -346,3 +481,43 @@ class TestRoutePins:
         assert packed(exact_div, product, d) == a
         square = packed(e.__mul__, e)
         assert packed(exact_sqrt, square) in (e, -e)
+
+
+class TestLargeIndexShifts:
+    """Pass i of `large-index` shifts every index by zigzag(i) times a sign
+    the seed picks, so a 30 s run reaches shifts of up to about 75 either
+    way.  Every shift answers as the term route does, and every answer
+    renders: the worker renders outside its per-operation ``try``."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        b = workloads.LARGE_BASE
+        return knot_series(InvariantKind.HOMFLY, b["div_a"] + 75)
+
+    @pytest.mark.parametrize("d", range(-75, 76))
+    def test_products_quotients_and_roots(self, series, d):
+        b = workloads.LARGE_BASE
+        a, den, e = (series.knot(b[k] + d) for k in ("div_a", "div_b", "sqrt_m"))
+        product, square = a * den, e * e
+        assert product == term_route(a.__mul__, den)
+        assert square == term_route(e.__mul__, e)
+        quotient, root = exact_div(product, den), exact_sqrt(square)
+        assert quotient == a
+        assert root in (e, -e)
+        assert all(map(str, (product, square, quotient, root)))
+
+    @pytest.mark.parametrize("d", [-75, 75, -57])
+    def test_benchmark_pass(self, d):
+        # the pass at shift d, timed and rendered by the worker and checked
+        # by the benchmark's oracle, as `perfbench/run.py` does
+        m = workloads.LARGE_BASE["knot_m"] + d
+        ops = next(
+            ops
+            for seed, i in itertools.product(range(8), (2 * abs(d) - 1, 2 * abs(d)))
+            if (ops := workloads.large_index_pass(seed, i))[0]["m"] == m
+        )
+        _, _, results = worker._run_large(ops, None)
+        verified = set()
+        for op, out in zip(ops, worker._render_large(results)):
+            assert out["err"] is None
+            assert oracle.check_large(op, out["out"], verified) is None
