@@ -21,7 +21,9 @@ those steps count under it.
 Dense operands take the packed route instead: `poly_mul` multiplies them
 as one big int each, and `exact_div` and `exact_sqrt` try `dense_div` and
 `dense_sqrt` before their reduction, which runs only when those return
-None.  The route runs inside `_pykernel` and the tracer does not wrap
+None; a packed quotient or root is certified by an int identity, a
+coefficient bound and one count of the digits read inside its Newton
+box.  The route runs inside `_pykernel` and the tracer does not wrap
 `dense_div` or `dense_sqrt`, so a packed product counts once under
 `poly_mul`, and a packed quotient or root counts under no kernel name: its
 time is the self time of the `exact_div` or `exact_sqrt` span.
@@ -33,9 +35,10 @@ never calls them.  `poly_term_mul` is called by the tests only.
 Only the kernel reads the layout of a key; the rest of the package stores
 keys, hashes them, adds keys of one frame and hands them back.  `Frame`,
 untraced, is its way in: it encodes ``(var, num, den)`` items into keys,
-decodes them, and joins, fits and maps frames.  Five of its methods read a
-key's fields: `Frame.column`, which `span`, `bounds`, `split`, `outside`
-and the packed route go through, and `unpack`, `image`, `map` and `least`.
+decodes them, and joins, fits and maps frames.  Four of its methods read
+a key's fields: `Frame.column`, which `span`, `bounds`, `split`,
+`outside`, `least` and the packed route go through, and `unpack`, `image`
+and `map`.
 """
 
 from qpknot._pykernel import (

@@ -21,10 +21,10 @@ Data contract:
 This module is the only one that reads a key's layout.  Everywhere else a
 key is opaque: it is stored, hashed, compared, added to another key of its
 frame or handed back to the kernel; a frame's ``weight[v]``, the key of
-v^(1/scale), and its methods are the way into its fields.  Five of them
+v^(1/scale), and its methods are the way into its fields.  Four of them
 decode fields: `Frame.column` reads one variable's exponent over many
-keys, and `span`, `bounds`, `split`, `outside` and the packed route read
-through it; `unpack`, `image`, `map` and `least` keep their own per-key
+keys, and `span`, `bounds`, `split`, `outside`, `least` and the packed
+route read through it; `unpack`, `image` and `map` keep their own per-key
 loops, where a call per key would cost more than the loop.
 
 Term dicts meet by two routes.  The term route is `poly_accum_term_mul`,
@@ -37,15 +37,16 @@ the end of this module) puts dense operands on one big int each:
 `poly_mul` takes it itself, and the ring's `exact_div` and `exact_sqrt`
 ask `dense_div` and `dense_sqrt` first.  One rule, in `_route`, decides,
 and a quotient or root is returned only with a certificate that it is
-exact; otherwise the ring reduces term by term, so answers and errors do
-not depend on the route.  Monomials multiply, raise to powers and compare through
+exact, which counts its int's digits inside its Newton box; otherwise
+the ring reduces term by term, so answers and errors do not depend on the
+route.  Monomials multiply, raise to powers and compare through
 `mono_mul`, `mono_pow` and `mono_cmp` only in `Monomial`'s own arithmetic.
 """
 
 import sys
 from array import array
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from math import gcd, isqrt, lcm, prod
 from operator import add, mul, sub
 
@@ -315,25 +316,19 @@ class Frame:
         divisor of it and every field.  Equal names and widths give equal
         weights, so each key is divided by that divisor."""
         g = self.scale
-        bias, mask, half = self._bias, self._mask, self._half
-        shifts = list(self._at.values())
-        for k in terms:
+        for v in self.names:
             if g == 1:
-                return self, terms
-            k += bias
-            for s in shifts:
-                g = gcd(g, (k >> s & mask) - half)
+                break
+            g = gcd(g, *self.column(terms, v))
         if g == 1:
             return self, terms
         frame = Frame(self.names, self.scale // g, self.width)
         return frame, {k // g: c for k, c in terms.items()}
 
 
-@lru_cache(maxsize=256)
 def _units(frame, target):
     """The key in ``target`` of v^(1/scale), for each variable v of
-    ``frame``.  Built once per pair of frames, like `_frame`'s frames, and
-    only read: `Frame.image` and `Frame.map` take it as it is."""
+    ``frame``: what `Frame.image` and `Frame.map` multiply its fields by."""
     ratio = target.scale // frame.scale
     return {v: ratio * target.weight[v] for v in frame.names}
 
@@ -426,6 +421,8 @@ def poly_accum_term_mul(out, t, key, coeff):
 # |c| < X/2 with X = 2^(8 * width), so an int has at most one such
 # expansion and gives back coefficients that small.  A slot of 1, 2, 4 or
 # 8 bytes is one signed `array` item, so ints are built and read in C.
+# An answer is read along its Newton box's rows: it holds every nonzero
+# digit of its int when it has as many terms as the int has nonzero digits.
 
 # The route is taken when the term route's work, in term pairs, is at
 # least DENSE times the slots of the call's largest box (`_route`).  Timed
@@ -457,20 +454,23 @@ def _lattice(*spans):
     return [gv or 1 for gv in g]
 
 
-def _route(g, extents, work, bound):
-    """The `_Grid` of a call whose largest box has ``extents`` steps of
-    ``g`` per variable, its slots holding coefficients up to ``bound``;
-    None when the term route's ``work`` is below DENSE times the box's
-    slots.  This is the one density rule of the packed route."""
+def _route(g, lows, highs, work, bound):
+    """The `_Grid` of a call whose largest box runs from ``lows`` to
+    ``highs`` in steps of ``g`` per variable, its slots holding
+    coefficients up to ``bound``; None when the term route's ``work`` is
+    below DENSE times the box's slots.  This is the one density rule of the
+    packed route."""
+    extents = [(h - l) // gv + 1 for l, h, gv in zip(lows, highs, g)]
     if DENSE * prod(extents) > work:
         return None
     return _Grid(g, extents, _slot_bytes(bound))
 
 
 class _Grid:
-    """The lattice, slot width and slot gcd G of one packed call."""
+    """The lattice, extents, slot width and slot gcd G of one packed
+    call."""
 
-    __slots__ = ("strides", "g", "width", "code", "gap")
+    __slots__ = ("strides", "extents", "g", "width", "code", "gap")
 
     def __init__(self, g, extents, width):
         strides, s = [], 1
@@ -478,6 +478,7 @@ class _Grid:
             strides.append(s)
             s *= e
         self.strides = strides[::-1]
+        self.extents = extents
         self.g = g
         self.width = width
         self.code = _CODES.get(width)
@@ -515,7 +516,8 @@ class _Grid:
         """The terms of ``n``, digit i at slot s0 + G * i, keyed in
         ``frame``: j_v steps along v are exponent lows_v + j_v * units_v.
         None unless every digit lies in the box of ``tops[v]`` steps: none
-        past its last slot, none past some variable's top."""
+        past its last slot, and every nonzero one read along a row of the
+        box."""
         gap, w, strides = self.gap, self.width, self.strides
         weights = [frame.weight[v] for v in frame.names]
         base, steps = sum(map(mul, lows, weights)), list(map(mul, units, weights))
@@ -530,27 +532,19 @@ class _Grid:
             digits = array(self.code, data)
         else:
             digits = [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, len(data), w)]
-        # rows along the last variable, their digits G slots apart
-        outer = list(zip(strides, tops, steps))[:-1]
+        # the box's rows along the last variable, their digits G slots
+        # apart; distinct slots give distinct keys
         end, unit = tops[-1], steps[-1]
-        run = strides[-2] if outer else last + 1
         out = {}
-        for r in range(s0 // run, last // run + 1):
-            i = max(0, (r * run - s0 + gap - 1) // gap)
-            row = digits[i : ((r + 1) * run - s0 + gap - 1) // gap]
-            if not any(row):
-                continue
-            j = s0 + gap * i - r * run
-            key, rest = base + j * unit, r * run
-            for stride, t, step in outer:
-                k, rest = divmod(rest, stride)
-                if k > t:
-                    return None
-                key += k * step
-            if any(row[max(0, (end - j) // gap + 1) :]):
-                return None
+        for js in product(*[range(t + 1) for t in tops[:-1]]):
+            r = sum(map(mul, js, strides))
+            i = max(0, (r - s0 + gap - 1) // gap)
+            row = digits[i : max(i, (r + end - s0) // gap + 1)]
+            key = base + sum(map(mul, js, steps)) + (s0 + gap * i - r) * unit
             keys = range(key, key + gap * unit * len(row), gap * unit)
             out.update(zip(compress(keys, row), filter(None, row)))
+        if len(out) != size - digits.count(0):
+            return None
         return out
 
 
@@ -565,22 +559,21 @@ def _packed_mul(frame, t1, t2):
     max|t1| * max|t2| * len(t2)."""
     span1, span2 = frame.span(t1), frame.span(t2)
     (_, lo1, hi1), (_, lo2, hi2) = span1, span2
+    lows = list(map(add, lo1, lo2))
     g = _lattice(span1, span2)
-    extents = [(h1 - l1 + h2 - l2) // gv + 1 for l1, h1, l2, h2, gv in zip(lo1, hi1, lo2, hi2, g)]
-    grid = _route(g, extents, len(t1) * len(t2), _peak(t1) * _peak(t2) * len(t2))
+    grid = _route(g, lows, map(add, hi1, hi2), len(t1) * len(t2), _peak(t1) * _peak(t2) * len(t2))
     if grid is None:
         return None
     (n1, m1), (n2, m2) = grid.pack((t1, span1), (t2, span2))
-    return grid.unpack(n1 * n2, m1 + m2, [e - 1 for e in extents], frame, map(add, lo1, lo2), g)
+    return grid.unpack(n1 * n2, m1 + m2, [e - 1 for e in grid.extents], frame, lows, g)
 
 
-def dense_div(frame, num, den, box, num_span, den_span):
+def dense_div(frame, num, den, num_span, den_span):
     """The exact quotient num/den of two term dicts of ``frame`` by the
     packed route, certified; None when the rule refuses the call or the
     quotient is not certified, and the caller then reduces term by term.
-    ``box`` is the quotient's Newton box, ``var -> (lo, hi)`` in units of
-    1/scale, which the caller builds from ``num_span`` and ``den_span``,
-    the operands' `Frame.span`: the box and the route share one read.
+    ``num_span`` and ``den_span`` are the operands' `Frame.span`, which the
+    caller reads once, for the route and for its Newton box.
 
     The rule's work is the term pairs of the reduction, the divisor's terms
     times the quotient's, taken as the slots of the quotient's box but no
@@ -589,8 +582,8 @@ def dense_div(frame, num, den, box, num_span, den_span):
     less D's, from slot q0 = s0(P) - s0(D) (refused when negative), q is
     returned only when
 
-    1. every digit of the int quotient lies in the Newton box B_q
-       (`_Grid.unpack`), so q's terms are those digits;
+    1. every nonzero digit of the int quotient lies in a row of the Newton
+       box B_q (`_Grid.unpack` counts them), so q's terms are those digits;
     2. max|q| * max|D| * min(#q, #D) < X/2, where max|P| < X/2 and
        max|D| < X/2 by the slot width;
     3. the int identity q * D == P holds: `divmod` leaves no remainder.
@@ -604,22 +597,20 @@ def dense_div(frame, num, den, box, num_span, den_span):
     equal coefficients, and q is num/den, as a domain's quotients are
     unique."""
     n_num, n_den = len(num), len(den)
-    # P's box has at least n_num slots, and the quotient's box at most the
-    # slots of ``box`` at g = 1, so the rule fails unless this holds, which
+    # P's box has at least n_num slots, and the quotient's box at most
+    # prod(widths + 1) at g = 1, so the rule fails unless this holds, which
     # needs n_den >= DENSE
     if n_den < DENSE:
         return None
-    if DENSE * n_num > n_den * min(n_num, prod(hi - lo + 1 for lo, hi in box.values())):
-        return None
     (_, lon, hin), (_, lod, hid) = num_span, den_span
-    g = _lattice(num_span, den_span)
-    extents = [(h - l) // gv + 1 for l, h, gv in zip(lon, hin, g)]
-    tops = [(hn - ln - hd + ld) // gv for ln, hn, ld, hd, gv in zip(lon, hin, lod, hid, g)]
-    if min(tops, default=0) < 0:
+    widths = [hn - ln - hd + ld for ln, hn, ld, hd in zip(lon, hin, lod, hid)]
+    if min(widths, default=0) < 0 or DENSE * n_num > n_den * min(n_num, prod(w + 1 for w in widths)):
         return None
+    g = _lattice(num_span, den_span)
+    tops = [w // gv for w, gv in zip(widths, g)]
     work = min(n_num, prod(t + 1 for t in tops)) * n_den
     peak = _peak(den)
-    grid = _route(g, extents, work, _peak(num) * peak * min(n_num, n_den))
+    grid = _route(g, lon, hin, work, _peak(num) * peak * min(n_num, n_den))
     if grid is None:
         return None
     (p, n0), (d, d0) = grid.pack((num, num_span), (den, den_span))
@@ -634,36 +625,32 @@ def dense_div(frame, num, den, box, num_span, den_span):
     return out
 
 
-def dense_sqrt(frame, square, target):
+def dense_sqrt(frame, square, target, span):
     """The square root of a term dict P of ``frame`` by the packed route,
     certified, with a positive leading coefficient, keyed in ``target``,
-    ``frame`` at twice its scale; None as for `dense_div`.  The route reads
-    P's `Frame.span` in P's frame; the caller repacks P and reads the
-    root's Newton box only if it gives up.
+    ``frame`` at twice its scale; None as for `dense_div`.  ``span`` is P's
+    `Frame.span` in ``frame``, which the caller reads once, for the route
+    and for the root's Newton box.
 
     The rule's work, the square of the root's terms, is taken as for
     `dense_div`.  The root r, the int square root of P's int read back onto
     P's lattice from P's lows halved and slot s0(P) / 2 (refused when odd),
-    is returned only when every digit lies in B_r, half P's box,
-    max|r|^2 * #r < X/2, and r^2 is P's int.  As for `dense_div`, every
-    term of r^2 then lies in B_r + B_r, P's box, in a slot s0(P) + G * i,
-    every coefficient of it is below X/2, and r^2 == P as polynomials.  In
-    ``target`` P's lows halved are P's lows, and g_v is 2 * g_v units.
-    `isqrt` gives the root whose top slot is positive; it is negated when
-    its graded-lex leading coefficient is not."""
+    is returned only when every nonzero digit lies in a row of B_r, half
+    P's box, max|r|^2 * #r < X/2, and r^2 is P's int.  As for `dense_div`,
+    every term of r^2 then lies in B_r + B_r, P's box, in a slot
+    s0(P) + G * i, every coefficient of it is below X/2, and r^2 == P as
+    polynomials.  In ``target`` P's lows halved are P's lows, and g_v is
+    2 * g_v units.  `isqrt` gives the root whose top slot is positive; it
+    is negated when its graded-lex leading coefficient is not."""
     count = len(square)
     # as in `dense_div`: the rule needs count >= DENSE
     if count < DENSE:
         return None
-    span = frame.span(square)
     _, lo, hi = span
-    if DENSE * count > min(count, prod(h - l + 1 for l, h in zip(lo, hi))) ** 2:
-        return None
     g = _lattice(span)
-    extents = [(h - l) // gv + 1 for l, h, gv in zip(lo, hi, g)]
-    tops = [(e - 1) // 2 for e in extents]
+    tops = [(h - l) // (2 * gv) for l, h, gv in zip(lo, hi, g)]
     work = min(count, prod(t + 1 for t in tops)) ** 2
-    grid = _route(g, extents, work, _peak(square) * count)
+    grid = _route(g, lo, hi, work, _peak(square) * count)
     if grid is None:
         return None
     ((p, s0),) = grid.pack((square, span))

@@ -16,6 +16,7 @@ else the parser raises at the offending offset.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -93,6 +94,11 @@ def _tokenize(src: str, origin: int) -> list[_Token]:
             j = i
             while j < n and "0" <= src[j] <= "9":
                 j += 1
+            # `int` refuses longer literals; 0 (or before Python 3.10.7,
+            # no such limit) means none
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            if 0 < limit < j - i:
+                raise ExprSyntaxError(f"integer literal longer than {limit} digits", origin + i)
             tokens.append(_Token("INT", src[i:j], origin + i))
             i = j
         elif "a" <= ch <= "z":

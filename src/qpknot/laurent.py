@@ -656,7 +656,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     (_, n_lo, n_hi), (_, d_lo, d_hi) = spans
     box = {v: (a - b, c - d) for v, a, b, c, d in zip(frame.names, n_lo, d_lo, n_hi, d_hi)}
     reach = _box_reach(box, frame.scale)
-    quot = _K.dense_div(frame, rem, tail, box, *spans)
+    quot = _K.dense_div(frame, rem, tail, *spans)
     if quot is not None:
         return LaurentPoly._raw(frame, quot, reach)
     rem, tail = dict(rem), dict(tail)
@@ -688,32 +688,37 @@ def exact_sqrt(p: LaurentPoly) -> LaurentPoly:
 
     The root is keyed in p's frame at twice its scale, where every
     exponent and degree of p is even and half a key is the key of the
-    square root.  A dense p is first tried on the kernel's packed route
-    (`_kernel.dense_sqrt`), which reads p once, in p's own frame, and
-    writes the root's keys straight into the doubled one: `math.isqrt` of
-    p's int, read back onto p's own lattice, is the root when its square
-    is p's int, its terms lie in the Newton box and a coefficient bound
-    holds (proved in the kernel), and it is negated when its leading
-    coefficient is negative.  Otherwise, or when the density rule refuses
-    the call, p is repacked into the doubled frame, the Newton box is
-    read, and the reduction runs from the start and gives the answer and
-    the error text.  In the reduction, remainder terms stay in p's box and
-    candidates, a remainder term over the root's leading term, within 3/2
-    of p's reach, so a candidate differs from a bound of the root's box by
-    at most twice p's reach, which the frame is fitted to.  The root moves
-    to its least scale."""
+    square root.  p is read once, its `Frame.span` in its own frame, where
+    the root's Newton box is p's lows and highs and its least degree p's:
+    half of an exponent in the doubled frame is that exponent in p's.  A
+    dense p is first tried on the kernel's packed route
+    (`_kernel.dense_sqrt`), which takes that span and writes the root's
+    keys straight into the doubled frame: `math.isqrt` of p's int, read
+    back onto p's own lattice, is the root when its square is p's int, its
+    terms lie in the Newton box and a coefficient bound holds (proved in
+    the kernel), and it is negated when its leading coefficient is
+    negative.  Otherwise, or when the density rule refuses the call, p is
+    repacked into the doubled frame and the reduction runs from the start
+    and gives the answer and the error text.  In the reduction, remainder
+    terms stay in p's box and candidates, a remainder term over the root's
+    leading term, within 3/2 of p's reach, so a candidate differs from a
+    bound of the root's box by at most twice p's reach, which the frame is
+    fitted to.  The root moves to its least scale."""
     if p.is_zero:
         return LaurentPoly.zero()
 
     f = p._f
     frame = _K.Frame(f.names, 2 * f.scale, f.width).fit(2 * p._r)
     reach = -(-p._r // 2)
-    root = _K.dense_sqrt(f, p._t, frame)
+    span = f.span(p._t)
+    root = _K.dense_sqrt(f, p._t, frame, span)
     if root is not None:
         return LaurentPoly._raw(*frame.least(root), reach)
+    # half an exponent of p in ``frame`` is that exponent in p's own frame
+    _, lows, highs = span
+    box = dict(zip(f.names, zip(lows, highs)))
+    floor = f.degree(min(p._t))
     rem = f.repack(p._t, frame)
-    box = {v: (lo // 2, hi // 2) for v, (lo, hi) in frame.bounds(rem).items()}
-    floor = frame.degree(min(rem)) // 2
     lt = max(rem)
     lc = rem.pop(lt)  # lt = rm^2 and lc = rc^2
     if lc < 0:

@@ -361,18 +361,38 @@ MUTANTS = [
         ("tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",),
     ),
     Mutant(
-        "packed-newton-box-unchecked",  # a digit past the last variable's top read as a term
+        "packed-newton-box-unchecked",  # a row read one digit past the last variable's top
         "_pykernel.py",
-        "            if any(row[max(0, (end - j) // gap + 1) :]):\n                return None\n",
-        "",
-        ("tests/test_packed_route.py::TestPackedFailures::test_int_quotient_past_the_newton_box",),
+        "row = digits[i : max(i, (r + end - s0) // gap + 1)]",
+        "row = digits[i : max(i, (r + end - s0) // gap + 2)]",
+        ("tests/test_kernel.py::TestPyKernel::test_dense_div_refuses_a_digit_one_step_past_the_box",),
     ),
     Mutant(
-        "packed-inner-top-unchecked",  # a row past an outer variable's top read as terms
+        "packed-inner-top-unchecked",  # the box walk one row past an outer variable's top
         "_pykernel.py",
-        "                if k > t:\n                    return None\n",
-        "",
+        "for js in product(*[range(t + 1) for t in tops[:-1]]):",
+        "for js in product(*[range(t + 2) for t in tops[:-1]]):",
         ("tests/test_packed_route.py::TestPackedFailures::test_int_quotient_past_an_inner_top",),
+    ),
+    Mutant(
+        "packed-digit-count-unchecked",  # digits outside the box's rows dropped, not refused
+        "_pykernel.py",
+        "        if len(out) != size - digits.count(0):\n            return None\n",
+        "",
+        (
+            "tests/test_packed_route.py::TestPackedFailures::test_int_quotient_past_the_newton_box",
+            "tests/test_packed_route.py::TestPackedFailures::test_int_quotient_past_an_inner_top",
+        ),
+    ),
+    Mutant(
+        "packed-route-extents-one-short",  # each extent of the largest box one step short
+        "_pykernel.py",
+        "extents = [(h - l) // gv + 1 for l, h, gv in zip(lows, highs, g)]",
+        "extents = [(h - l) // gv for l, h, gv in zip(lows, highs, g)]",
+        (
+            "tests/test_packed_route.py::TestPackedOracle::test_knot_entries",
+            "tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",
+        ),
     ),
     Mutant(
         "packed-slot-a-byte-short",  # no byte for the sign when the bound fills its bytes
@@ -405,8 +425,8 @@ MUTANTS = [
     Mutant(
         "packed-row-first-digit-off-by-one",  # each row read from one digit past its first
         "_pykernel.py",
-        "i = max(0, (r * run - s0 + gap - 1) // gap)",
-        "i = max(0, (r * run - s0 + gap) // gap)",
+        "i = max(0, (r - s0 + gap - 1) // gap)",
+        "i = max(0, (r - s0 + gap) // gap)",
         (
             "tests/test_packed_route.py::TestPackedOracle::test_knot_entries",
             "tests/test_packed_route.py::TestPackedOracle::test_products_and_quotients",
@@ -450,6 +470,13 @@ MUTANTS = [
             "tests/test_eval_oracle.py::TestMonomialOracle::test_power_and_inverse",
             "tests/test_laurent.py::TestMonomial::test_mono_pow_inverts",
         ),
+    ),
+    Mutant(
+        "least-skips-the-first-variable",  # the least scale read off every variable but the first
+        "_pykernel.py",
+        "        for v in self.names:\n            if g == 1:\n",
+        "        for v in self.names[1:]:\n            if g == 1:\n",
+        ("tests/test_kernel.py::TestFrame::test_least_divides_the_scale_by_the_exponents_gcd",),
     ),
     Mutant(
         "monomial-power-unreduced",  # a power left at den times the scale, not its least

@@ -276,6 +276,22 @@ class TestEval:
         assert run("eval", "--assert", identity) == (2, "")
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    @pytest.mark.parametrize(
+        "argv, offset",
+        [
+            (["t + " + "9" * 5000], 4),
+            (["--assert", "9" * 5000 + " == t"], 0),
+            (["--assert", "t == 2*" + "9" * 5000], 7),
+        ],
+    )
+    def test_integer_literal_past_the_digit_limit(self, capsys, argv, offset):
+        # the interpreter's limit on int-string conversion, 4300 digits by
+        # default: a longer literal is a parse error at its offset
+        limit = sys.get_int_max_str_digits()
+        assert run("eval", *argv) == (2, "")
+        assert capsys.readouterr().err == f"error: integer literal longer than {limit} digits (offset {offset})\n"
+        assert run("eval", "9" * limit) == (0, "9" * limit + "\n")
+
     @pytest.mark.parametrize("identity", ["t", "t==t==t"])
     def test_assert_needs_exactly_one_equals(self, capsys, identity):
         assert run("eval", "--assert", identity) == (2, "")

@@ -1,5 +1,6 @@
 """Expression grammar, parse errors with offsets, and evaluation."""
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from qpknot import (
     parse_poly,
     qp_number,
 )
+from qpknot.cli import main
 from qpknot.exprparse import Div, Lit, Mul, Pow, Sub, Var
 
 T = LaurentPoly.var("t")
@@ -137,3 +139,20 @@ class TestEval:
 
     def test_long_product(self):
         assert parse_poly("*".join(["t"] * 2000)) == T ** 2000
+
+    @pytest.mark.parametrize(
+        "src, out, code, err",
+        [
+            ("(t^2)^(1/2)", "t\n", 0, ""),
+            ("((t^2)^3)^(1/6)", "t\n", 0, ""),
+            (
+                "((t+1)^2)^(1/2)", "", 2,
+                "error: fractional powers are only legal on variables and monomials (offset 9)\n",
+            ),
+        ],
+    )
+    def test_fractional_power_of_a_power(self, capsys, src, out, code, err):
+        # a power of a monomial is a monomial; a power of a sum is not
+        buf = io.StringIO()
+        assert main(["eval", src], out=buf) == code
+        assert (buf.getvalue(), capsys.readouterr().err) == (out, err)

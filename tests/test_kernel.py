@@ -1,6 +1,7 @@
 """Term-arithmetic kernel and monomial-order unit tests."""
 
 from fractions import Fraction
+from math import comb, lcm
 
 from qpknot import LaurentPoly, _pykernel, to_az_form
 from qpknot.laurent import Monomial
@@ -133,6 +134,31 @@ class TestFrame:
         assert p.variables() == ("t",)
         assert to_az_form(p) == to_az_form(t + t**-1)
 
+    def test_least_divides_the_scale_by_the_exponents_gcd(self):
+        # keys packed from exact exponents: the least scale is the lcm of
+        # their reduced denominators, whichever variable needs it; a
+        # variable whose exponents are all 0 stays in the names
+        cases = [
+            (12, [{"a": Fraction(1, 2), "t": Fraction(3, 4)}, {"t": 1}]),  # 12 -> 4
+            (12, [{"a": Fraction(1, 6), "t": Fraction(-1, 2)}, {"a": 2}]),  # 12 -> 6
+            (2, [{"a": 2, "t": -3}, {"a": -1}, {}]),  # 2 -> 1
+            (6, [{"b": 0, "q": Fraction(1, 3)}, {"b": 0, "q": -2}]),  # 6 -> 3
+        ]
+        for scale, monos in cases:
+            names = tuple(sorted({v for m in monos for v in m}))
+            frame = _pykernel.Frame(names, scale)
+            terms = {frame.pack(items(m)): c for c, m in enumerate(monos, 1)}
+            least, out = frame.least(terms)
+            want = lcm(*(exponent(e).denominator for m in monos for e in m.values()))
+            assert (least.names, least.scale, least.width) == (names, want, frame.width)
+            assert [least.unpack(k) for k in out] == [items(m) for m in monos]
+            assert list(out.values()) == list(terms.values())
+        # no terms: scale 1; the constants' frame: the terms as they are
+        frame = _pykernel.Frame(("a", "t"), 12)
+        assert frame.least({}) == (_pykernel.Frame(("a", "t")), {})
+        assert _pykernel.Frame((), 4).least({0: 5}) == (_pykernel.Frame(), {0: 5})
+        assert _pykernel.Frame().least({0: 5}) == (_pykernel.Frame(), {0: 5})
+
     def test_outside_names_first_variable_out_of_box(self):
         frame = _pykernel.Frame(("a", "t"), 2)
         k = frame.pack(items({"a": -1, "t": 2}))
@@ -213,3 +239,14 @@ class TestPyKernel:
         want = {packed({"a": (1, 2), "t": 1}): -6, 0: 3, half: -15}
         assert _pykernel.poly_mul(t, {half: -3}, FRAME) == want
         assert _pykernel.poly_mul({half: -3}, t, FRAME) == want
+
+    def test_dense_div_refuses_a_digit_one_step_past_the_box(self):
+        # P = Q * (1 + t)^20, Q of degree 21, with P's term t^41 moved to a:
+        # P's rows are 41 slots long, so the int quotient is Q's, and its
+        # digit t^21 lies one step past the quotient box's top, t^20, and
+        # before the box's next row, a
+        den = {packed({"t": j}): comb(20, j) for j in range(21)}
+        quot = {packed({"t": j}): 1 + j % 3 for j in range(22)}
+        num = _pykernel.poly_mul(quot, den, FRAME)
+        num[packed({"a": 1})] = num.pop(packed({"t": 41}))
+        assert _pykernel.dense_div(FRAME, num, den, FRAME.span(num), FRAME.span(den)) is None

@@ -1,4 +1,4 @@
-"""Only the kernel reads the layout of a monomial key, and inside it five
+"""Only the kernel reads the layout of a monomial key, and inside it four
 functions decode a key's fields.
 
 Outside `_pykernel.py` a key is opaque.  A packed key is stored, hashed,
@@ -16,11 +16,11 @@ positions, masks of its fields, and reads of a frame's private bias,
 field table, mask, half field or degree shift.
 
 Inside `_pykernel.py` a field is decoded, a key shifted down by a field's
-position and masked to the field, in five functions only: `Frame.column`,
-the one reader of a variable's exponents over many keys, which `bounds`,
-`split`, `outside` and the packed route go through, and the per-key loops
-of `unpack`, `image`, `map` and `least`, where a call per key would cost
-more than the loop.
+position and masked to the field, in four functions only: `Frame.column`,
+the one reader of a variable's exponents over many keys, which `span`,
+`bounds`, `split`, `outside`, `least` and the packed route go through, and
+the per-key loops of `unpack`, `image` and `map`, where a call per key
+would cost more than the loop.
 """
 
 import ast
@@ -31,7 +31,7 @@ import qpknot
 
 SRC = Path(qpknot.__file__).parent
 
-READERS = {"column", "unpack", "image", "map", "least"}
+READERS = {"column", "unpack", "image", "map"}
 
 LAYOUT = re.compile(
     r'for \w+, \w+, \w+ in [\w.]*key\b|\(\("|\{\(\):|\(\(\)\)|, \(\),|else \(\)'
@@ -100,7 +100,7 @@ def _decoders(source):
     return found
 
 
-def test_five_functions_decode_a_keys_fields():
+def test_four_functions_decode_a_keys_fields():
     # the check fires on each spelling of the idiom and not on the
     # kernel's other shifts and masks
     for line in ("e = (key >> s & mask) - half", "mask & (k >> s)", "(k + b) >> s & self._mask"):

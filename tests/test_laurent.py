@@ -112,6 +112,31 @@ class TestArithmetic:
         for exps in ({"z": 1}, {"a": (1, 3)}, {"t": 10**9}):
             assert p.coefficient(Monomial(exps)) == 0
 
+    @pytest.mark.parametrize(
+        "op, want",
+        [
+            (lambda: 3 - T, "-t + 3"),  # int - poly, through __rsub__
+            (lambda: T + "x", TypeError),
+            (lambda: T * 1.5, TypeError),
+            (lambda: T / "x", TypeError),
+            (lambda: T ** 1.5, TypeError),
+            (lambda: Monomial.var("t") * 2, TypeError),
+            (lambda: LaurentPoly("x"), TypeError),
+            (lambda: LaurentPoly.zero().leading_term(), ValueError),
+            (lambda: (2 * T).as_monomial(), ValueError),
+        ],
+        ids=[
+            "int-minus-poly", "poly-plus-str", "poly-times-float", "poly-over-str",
+            "poly-to-float", "monomial-times-int", "poly-of-str", "zero-leading-term", "two-t-as-monomial",
+        ],
+    )
+    def test_operands_outside_the_ring(self, op, want):
+        if isinstance(want, str):
+            assert str(op()) == want
+        else:
+            with pytest.raises(want):
+                op()
+
 
 class TestSubstitute:
     def test_identity_map(self):

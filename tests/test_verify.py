@@ -9,6 +9,7 @@ from qpknot import (
     CheckReport,
     Family,
     InvariantKind,
+    KnotCoeffs,
     Monomial,
     UnknownCheckError,
     check_names,
@@ -86,6 +87,18 @@ FAILURE_TEXTS = [
         "skein_from_numbers",
         lambda real: lambda f: real(Family.ALEXANDER if f is Family.JONES else f),
         "jones: (t^(1/2) - t^(-1/2), 1) != (t^(3/2) - t^(1/2), t^2)",
+    ),
+    (
+        "eq8-coeffs",
+        "_EXPECTED_KNOT_COEFFS",
+        lambda real: {**real, InvariantKind.JONES: ("t^3 + t", "t^4")},
+        "jones: (t^3 + t, -t^4) != tabulated (t^3 + t, t^4)",
+    ),
+    (
+        "trefoil",
+        "knot_coeffs",
+        lambda real: lambda kind: KnotCoeffs(real(kind).k1, real(kind).k2 + 1),
+        "alexander: t - 1 + t^-1 != k1 + k2",
     ),
     (
         "eq34-multiplier",
